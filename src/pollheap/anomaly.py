@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .mc import Reducer, run_simulation
-from .model import ElectionDataset, as_fraction
+from .model import MAX_DENOMINATOR, ElectionDataset, as_fraction
 from .sampling import NullModel, make_sampler
 
 __all__ = [
@@ -41,10 +41,6 @@ WEIGHTINGS = ("station_count", "registered_voters")
 
 DEFAULT_LEVELS = (Fraction(1, 2), Fraction(199, 2))
 
-# Keeps every integer product in the membership tests well inside
-# int64 even for country-scale denominators.
-_MAX_HALF_WIDTH_DENOMINATOR = 10**6
-
 
 @dataclass(frozen=True)
 class WindowSpec:
@@ -59,7 +55,7 @@ class WindowSpec:
         hw = as_fraction(self.half_width)
         if not 0 < hw <= Fraction(1, 2):
             raise ValueError("half_width must lie in (0, 0.5] percentage points")
-        if hw.denominator > _MAX_HALF_WIDTH_DENOMINATOR:
+        if hw.denominator > MAX_DENOMINATOR:
             raise ValueError(
                 "half_width precision exceeds 1e-6; exact window tests "
                 "would overflow 64-bit integer arithmetic"
@@ -109,9 +105,7 @@ def _member_half_integer(num, den, hn: int, hd: int) -> np.ndarray:
     return hd * np.abs(u - den) <= 2 * hn * den
 
 
-def _side_membership(
-    num: np.ndarray, den: np.ndarray, window: WindowSpec, zero_exclusion: bool
-) -> np.ndarray:
+def _side_membership(num: np.ndarray, den: np.ndarray, window: WindowSpec) -> np.ndarray:
     """Window membership per station for one metric's num/den arrays."""
     member = np.zeros(den.shape, dtype=bool)
     ok = np.flatnonzero(den > 0)
@@ -122,8 +116,6 @@ def _side_membership(
             member[ok] = _member_integer(num[ok], den[ok], hn, hd)
         else:
             member[ok] = _member_half_integer(num[ok], den[ok], hn, hd)
-    if zero_exclusion:
-        member &= (num % 10 != 0) & (den % 10 != 0)
     return member
 
 
@@ -146,22 +138,36 @@ class _Evaluator:
     # the exact station set the empirical statistic used.
     refilter_max: Fraction | None = None
 
-    def __call__(self, turnout_num: np.ndarray, result_num: np.ndarray) -> int:
+    def __call__(
+        self, turnout_num: np.ndarray, result_num: np.ndarray, memo: dict | None = None
+    ) -> int:
+        """Score one set of numerators.
+
+        Evaluators built on one dataset that share a memo over the same
+        numerators compute each side's membership in a window once.
+        Memo entries are never modified in place.
+        """
+        memo = {} if memo is None else memo
         scope = self.stat.metric_scope
-        ze = self.stat.zero_exclusion
-        if scope == "turnout_only":
-            member = _side_membership(turnout_num, self.registered, self.window, ze)
-        elif scope == "result_only":
-            member = _side_membership(result_num, self.cast, self.window, ze)
-        else:
-            member = _side_membership(
-                turnout_num, self.registered, self.window, ze
-            ) | _side_membership(result_num, self.cast, self.window, ze)
+        sides = []
+        if scope != "result_only":
+            sides.append(("turnout", turnout_num, self.registered))
+        if scope != "turnout_only":
+            sides.append(("result", result_num, self.cast))
+        member = None
+        for side, num, den in sides:
+            key = (side, self.window)
+            if key not in memo:
+                memo[key] = _side_membership(num, den, self.window)
+            m = memo[key]
+            if self.stat.zero_exclusion:
+                m = m & (num % 10 != 0) & (den % 10 != 0)
+            member = m if member is None else member | m
         if self.refilter_max is not None:
             pn, pd = self.refilter_max.numerator, self.refilter_max.denominator
-            member &= 100 * pd * turnout_num <= pn * self.registered
+            member = member & (100 * pd * turnout_num <= pn * self.registered)
             ok_cast = self.cast > 0
-            member &= ~ok_cast | (100 * pd * result_num <= pn * self.cast)
+            member = member & (~ok_cast | (100 * pd * result_num <= pn * self.cast))
         if self.stat.weighting == "registered_voters":
             return int(self.registered[member].sum())
         return int(np.count_nonzero(member))
@@ -177,7 +183,7 @@ def _make_evaluator(
         refilter_max = as_fraction(refilter_max)
         if not 0 < refilter_max <= 100:
             raise ValueError("refilter_max_percent must be in (0, 100]")
-        if refilter_max.denominator > _MAX_HALF_WIDTH_DENOMINATOR:
+        if refilter_max.denominator > MAX_DENOMINATOR:
             raise ValueError("refilter_max_percent denominator too large")
     return _Evaluator(
         stat=stat,
@@ -215,7 +221,8 @@ class _QReducer(Reducer):
     def reduce(self, iteration_index: int, counts: Mapping[str, np.ndarray]):
         t = counts["turnout"]
         r = counts["result"]
-        return np.array([ev(t, r) for ev in self.evaluators], dtype=np.int64)
+        memo: dict = {}
+        return np.array([ev(t, r, memo) for ev in self.evaluators], dtype=np.int64)
 
 
 def percentile_band(samples: np.ndarray, levels=DEFAULT_LEVELS) -> tuple[float, float]:

@@ -33,7 +33,7 @@ from .anomaly import (
     StatisticDef,
     WindowSpec,
     run_nulls,
-    window_sweep,
+    window_sweep,  # noqa: F401  not called here; perfbench/tracing.py patches cli.window_sweep
 )
 from .histograms import (
     WeightedHistogram,
@@ -446,9 +446,15 @@ def _cmd_analyze(args: argparse.Namespace) -> dict:
     dataset, _ = _prepare(args, args.input)
 
     named = _defs_for(args.window)
+    # a --window list adds the sweep's definitions to the same draws;
+    # each report depends only on its own definition, so the sweep rows
+    # equal what window_sweep would compute
+    sweep = []
+    if len(args.window) > 1:
+        sweep = [(StatisticDef(), WindowSpec("integer", hw)) for hw in args.window]
     reports = run_nulls(
         dataset,
-        [(stat, window) for _, stat, window in named],
+        [(stat, window) for _, stat, window in named] + sweep,
         model=args.model,
         iterations=args.iterations,
         master_seed=args.seed,
@@ -457,19 +463,7 @@ def _cmd_analyze(args: argparse.Namespace) -> dict:
         progress=_progress("analyze"),
     )
     by_name = {name: rep for (name, _, _), rep in zip(named, reports)}
-
-    sweep_reports = []
-    if len(args.window) > 1:
-        sweep_reports = window_sweep(
-            dataset,
-            StatisticDef(),
-            model=args.model,
-            iterations=args.iterations,
-            master_seed=args.seed,
-            half_widths=args.window,
-            workers=args.workers,
-            levels=args.levels,
-        )
+    sweep_reports = reports[len(named):]
 
     artifacts = _Artifacts()
     if "json" in args.format:

@@ -24,6 +24,7 @@ __all__ = [
     "compute_metrics",
     "apply_filters",
     "as_fraction",
+    "MAX_DENOMINATOR",
     "REASON_INVALID",
     "REASON_TOO_SMALL",
     "REASON_OVER_TURNOUT",
@@ -38,6 +39,12 @@ REASON_TOO_SMALL = "too_small"
 REASON_OVER_TURNOUT = "over_max_turnout"
 REASON_OVER_RESULT = "over_max_result"
 REASON_UNDEFINED_RESULT = "undefined_result"
+
+# Largest denominator accepted for an exact percentage bound (a filter
+# cap, a window half-width). Keeps every integer product the exact
+# comparisons form, such as 100 * given * denominator, well inside
+# int64 for country-scale counts.
+MAX_DENOMINATOR = 10**6
 
 
 def as_fraction(value: int | float | str | Fraction) -> Fraction:
@@ -282,7 +289,13 @@ class FilterPolicy:
     exclude_undefined_result: bool = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "max_percentage", as_fraction(self.max_percentage))
+        bound = as_fraction(self.max_percentage)
+        if bound.denominator > MAX_DENOMINATOR:
+            raise ValueError(
+                "max_percentage precision exceeds 1e-6; exact filter tests "
+                "would overflow 64-bit integer arithmetic"
+            )
+        object.__setattr__(self, "max_percentage", bound)
 
     def with_overrides(self, **kwargs) -> "FilterPolicy":
         return replace(self, **kwargs)
@@ -305,7 +318,9 @@ def apply_filters(
     B = dataset.cast
     L = dataset.leader
 
-    bound = policy.max_percentage
+    # a valid station's percentages never exceed 100, so a higher cap
+    # acts as 100; the clamp keeps bn * V inside int64 for any cap
+    bound = min(policy.max_percentage, Fraction(100))
     bn, bd = bound.numerator, bound.denominator
 
     invalid = (
@@ -320,7 +335,7 @@ def apply_filters(
     )
     too_small = V < policy.min_registered
     # turnout > bound  <=>  100*G*bd > bn*V, exact in int64 for any
-    # real-world census size
+    # real-world census size because bd <= MAX_DENOMINATOR
     over_turnout = 100 * G * bd > bn * V
     over_result = (B > 0) & (100 * L * bd > bn * B)
     undefined = (B == 0) & policy.exclude_undefined_result

@@ -10,9 +10,11 @@ result is bit-identical under any parallel schedule.
 Counts are produced from those uniforms by inverse-CDF transforms using
 the convention k = min{k : F(k) > u}, which maps a uniform on [0, 1)
 to the exact pmf. The hot path precomputes, per station, the binomial
-CDF over a central support window and binary-searches it; draws landing
-outside the window (probability ~1e-12 each) fall back to a direct
-quantile whose CDF authority is scipy's bdtr.
+CDF over a central support window. A lookup starts each station at the
+same Cornish-Fisher guess the direct quantile uses and walks the
+station's table row to the first entry above u; draws landing outside
+the window (probability ~1e-12 each) fall back to a direct quantile
+whose CDF authority is scipy's bdtr.
 """
 
 from __future__ import annotations
@@ -149,6 +151,24 @@ def station_uniforms(seed: SimSeed, words_per_station: int) -> np.ndarray:
     return gen.random(skip + words_per_station)[skip:]
 
 
+def _quantile_guess(u: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Second-order Cornish-Fisher guess at the Binom(n, p) quantile of u.
+
+    n is float64. The result is a float64 count clipped to [0, n]. Both
+    binom_quantile and the table lookup start from it; the walk that
+    follows makes the answer exact, but binom_quantile walks on bdtr,
+    which is not bitwise monotone, so this arithmetic must not change.
+    """
+    q = 1.0 - p
+    mu = n * p
+    sig = np.sqrt(mu * q)
+    with np.errstate(divide="ignore"):
+        z = np.clip(ndtri(u), -40.0, 40.0)
+    # continuity-corrected
+    k = np.floor(mu + sig * z + (z * z - 1.0) * (q - p) / 6.0 + 0.5)
+    return np.clip(k, 0.0, n)
+
+
 def binom_quantile(u, n, p) -> np.ndarray:
     """Smallest k with Binom(n, p) CDF(k) strictly above u, vectorized.
 
@@ -175,14 +195,7 @@ def binom_quantile(u, n, p) -> np.ndarray:
     ni = n[idx]
     pp = p[idx]
     uu = u[idx]
-    qq = 1.0 - pp
-    mu = nn * pp
-    sig = np.sqrt(mu * qq)
-    with np.errstate(divide="ignore"):
-        z = np.clip(ndtri(uu), -40.0, 40.0)
-    # second-order Cornish-Fisher guess with continuity correction
-    k = np.floor(mu + sig * z + (z * z - 1.0) * (qq - pp) / 6.0 + 0.5)
-    k = np.clip(k, 0.0, nn)
+    k = _quantile_guess(uu, nn, pp)
 
     F = np.where(k >= nn, 1.0, bdtr(k, ni, pp))
     lag = np.flatnonzero(F <= uu)
@@ -213,28 +226,34 @@ class _QuantileTable:
     offsets: np.ndarray  # int64, len n_stations + 1, into cdf
     cdf: np.ndarray  # float64 flat: F(lo), F(lo+1), ... per station
     left_tail: np.ndarray  # float64 F(lo - 1) per station
-    max_width: int
 
     def lookup(self, u: np.ndarray) -> np.ndarray:
-        """Map one uniform per station to a count via binary search."""
+        """Map one uniform per station to a count.
+
+        Each station starts at the Cornish-Fisher guess, clipped into
+        its row, and walks up while cdf <= u and down while the entry
+        below is > u. A row is a running sum of non-negative terms, so
+        the walk ends at the row's first entry above u from any start.
+        """
         starts = self.offsets[:-1]
         ends = self.offsets[1:]
-        left = starts.copy()
-        right = ends.copy()
-        # fixed-step search for the first index with cdf > u
-        for _ in range(int(self.max_width).bit_length() + 1):
-            active = left < right
-            if not active.any():
-                break
-            mid = (left + right) >> 1
-            val = self.cdf[np.minimum(mid, self.cdf.size - 1)]
-            above = active & (val > u)
-            below = active & ~above
-            right[above] = mid[above]
-            left[below] = mid[below] + 1
-        k = self.lo + (left - starts)
+        guess = _quantile_guess(u, self.n.astype(np.float64), self.p)
+        i = starts + np.clip(guess.astype(np.int64) - self.lo, 0, ends - starts - 1)
+        above = self.cdf[i] > u
+        up = np.flatnonzero(~above)
+        while up.size:
+            i[up] += 1
+            up = up[i[up] < ends[up]]
+            up = up[self.cdf[i[up]] <= u[up]]
+        down = np.flatnonzero(above & (i > starts))
+        down = down[self.cdf[i[down] - 1] > u[down]]
+        while down.size:
+            i[down] -= 1
+            down = down[i[down] > starts[down]]
+            down = down[self.cdf[i[down] - 1] > u[down]]
+        k = self.lo + (i - starts)
         # outside the tabulated window: settle exactly; rare by design
-        stray = (left == ends) | (u < self.left_tail)
+        stray = (i == ends) | (u < self.left_tail)
         if stray.any():
             s = np.flatnonzero(stray)
             k[s] = binom_quantile(u[s], self.n[s], self.p[s])
@@ -318,7 +337,6 @@ def _build_table(den: np.ndarray, p: np.ndarray) -> _QuantileTable:
         offsets=offsets,
         cdf=cdf,
         left_tail=left_tail,
-        max_width=int(width.max()) if n_st else 1,
     )
 
 

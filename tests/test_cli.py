@@ -7,7 +7,10 @@ import shutil
 
 import pytest
 
-from pollheap.cli import main
+import pollheap.anomaly as anomaly
+from pollheap.cli import _cell, main
+from pollheap.ingest import load_dataset
+from pollheap.model import apply_filters
 
 
 def quiet_main(argv):
@@ -176,6 +179,39 @@ class TestAnalyze:
         assert len(lines) == 3 + 2
         assert lines[3].split(",")[0] == "1/20"
         assert lines[4].split(",")[0] == "1/4"
+
+    def test_window_sweep_shares_one_simulation(self, data_dir, tmp_path, capsys, monkeypatch):
+        calls = []
+        real = anomaly.run_simulation
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(anomaly, "run_simulation", counting)
+        path = data_dir / "fraud.tsv"
+        rc, _, _ = run(
+            capsys,
+            ["analyze", "--input", str(path), "--out", str(tmp_path),
+             "--iterations", "100", "--seed", "4", "--window", "0.05,0.25",
+             "--workers", "1", "--format", "csv"],
+        )
+        assert rc == 0
+        assert len(calls) == 1
+
+        dataset = apply_filters(load_dataset(str(path), "canonical", label="fraud")[0])
+        alone = anomaly.window_sweep(
+            dataset, anomaly.StatisticDef(), "binomial", 100, 4,
+            half_widths=["0.05", "0.25"], workers=1,
+        )
+        rows = (tmp_path / "window_sweep.csv").read_text().splitlines()[3:]
+        assert rows == [
+            ",".join(_cell(v) for v in (
+                rep.window.half_width, rep.empirical, rep.mc_mean, rep.mc_sd,
+                rep.z_score, rep.p_value_text(),
+            ))
+            for rep in alone
+        ]
 
 
 class TestHistogram:
@@ -346,3 +382,15 @@ class TestExitCodes:
         assert "no stations left" in err
         assert not (out / "analysis.json").exists()
         assert not (out / "samples.csv").exists()
+
+    def test_overprecise_max_percent_is_rejected(self, data_dir, tmp_path, capsys):
+        # finer than 1e-6 the exact filter products would wrap in int64
+        out = tmp_path / "nothing"
+        rc, _, err = run(
+            capsys,
+            ["analyze", "--input", str(data_dir / "clean.tsv"), "--out", str(out),
+             "--iterations", "100", "--max-percent", "98.99999999999999"],
+        )
+        assert rc == 1
+        assert "max_percentage precision" in err
+        assert not out.exists() or not any(out.iterdir())

@@ -9,6 +9,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from pollheap.model import (
+    MAX_DENOMINATOR,
     ElectionDataset,
     FilterPolicy,
     StationRecord,
@@ -108,6 +109,21 @@ class TestFilters:
         assert len(once) == len(twice)
         assert np.array_equal(once.registered, twice.registered)
 
+    def test_max_percentage_precision_is_bounded(self):
+        # at this precision 100 * given * denominator wraps in int64, and
+        # the filter dropped stations far below the cap as over_max_turnout
+        with pytest.raises(ValueError, match="precision"):
+            FilterPolicy(max_percentage=Fraction("98.99999999999999"))
+        finest = FilterPolicy(max_percentage=Fraction(98_999_999, MAX_DENOMINATOR))
+        assert finest.max_percentage.denominator == MAX_DENOMINATOR
+
+    def test_cap_above_100_keeps_every_valid_station(self):
+        # a numerator this large wrapped bn * registered in int64 and
+        # dropped every station
+        ds = make_dataset([1000, 2000], [700, 1500], [690, 1490], [300, 800])
+        for cap in (Fraction(100), Fraction(10**17), Fraction(10**30 + 1, 3)):
+            assert len(apply_filters(ds, FilterPolicy(max_percentage=cap))) == 2
+
     def test_max_percentage_is_inclusive_cap(self):
         # exactly 99% survives the 99 cap, anything above is dropped
         ds = make_dataset([200, 200], [198, 199], [198, 199], [100, 100])
@@ -178,3 +194,28 @@ def test_filtered_stations_satisfy_policy_property(seed, n):
     assert np.all(100 * ds.given <= 99 * ds.registered)
     assert np.all(ds.cast > 0)
     assert np.all(100 * ds.leader <= 99 * ds.cast)
+
+
+@settings(max_examples=30, deadline=None)
+@hgiven(
+    seed=st.integers(0, 2**32 - 1),
+    cap_num=st.integers(1, 100 * MAX_DENOMINATOR),
+)
+def test_filter_matches_exact_fractions_at_finest_cap_property(seed, cap_num):
+    # country-scale counts against a cap at the finest accepted precision
+    rng = np.random.default_rng(seed)
+    v = rng.integers(1, 10**7, size=40)
+    g = rng.integers(0, v + 1)
+    b = rng.integers(0, g + 1)
+    l = rng.integers(0, b + 1)
+    cap = Fraction(cap_num, MAX_DENOMINATOR)
+    kept = apply_filters(
+        make_dataset(v, g, b, l), FilterPolicy(min_registered=1, max_percentage=cap)
+    )
+    expected = [
+        i for i in range(v.size)
+        if Fraction(100 * int(g[i]), int(v[i])) <= cap
+        and b[i] > 0
+        and Fraction(100 * int(l[i]), int(b[i])) <= cap
+    ]
+    assert list(kept.station_ids) == [f"S{i:07d}" for i in expected]

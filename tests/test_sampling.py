@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from pollheap.sampling import (
     METRIC_CODES,
+    _build_table,
     DatasetSampler,
     NullModel,
     SimSeed,
@@ -21,6 +22,35 @@ from pollheap.sampling import (
 )
 
 import oracles
+
+
+def _binary_search_lookup(table, u):
+    """Reference for _QuantileTable.lookup: a fixed-step binary search.
+
+    Finds each row's first entry with cdf > u; strays (no entry above u,
+    or u below the row's left tail) are settled by binom_quantile.
+    """
+    starts = table.offsets[:-1]
+    ends = table.offsets[1:]
+    left = starts.copy()
+    right = ends.copy()
+    max_width = int((ends - starts).max()) if starts.size else 1
+    for _ in range(max_width.bit_length() + 1):
+        active = left < right
+        if not active.any():
+            break
+        mid = (left + right) >> 1
+        val = table.cdf[np.minimum(mid, table.cdf.size - 1)]
+        above = active & (val > u)
+        below = active & ~above
+        right[above] = mid[above]
+        left[below] = mid[below] + 1
+    k = table.lo + (left - starts)
+    stray = (left == ends) | (u < table.left_tail)
+    if stray.any():
+        s = np.flatnonzero(stray)
+        k[s] = binom_quantile(u[s], table.n[s], table.p[s])
+    return k
 
 
 def _repeat_sampler(den, num, model, n_copies, metric="turnout"):
@@ -250,3 +280,72 @@ def test_draws_stay_in_support_property(seed, den, frac, model_text):
     s = _repeat_sampler(den, num, NullModel.parse(model_text), 64)
     d = s.draw(master_seed=seed, iteration_index=0)
     assert d.min() >= 0 and d.max() <= den
+
+
+_LAST_UNIFORM = 1.0 - 2.0**-53
+
+_p_values = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    st.floats(0.0, 1.0),
+    st.integers(1, 999).map(lambda k: k / 1000),
+)
+
+
+def _boundary_uniforms(table, data):
+    """One u per station, drawn at 0, just below 1, the left tail, row
+    entries (the last one included), their float neighbours, or anywhere."""
+    us = []
+    for i in range(table.lo.size):
+        row = table.cdf[table.offsets[i]:table.offsets[i + 1]]
+        tail = float(table.left_tail[i])
+        candidates = [0.0, _LAST_UNIFORM, tail, np.nextafter(tail, 0.0),
+                      float(row[-1]), float(row[data.draw(st.integers(0, row.size - 1))])]
+        u = data.draw(st.one_of(st.sampled_from(candidates), st.floats(0.0, 1.0)))
+        u = data.draw(st.sampled_from([u, float(np.nextafter(u, 0.0)),
+                                       float(np.nextafter(u, 1.0))]))
+        us.append(min(max(u, 0.0), _LAST_UNIFORM))
+    return np.array(us, dtype=np.float64)
+
+
+def _assert_lookup_matches_binary_search(table, data):
+    u = _boundary_uniforms(table, data)
+    assert np.array_equal(table.lookup(u), _binary_search_lookup(table, u))
+    # every station again at entries spread over its whole row, where the
+    # guess can start on either side of the answer; rows depend only on
+    # (n, p), so a table of copies of the station holds the same row
+    for i in range(table.lo.size):
+        row = table.cdf[table.offsets[i]:table.offsets[i + 1]]
+        picks = row[np.unique(np.linspace(0, row.size - 1, min(row.size, 24)).astype(int))]
+        u = np.concatenate([picks, np.nextafter(picks, 0.0), np.nextafter(picks, 1.0)])
+        u = np.clip(u, 0.0, _LAST_UNIFORM)
+        copies = _build_table(np.full(u.size, table.n[i]), np.full(u.size, table.p[i]))
+        assert np.array_equal(copies.lookup(u), _binary_search_lookup(copies, u))
+
+
+@settings(max_examples=60, deadline=None)
+@hgiven(
+    dens=st.lists(st.integers(0, 10**6), min_size=1, max_size=6),
+    ps=st.lists(_p_values, min_size=6, max_size=6),
+    data=st.data(),
+)
+def test_binomial_table_lookup_matches_binary_search_property(dens, ps, data):
+    den = np.array(dens, dtype=np.int64)
+    p = np.array(ps[: den.size])
+    _assert_lookup_matches_binary_search(_build_table(den, p), data)
+
+
+@settings(max_examples=60, deadline=None)
+@hgiven(
+    c=st.sampled_from([3, 7]),
+    quots=st.lists(st.integers(0, 10**6 // 7), min_size=1, max_size=6),
+    rems=st.lists(st.sampled_from([0, 1, 2]), min_size=6, max_size=6),
+    fracs=st.lists(_p_values, min_size=6, max_size=6),
+    data=st.data(),
+)
+def test_clustered_table_lookup_matches_binary_search_property(c, quots, rems, fracs, data):
+    # the remainder table's rows have n in {0, 1, 2}: degenerate and tiny
+    den = np.array([c * q + r for q, r in zip(quots, rems)], dtype=np.int64)
+    num = np.array([int(f * d) for f, d in zip(fracs, den)], dtype=np.int64)
+    sampler = make_sampler(den, num, NullModel("clustered", c), "turnout")
+    for table in (sampler._quot_table, sampler._rem_table):
+        _assert_lookup_matches_binary_search(table, data)
