@@ -6,7 +6,8 @@ center. Window membership is decided in exact integer arithmetic on
 the raw counts, so boundary cases never depend on float rounding:
 with half_width hn/hd percent, a ratio num/den lies within the window
 of an integer center iff hd * min(r, den - r) <= hn * den, where
-r = (100 * num) mod den.
+r = (100 * num) mod den, and within the window of a half-integer
+center iff hd * |2r - den| <= 2 * hn * den.
 """
 
 from __future__ import annotations
@@ -95,27 +96,30 @@ def is_in_window(value, window: WindowSpec) -> bool:
     return dist <= window.half_width
 
 
-def _member_integer(num, den, hn: int, hd: int) -> np.ndarray:
-    r = (100 * num) % den
-    return hd * np.minimum(r, den - r) <= hn * den
+def _side_residues(
+    num: np.ndarray, den: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stations with den > 0, their den, and r = (100 * num) mod den.
 
-
-def _member_half_integer(num, den, hn: int, hd: int) -> np.ndarray:
-    u = (200 * num) % (2 * den)
-    return hd * np.abs(u - den) <= 2 * hn * den
-
-
-def _side_membership(num: np.ndarray, den: np.ndarray, window: WindowSpec) -> np.ndarray:
-    """Window membership per station for one metric's num/den arrays."""
-    member = np.zeros(den.shape, dtype=bool)
+    Every window tested on one side's numerators needs only these.
+    """
     ok = np.flatnonzero(den > 0)
-    if ok.size:
-        hn = window.half_width.numerator
-        hd = window.half_width.denominator
-        if window.center_kind == "integer":
-            member[ok] = _member_integer(num[ok], den[ok], hn, hd)
-        else:
-            member[ok] = _member_half_integer(num[ok], den[ok], hn, hd)
+    d = den[ok]
+    return ok, d, (100 * num[ok]) % d
+
+
+def _side_membership(residues, size: int, window: WindowSpec) -> np.ndarray:
+    """Window membership per station from one side's _side_residues."""
+    ok, d, r = residues
+    hn = window.half_width.numerator
+    hd = window.half_width.denominator
+    if window.center_kind == "integer":
+        inside = hd * np.minimum(r, d - r) <= hn * d
+    else:
+        # (200 * num) mod (2 * den) is exactly 2 * r
+        inside = hd * np.abs(2 * r - d) <= 2 * hn * d
+    member = np.zeros(size, dtype=bool)
+    member[ok] = inside
     return member
 
 
@@ -144,8 +148,9 @@ class _Evaluator:
         """Score one set of numerators.
 
         Evaluators built on one dataset that share a memo over the same
-        numerators compute each side's membership in a window once.
-        Memo entries are never modified in place.
+        numerators compute each side's residues once and each side's
+        membership in a window once. Memo entries are never modified in
+        place.
         """
         memo = {} if memo is None else memo
         scope = self.stat.metric_scope
@@ -158,7 +163,9 @@ class _Evaluator:
         for side, num, den in sides:
             key = (side, self.window)
             if key not in memo:
-                memo[key] = _side_membership(num, den, self.window)
+                if side not in memo:
+                    memo[side] = _side_residues(num, den)
+                memo[key] = _side_membership(memo[side], den.size, self.window)
             m = memo[key]
             if self.stat.zero_exclusion:
                 m = m & (num % 10 != 0) & (den % 10 != 0)

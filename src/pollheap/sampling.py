@@ -50,10 +50,13 @@ _TAIL_SIGMAS = 7.5
 _TAIL_PAD = 5
 
 # Above this many table entries (~1.2 GB as float64) skip tables and
-# invert per draw instead.
+# invert per draw instead. This bounds the tables themselves; the
+# build's scratch space is bounded separately by _BUILD_CELLS.
 _MAX_TABLE_ENTRIES = 150_000_000
 
-_BUILD_CHUNK = 20_000
+# Cells (rows x widest row) per build chunk: about 0.5 MB per float64
+# temporary, so a chunk's scratch stays in cache whatever the input.
+_BUILD_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -268,6 +271,11 @@ def _build_table(den: np.ndarray, p: np.ndarray) -> _QuantileTable:
     window's left edge via log-gamma and extended by the ratio
     recurrence; every operation is row-independent, so a one-station
     build is bit-identical to the same station inside a batch.
+
+    Rows are built in chunks of consecutive stations holding at most
+    _BUILD_CELLS cells (rows x the chunk's widest row), or one row
+    wider than that, so scratch memory beyond the table itself does
+    not grow with the station count.
     """
     den = np.asarray(den, dtype=np.int64)
     p = np.asarray(p, dtype=np.float64)
@@ -289,11 +297,17 @@ def _build_table(den: np.ndarray, p: np.ndarray) -> _QuantileTable:
     cdf = np.empty(int(offsets[-1]), dtype=np.float64)
     left_tail = np.zeros(n_st, dtype=np.float64)
 
-    for s in range(0, n_st, _BUILD_CHUNK):
-        e = min(s + _BUILD_CHUNK, n_st)
+    s = 0
+    while s < n_st:
+        # rows x running widest row must fit in _BUILD_CELLS, so the
+        # first row caps the rows worth scanning; a row too wide for
+        # the budget forms a chunk of its own
+        cap = max(1, _BUILD_CELLS // int(width[s]))
+        run = np.maximum.accumulate(width[s:s + cap])
+        fits = np.arange(1, run.size + 1) * run <= _BUILD_CELLS
+        e = s + max(1, int(np.count_nonzero(fits)))
         deg = degenerate[s:e]
-        w = width[s:e]
-        wmax = int(w.max())
+        wmax = int(run[e - s - 1])
         nn = den[s:e, None].astype(np.float64)
         pp = np.where(deg, 0.5, p[s:e])[:, None]  # placeholder under deg
         llo = lo[s:e].astype(np.float64)
@@ -326,9 +340,10 @@ def _build_table(den: np.ndarray, p: np.ndarray) -> _QuantileTable:
         rows[deg, 0] = 1.0
         left_tail[s:e] = tail
 
-        keep = np.arange(wmax)[None, :] < w[:, None]
-        dst = offsets[s:e][:, None] + np.arange(wmax, dtype=np.int64)[None, :]
-        cdf[dst[keep]] = rows[keep]
+        # rows sit back to back in cdf, and valid (grid <= hi) is
+        # col < width, so the chunk's valid cells in row order fill it
+        cdf[offsets[s]:offsets[e]] = rows[valid]
+        s = e
 
     return _QuantileTable(
         n=den,

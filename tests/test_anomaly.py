@@ -10,8 +10,11 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from pollheap.anomaly import (
+    CENTER_KINDS,
     StatisticDef,
     WindowSpec,
+    _side_membership,
+    _side_residues,
     empirical_statistic,
     is_in_window,
     percentile_band,
@@ -268,3 +271,38 @@ def test_membership_matches_oracle_property(seed, n):
     )
     pcts = [Fraction(100 * int(gi), int(vi)) for vi, gi in zip(v, g) if vi > 0]
     assert q_t == oracles.count_in_window(pcts, "integer", hw)
+
+
+@settings(max_examples=60, deadline=None)
+@hgiven(
+    hw=st.builds(Fraction, st.integers(1, 500), st.integers(1, 1000)).filter(
+        lambda f: f <= Fraction(1, 2)
+    ),
+    stations=st.lists(
+        st.tuples(
+            st.integers(1, 5), st.integers(0, 200), st.sampled_from([-1, 1]),
+            st.integers(-1, 1),
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+)
+def test_side_membership_matches_fraction_at_boundaries_property(hw, stations):
+    # den = 200 * hd * k puts the window edges c +- hw of every integer
+    # and half-integer center c = c2 / 2 on an integer num; each station
+    # sits on an edge or one vote either side of it. One set of residues
+    # serves every window, as it does inside a reducer's memo.
+    hn, hd = hw.numerator, hw.denominator
+    den, num = [0], [0]
+    for k, c2, sign, delta in stations:
+        d = 200 * hd * k
+        den.append(d)
+        num.append(min(max(c2 * hd * k + sign * 2 * hn * k + delta, 0), d))
+    den = np.array(den, dtype=np.int64)
+    num = np.array(num, dtype=np.int64)
+    residues = _side_residues(num, den)
+    for kind in CENTER_KINDS:
+        w = WindowSpec(center_kind=kind, half_width=hw)
+        want = [d > 0 and is_in_window(Fraction(100 * int(n), int(d)), w)
+                for n, d in zip(num, den)]
+        assert _side_membership(residues, den.size, w).tolist() == want

@@ -1,6 +1,8 @@
 """Null-model samplers: exactness, determinism, counter discipline."""
 
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given as hgiven
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from pollheap import sampling
 from pollheap.sampling import (
     METRIC_CODES,
     _build_table,
@@ -349,3 +352,58 @@ def test_clustered_table_lookup_matches_binary_search_property(c, quots, rems, f
     sampler = make_sampler(den, num, NullModel("clustered", c), "turnout")
     for table in (sampler._quot_table, sampler._rem_table):
         _assert_lookup_matches_binary_search(table, data)
+
+
+def test_build_scratch_memory_is_bounded_by_cells():
+    # one aggregate station about 300 times wider than the rest must not
+    # size the scratch arrays of every other station's chunk
+    rng = np.random.default_rng(5)
+    den = np.append(rng.integers(500, 3001, size=2000), 10**6)
+    p = np.full(den.size, 0.6)
+    tracemalloc.start()
+    try:
+        table = _build_table(den, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * table.cdf.nbytes + 16 * 2**20
+
+
+_station = st.one_of(
+    st.tuples(st.just(0), st.floats(0.0, 1.0)),  # den = 0
+    st.tuples(st.integers(1, 3000), st.sampled_from([0.0, 1.0])),
+    st.tuples(st.integers(1, 3000), _p_values),
+    st.tuples(st.integers(10**5, 10**6), _p_values),  # wide rows
+)
+
+
+def _concatenated_tables(tables):
+    widths = [t.cdf.size for t in tables]
+    return {
+        "lo": np.concatenate([t.lo for t in tables]),
+        "offsets": np.concatenate([[0], np.cumsum(widths)]).astype(np.int64),
+        "cdf": np.concatenate([t.cdf for t in tables]),
+        "left_tail": np.concatenate([t.left_tail for t in tables]),
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@hgiven(
+    stations=st.lists(_station, min_size=1, max_size=12),
+    cells=st.sampled_from([1, 100, 5000, sampling._BUILD_CELLS]),
+    model=st.sampled_from(["binomial", "clustered:3", "clustered:7"]),
+)
+def test_build_table_is_chunk_invariant_property(stations, cells, model):
+    # every build operation is row-independent, so how stations fall
+    # into chunks cannot change a byte of any table
+    den = np.array([d for d, _ in stations], dtype=np.int64)
+    num = np.array([min(int(f * d), d) for d, f in stations], dtype=np.int64)
+    singles = [make_sampler(den[i:i + 1], num[i:i + 1], model, "turnout")
+               for i in range(den.size)]
+    with mock.patch.object(sampling, "_BUILD_CELLS", cells):
+        batch = make_sampler(den, num, model, "turnout")
+    names = ("_table",) if model == "binomial" else ("_quot_table", "_rem_table")
+    for name in names:
+        got = getattr(batch, name)
+        for field, want in _concatenated_tables([getattr(s, name) for s in singles]).items():
+            assert getattr(got, field).tobytes() == want.tobytes(), (name, field)
