@@ -96,9 +96,10 @@ def is_in_window(value, window: WindowSpec) -> bool:
     return dist <= window.half_width
 
 
-def _side_residues(
-    num: np.ndarray, den: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+_Residues = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _side_residues(num: np.ndarray, den: np.ndarray) -> _Residues:
     """Stations with den > 0, their den, and r = (100 * num) mod den.
 
     Every window tested on one side's numerators needs only these.
@@ -108,7 +109,7 @@ def _side_residues(
     return ok, d, (100 * num[ok]) % d
 
 
-def _side_membership(residues, size: int, window: WindowSpec) -> np.ndarray:
+def _side_membership(residues: _Residues, size: int, window: WindowSpec) -> np.ndarray:
     """Window membership per station from one side's _side_residues."""
     ok, d, r = residues
     hn = window.half_width.numerator
@@ -148,9 +149,9 @@ class _Evaluator:
         """Score one set of numerators.
 
         Evaluators built on one dataset that share a memo over the same
-        numerators compute each side's residues once and each side's
-        membership in a window once. Memo entries are never modified in
-        place.
+        numerators compute each side's residues once (key: side, None)
+        and each side's membership in a window once (key: side, window).
+        Memo entries are never modified in place.
         """
         memo = {} if memo is None else memo
         scope = self.stat.metric_scope
@@ -163,9 +164,9 @@ class _Evaluator:
         for side, num, den in sides:
             key = (side, self.window)
             if key not in memo:
-                if side not in memo:
-                    memo[side] = _side_residues(num, den)
-                memo[key] = _side_membership(memo[side], den.size, self.window)
+                if (side, None) not in memo:
+                    memo[(side, None)] = _side_residues(num, den)
+                memo[key] = _side_membership(memo[(side, None)], den.size, self.window)
             m = memo[key]
             if self.stat.zero_exclusion:
                 m = m & (num % 10 != 0) & (den % 10 != 0)

@@ -272,10 +272,9 @@ def _build_table(den: np.ndarray, p: np.ndarray) -> _QuantileTable:
     recurrence; every operation is row-independent, so a one-station
     build is bit-identical to the same station inside a batch.
 
-    Rows are built in chunks of consecutive stations holding at most
-    _BUILD_CELLS cells (rows x the chunk's widest row), or one row
-    wider than that, so scratch memory beyond the table itself does
-    not grow with the station count.
+    Rows are built in chunks of max(1, _BUILD_CELLS // widest row)
+    consecutive stations, so each scratch array holds at most
+    max(_BUILD_CELLS, widest row) cells whatever the station count.
     """
     den = np.asarray(den, dtype=np.int64)
     p = np.asarray(p, dtype=np.float64)
@@ -297,17 +296,11 @@ def _build_table(den: np.ndarray, p: np.ndarray) -> _QuantileTable:
     cdf = np.empty(int(offsets[-1]), dtype=np.float64)
     left_tail = np.zeros(n_st, dtype=np.float64)
 
-    s = 0
-    while s < n_st:
-        # rows x running widest row must fit in _BUILD_CELLS, so the
-        # first row caps the rows worth scanning; a row too wide for
-        # the budget forms a chunk of its own
-        cap = max(1, _BUILD_CELLS // int(width[s]))
-        run = np.maximum.accumulate(width[s:s + cap])
-        fits = np.arange(1, run.size + 1) * run <= _BUILD_CELLS
-        e = s + max(1, int(np.count_nonzero(fits)))
+    step = max(1, _BUILD_CELLS // int(width.max(initial=1)))
+    for s in range(0, n_st, step):
+        e = min(s + step, n_st)
         deg = degenerate[s:e]
-        wmax = int(run[e - s - 1])
+        wmax = int(width[s:e].max())
         nn = den[s:e, None].astype(np.float64)
         pp = np.where(deg, 0.5, p[s:e])[:, None]  # placeholder under deg
         llo = lo[s:e].astype(np.float64)
@@ -343,7 +336,6 @@ def _build_table(den: np.ndarray, p: np.ndarray) -> _QuantileTable:
         # rows sit back to back in cdf, and valid (grid <= hi) is
         # col < width, so the chunk's valid cells in row order fill it
         cdf[offsets[s]:offsets[e]] = rows[valid]
-        s = e
 
     return _QuantileTable(
         n=den,

@@ -356,7 +356,7 @@ def test_clustered_table_lookup_matches_binary_search_property(c, quots, rems, f
 
 def test_build_scratch_memory_is_bounded_by_cells():
     # one aggregate station about 300 times wider than the rest must not
-    # size the scratch arrays of every other station's chunk
+    # make the scratch arrays grow with the station count
     rng = np.random.default_rng(5)
     den = np.append(rng.integers(500, 3001, size=2000), 10**6)
     p = np.full(den.size, 0.6)
