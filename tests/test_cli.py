@@ -1,8 +1,10 @@
 """End-to-end command line runs, in process."""
 
 import contextlib
+import hashlib
 import io
 import json
+import os
 import shutil
 
 import pytest
@@ -394,3 +396,210 @@ class TestExitCodes:
         assert rc == 1
         assert "max_percentage precision" in err
         assert not out.exists() or not any(out.iterdir())
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _golden_steps():
+    """(output directory, argv) for every step of the golden session."""
+    mc = ["--iterations", "100", "--workers", "1"]
+    steps = [
+        ("sim_clean", ["simulate", "--stations", "300", "--regions", "3", "--seed", "5"]),
+        ("sim_fraud", ["simulate", "--stations", "300", "--regions", "3", "--seed", "5",
+                       "--fraud-mechanism", "integer_rounding", "--fraud-fraction", "0.3",
+                       "--fraud-seed", "9"]),
+        ("validate", ["validate", "--input", "in/clean.tsv", "in/fraud.tsv",
+                      "--reference", "in/ref.json"]),
+    ]
+    for tag, fmt in (("all", ["--format", "csv,json,svg"]), ("default", [])):
+        steps += [
+            (f"{tag}/analyze", ["analyze", "--input", "in/fraud.tsv", "--seed", "3",
+                                "--window", "0.05,0.2"] + mc + fmt),
+            (f"{tag}/histogram", ["histogram", "--input", "in/clean.tsv", "in/fraud.tsv",
+                                  "--metric", "turnout", "--seed", "2", "--jitter"] + mc + fmt),
+            (f"{tag}/histogram_avg", ["histogram", "--input", "in/clean.tsv", "in/fraud.tsv",
+                                      "--average", "--seed", "2"] + mc + fmt),
+            (f"{tag}/spectrum", ["spectrum", "--input", "in/fraud.tsv", "--metric", "turnout",
+                                 "--seed", "6"] + mc + fmt),
+            (f"{tag}/regions", ["regions", "--input", "in/clean.tsv", "in/fraud.tsv",
+                                "--seed", "8"] + mc + fmt),
+            (f"{tag}/regions_top", ["regions", "--input", "in/clean.tsv", "in/fraud.tsv",
+                                    "--seed", "8", "--exclude-top", "1"] + mc + fmt),
+            (f"{tag}/fingerprint", ["fingerprint", "--input", "in/fraud.tsv", "--weighted"] + fmt),
+        ]
+    return steps
+
+
+# SHA-256 of every file and stdout summary of the golden session
+GOLDEN = {
+    "all/analyze/analysis.json":
+        "8703f82a9dcd621fa4d35fc0ee0d107b292fa006b3d60c11bfc06cabb140f673",
+    "all/analyze/analysis.svg":
+        "689dd1cb15a8a5b33fd6a5e8d955dad63dee3d95908f6700aaacc00f135b919d",
+    "all/analyze/samples.csv":
+        "86482f8f3ac18a5cd95f148478c383fb137e9b99b1a8936f105aa2f4c82030bb",
+    "all/analyze/stdout":
+        "74b739393e06ffd66192e68f76b9e2bb641187488ea8711a475b704121449516",
+    "all/analyze/window_sweep.csv":
+        "519a21317799ec04f926e8cb531f0036abcb4b4ec95f92c9e58b8ce13d9172d2",
+    "all/fingerprint/fingerprint.csv":
+        "0388b177c2af0bcd7988bfce3009069f5bbae628f3c237de2525d84657446703",
+    "all/fingerprint/fingerprint.json":
+        "580fbf16163ae0b96d4931e3c954fecf1943108bded05245dd419d546d1bc38a",
+    "all/fingerprint/fingerprint.svg":
+        "c40456022197370f44032bcab9e1304cf0021b983cbd5d42af5df2d4a57a813a",
+    "all/fingerprint/stdout":
+        "802bfd1b5bcd8f7801c2443b1e0b5dfd3b64ed49714e720d7308907a35d7f666",
+    "all/histogram/hist_turnout_clean.csv":
+        "4a72fedd8df9a350222619b35e15b672969496a520845243fac01795d6f17a56",
+    "all/histogram/hist_turnout_clean.svg":
+        "3b50f7d9a8009fac9a9e398c81de4881fdafafc4fb41ed0b6595f62a4f9b5757",
+    "all/histogram/hist_turnout_fraud.csv":
+        "9dcb0d175111122048411c31db5f96ff010c1f068d81c02e835ec18239ebb0d2",
+    "all/histogram/hist_turnout_fraud.svg":
+        "2f969b03fcf1e6c0d0335b5b3b3a22d8747f3eba6835c35a1da5b0e304563922",
+    "all/histogram/stdout":
+        "4dbff9dcf5c256c43b18199813ef42966e6a69b5431dfc4b85a1aedf5a174ca1",
+    "all/histogram_avg/hist_result_avg.csv":
+        "e634983390e697a1dd9d348c42e4e65e1b546057ee189f26dde0548977baca73",
+    "all/histogram_avg/hist_result_avg.svg":
+        "9574968560d392dcb358bb69b035e5b17bc6bd6731c657e148e87ec56af3d464",
+    "all/histogram_avg/hist_turnout_avg.csv":
+        "136aeb2c87e6a97e52d8a2bbb81c92748ee253392578ba487417692333837971",
+    "all/histogram_avg/hist_turnout_avg.svg":
+        "59a0f4ae74c3a514945e39ab52d738e7d9b110204591a640c6d36a3746cc67c9",
+    "all/histogram_avg/peak_shape_result.csv":
+        "4701329897ca28baeac303a5a49269a71a192d328b95144930927d53b34c5c09",
+    "all/histogram_avg/peak_shape_turnout.csv":
+        "8ed756a518aaf399d023090a83b95fa0e58192e1ed24f7906a0bf37c9f863a17",
+    "all/histogram_avg/stdout":
+        "f894f0a4e2536952fd51cce8ad59e186421f2a8261bf378eebba895545eb0c64",
+    "all/regions/region_peaks.csv":
+        "80e8bd4dfe2f019e6f5845725e5ac530e255e83dfc85cc93fac32bf172251336",
+    "all/regions/region_ranking.json":
+        "19e61eb451c9742a1c349d213648a835b636f0ce91e6c74e0de5436cca698ea4",
+    "all/regions/stdout":
+        "acbf958d03b855235daba120d66e8eae58ef0a1ef29318c1a5a95ecd1c09922a",
+    "all/regions_top/excluded_regions.txt":
+        "3e73e9f82ca499c50ca52dd0888938aa80e10d6af853e710902a0a3211f464bd",
+    "all/regions_top/hist_result_excluded.csv":
+        "598e0bdac7b6f0f7e8d74df0e1424e3996c0e64852c4b7f74e68b880dd33dad7",
+    "all/regions_top/hist_result_excluded.svg":
+        "4addfb150fdcf21001172ee510708d54c049626c1de0269f95bec1db978fe12b",
+    "all/regions_top/hist_turnout_excluded.csv":
+        "12a9bbfd914b1e93fe3864904c92085735588f4f555c7dbc04e2fd45950ad540",
+    "all/regions_top/hist_turnout_excluded.svg":
+        "1beade74192e493d3d99b494ce1144aa3256fc8337404c7bfa80f60e73a3d37c",
+    "all/regions_top/region_peaks.csv":
+        "173e8e5b1cd91220fe03e25bb10df4627bd85c05d4d72af92330755d65fdb89e",
+    "all/regions_top/region_ranking.json":
+        "21c1adab2660cddccda6016bb8e3c4079114fcf9887c612456997bf040c24218",
+    "all/regions_top/stdout":
+        "795ede6c9d1d83231a6bb8d6f224583939d152e21ca5e49f07eefd8c1cc8dbe1",
+    "all/spectrum/harmonic_turnout.csv":
+        "b5f6c8b024a0090ab7687d61e49548e67e13c41ecc8e4bc969d964146735c879",
+    "all/spectrum/spectrogram_turnout.csv":
+        "892ac2609ca4099f8acb66ddba46a4f1e4f432f840e80590927b51e3fe24df28",
+    "all/spectrum/spectrogram_turnout.svg":
+        "2de49bf6b608d49bbc73842c6a8723ddf4167f280aeb72bab1905bc604dcd616",
+    "all/spectrum/spectrum_turnout.csv":
+        "7f2f4f89f33f2d0b0cd1abee7a9f855947572c8f826367b70bc3c8dadf7b6314",
+    "all/spectrum/spectrum_turnout.svg":
+        "05b9a078fceaa0c7a49f43fffa516fa68e01f31e69fef79acec1d2cb6a7e9e05",
+    "all/spectrum/stdout":
+        "2d1b278bb983df73d10d533210a0544a99106a24913aacc53b9b8d81b8d40617",
+    "default/analyze/analysis.json":
+        "8703f82a9dcd621fa4d35fc0ee0d107b292fa006b3d60c11bfc06cabb140f673",
+    "default/analyze/samples.csv":
+        "86482f8f3ac18a5cd95f148478c383fb137e9b99b1a8936f105aa2f4c82030bb",
+    "default/analyze/stdout":
+        "bc1446be576c520a49798dc8fa190f3b165a680af71fff8078ed9f393bf63cfa",
+    "default/analyze/window_sweep.csv":
+        "519a21317799ec04f926e8cb531f0036abcb4b4ec95f92c9e58b8ce13d9172d2",
+    "default/fingerprint/fingerprint.csv":
+        "0388b177c2af0bcd7988bfce3009069f5bbae628f3c237de2525d84657446703",
+    "default/fingerprint/fingerprint.json":
+        "580fbf16163ae0b96d4931e3c954fecf1943108bded05245dd419d546d1bc38a",
+    "default/fingerprint/stdout":
+        "18c2a386010e149cfd244ea13aa65fa96923e57a53953c3c20b44e61ac850031",
+    "default/histogram/hist_turnout_clean.csv":
+        "4a72fedd8df9a350222619b35e15b672969496a520845243fac01795d6f17a56",
+    "default/histogram/hist_turnout_fraud.csv":
+        "9dcb0d175111122048411c31db5f96ff010c1f068d81c02e835ec18239ebb0d2",
+    "default/histogram/stdout":
+        "2b66f323d9819fd498badb2531ef6bd5c7362effb41602f5c5e8761bb2fc957f",
+    "default/histogram_avg/hist_result_avg.csv":
+        "e634983390e697a1dd9d348c42e4e65e1b546057ee189f26dde0548977baca73",
+    "default/histogram_avg/hist_turnout_avg.csv":
+        "136aeb2c87e6a97e52d8a2bbb81c92748ee253392578ba487417692333837971",
+    "default/histogram_avg/peak_shape_result.csv":
+        "4701329897ca28baeac303a5a49269a71a192d328b95144930927d53b34c5c09",
+    "default/histogram_avg/peak_shape_turnout.csv":
+        "8ed756a518aaf399d023090a83b95fa0e58192e1ed24f7906a0bf37c9f863a17",
+    "default/histogram_avg/stdout":
+        "f09368a3242c4dd0bb7dd914b181ae5d446649e96bb57e0bbcdfb3ac48523be9",
+    "default/regions/region_peaks.csv":
+        "80e8bd4dfe2f019e6f5845725e5ac530e255e83dfc85cc93fac32bf172251336",
+    "default/regions/region_ranking.json":
+        "19e61eb451c9742a1c349d213648a835b636f0ce91e6c74e0de5436cca698ea4",
+    "default/regions/stdout":
+        "c4d1c53fb82bf16d6a0b20e57540e5fda5e4fddc9eda0936aad362f92b012645",
+    "default/regions_top/excluded_regions.txt":
+        "3e73e9f82ca499c50ca52dd0888938aa80e10d6af853e710902a0a3211f464bd",
+    "default/regions_top/hist_result_excluded.csv":
+        "598e0bdac7b6f0f7e8d74df0e1424e3996c0e64852c4b7f74e68b880dd33dad7",
+    "default/regions_top/hist_turnout_excluded.csv":
+        "12a9bbfd914b1e93fe3864904c92085735588f4f555c7dbc04e2fd45950ad540",
+    "default/regions_top/region_peaks.csv":
+        "173e8e5b1cd91220fe03e25bb10df4627bd85c05d4d72af92330755d65fdb89e",
+    "default/regions_top/region_ranking.json":
+        "21c1adab2660cddccda6016bb8e3c4079114fcf9887c612456997bf040c24218",
+    "default/regions_top/stdout":
+        "fbe1719ed67ed17ae289a2c74042fd051f758a05b4f59c7eddd3914a3d224a5b",
+    "default/spectrum/harmonic_turnout.csv":
+        "b5f6c8b024a0090ab7687d61e49548e67e13c41ecc8e4bc969d964146735c879",
+    "default/spectrum/spectrogram_turnout.csv":
+        "892ac2609ca4099f8acb66ddba46a4f1e4f432f840e80590927b51e3fe24df28",
+    "default/spectrum/spectrum_turnout.csv":
+        "7f2f4f89f33f2d0b0cd1abee7a9f855947572c8f826367b70bc3c8dadf7b6314",
+    "default/spectrum/stdout":
+        "a74797ee5dbb858d459612660ebbda4274deb7a2b45429bac37e26b6d32eef56",
+    "sim_clean/election.tsv":
+        "3303c259f1351f3b2cacf92d029d47a5afcbca67034c786b84ea350a5d42f54a",
+    "sim_clean/injection_log.json":
+        "680bb65fd8af031778be05cfdc51788b9657480f952eca46d3b77f0b27f17ab2",
+    "sim_clean/stdout":
+        "c9a1d5cacd090fa54f8cde26236a64f73ce6b752c36ee9b247bd7054b6945aa6",
+    "sim_fraud/election.tsv":
+        "7a341a3bfa032c90eeae36a463f4e7ae100ced00071a53f9bf4c63fe2e345e8f",
+    "sim_fraud/injection_log.json":
+        "feccc311f604db62ef1a4791cda3ae5ee03772fe451fe9217f4b54f39070410e",
+    "sim_fraud/stdout":
+        "5af9fd0f204846c4dd017643c5a134d5c28eba023398f34b9c51b931a3ac632e",
+    "validate/stdout":
+        "672fbd5829b5e9c0ef108ccbc394e565d78612af7e57f5c7abcf990caa556cf3",
+    "validate/validation.json":
+        "8d4f46cfd0247cb98031592200bd1fb714004e0169e41debb344e78ea5df1bdc",
+}
+
+
+def test_golden_session_is_byte_stable(tmp_path, monkeypatch):
+    """Every artifact and summary of a fixed session keeps its exact bytes."""
+    monkeypatch.chdir(tmp_path)
+    got = {}
+    for out, argv in _golden_steps():
+        rc, stdout = quiet_main(argv + ["--out", out])
+        assert rc == 0, out
+        got[f"{out}/stdout"] = _sha(stdout.encode("utf-8"))
+        if out == "sim_fraud":
+            os.mkdir("in")
+            shutil.copy("sim_clean/election.tsv", "in/clean.tsv")
+            shutil.copy("sim_fraud/election.tsv", "in/fraud.tsv")
+            with open("in/ref.json", "w", encoding="utf-8") as fh:
+                json.dump({"R00": {"registered": 1, "given": 2}, "R09": {"cast": 3}}, fh)
+    for path in sorted(tmp_path.rglob("*")):
+        if path.is_file() and path.parts[len(tmp_path.parts)] != "in":
+            got[path.relative_to(tmp_path).as_posix()] = _sha(path.read_bytes())
+    assert got == GOLDEN
