@@ -8,10 +8,19 @@ peak attribution, 2-d fingerprints, and synthetic data generation.
 Conventions shared by every subcommand:
   * machine-readable JSON summary on stdout, progress lines on stderr
   * exit 0 on success, 1 on runtime failure, 2 on usage/schema errors
-  * artifacts are computed fully in memory and written at the end, so
-    a failing run leaves no partial files
-  * every artifact embeds the run configuration and a digest over the
-    configuration plus the input bytes, making outputs self-describing
+  * a subcommand returns its summary and its artifacts' contents; one
+    driver (_run) turns them into files, so every artifact is written
+    the same way
+  * every CSV, JSON and SVG artifact embeds the run configuration (every
+    parsed argument except --out, --format and --workers) and a digest
+    over the configuration plus the bytes of --input and --reference,
+    making outputs self-describing
+  * --format selects the CSV, JSON and SVG files of analyze, histogram,
+    spectrum, regions and fingerprint; validate and simulate have no
+    --format and write every file they make
+  * artifacts are computed in memory, staged in --out under temporary
+    names and moved into place only once all are written, so a failing
+    run leaves no files
   * outputs are byte-identical for a given configuration regardless of
     --workers
 """
@@ -21,8 +30,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import shutil
 import sys
+import tempfile
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +78,7 @@ from .synth import (
 )
 
 _FORMATS = ("csv", "json", "svg")
+_NOT_ECHOED = ("out", "format", "workers")
 
 _ANALYZE_DEFS = (
     ("main", StatisticDef(), "integer"),
@@ -130,19 +144,22 @@ def _format_arg(text: str) -> tuple[str, ...]:
     return fmts or ("csv", "json")
 
 
-def _add_common(p: argparse.ArgumentParser, multi_input: bool = False) -> None:
+def _add_common(
+    p: argparse.ArgumentParser, multi_input: bool = False, formats: bool = True
+) -> None:
     if multi_input:
         p.add_argument("--input", required=True, nargs="+", help="input data files")
     else:
         p.add_argument("--input", required=True, help="input data file")
     p.add_argument("--profile", default="canonical", choices=sorted(PROFILES))
     p.add_argument("--out", default=".", help="output directory for artifacts")
-    p.add_argument(
-        "--format",
-        type=_format_arg,
-        default=("csv", "json"),
-        help="comma-separated artifact formats: csv,json,svg",
-    )
+    if formats:
+        p.add_argument(
+            "--format",
+            type=_format_arg,
+            default=("csv", "json"),
+            help="comma-separated artifact formats: csv,json,svg",
+        )
 
 
 def _add_filters(p: argparse.ArgumentParser) -> None:
@@ -179,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="parse inputs and check subtotals")
-    _add_common(p, multi_input=True)
+    _add_common(p, multi_input=True, formats=False)
     p.add_argument("--reference", default=None, help="JSON file of per-region reference totals")
 
     p = sub.add_parser("analyze", help="integer-window anomaly test with control variants")
@@ -251,26 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
 # artifact plumbing
 
 
-class _Artifacts:
-    """Collects artifact contents; nothing touches disk until write()."""
-
-    def __init__(self) -> None:
-        self.items: list[tuple[str, bytes]] = []
-
-    def add(self, name: str, content: str | bytes) -> None:
-        data = content.encode("utf-8") if isinstance(content, str) else content
-        self.items.append((name, data))
-
-    def write(self, out_dir: str) -> list[str]:
-        root = Path(out_dir)
-        root.mkdir(parents=True, exist_ok=True)
-        names = []
-        for name, data in self.items:
-            (root / name).write_bytes(data)
-            names.append(str(root / name))
-        return names
-
-
 def _jsonable(value):
     if isinstance(value, Fraction):
         return str(value)
@@ -287,22 +284,27 @@ def _jsonable(value):
     return value
 
 
-def _run_config(args: argparse.Namespace, fields: tuple[str, ...]) -> dict:
-    """Configuration echo: the run parameters that define the output.
+def _inputs(args: argparse.Namespace) -> list[str]:
+    paths = getattr(args, "input", [])
+    return paths if isinstance(paths, list) else [paths]
+
+
+def _run_config(args: argparse.Namespace) -> dict:
+    """Configuration echo: every parsed argument but _NOT_ECHOED.
 
     Worker count, output directory, and format selection are excluded
     on purpose: they change where and how results land, never what the
     numbers are.
     """
-    cfg: dict = {"command": args.command, "version": __version__}
-    for f in fields:
-        v = getattr(args, f)
-        if f == "input":
-            paths = v if isinstance(v, list) else [v]
-            v = [Path(p).name for p in paths]
-        elif f == "model":
-            v = v.describe()
-        cfg[f] = _jsonable(v)
+    cfg: dict = {"version": __version__}
+    for name, value in vars(args).items():
+        if name in _NOT_ECHOED:
+            continue
+        if name == "input":
+            value = [Path(p).name for p in _inputs(args)]
+        elif name == "model":
+            value = value.describe()
+        cfg[name] = _jsonable(value)
     return cfg
 
 
@@ -345,6 +347,78 @@ def _svg_meta(cfg: dict, digest: str) -> str:
     return "config " + json.dumps(cfg, sort_keys=True) + " digest " + digest
 
 
+def _document(name: str, content, cfg: dict, digest: str):
+    """What is written for one artifact, by its file type.
+
+    A command gives .csv files as (header, rows), .json files as a
+    payload dict, .svg files as a render function still to be called
+    with meta=, .tsv files as a function writing to a path (returned as
+    is), and other files as their text.
+    """
+    kind = Path(name).suffix
+    if kind == ".csv":
+        return _csv_doc(cfg, digest, *content)
+    if kind == ".json":
+        return _json_doc(cfg, digest, content)
+    if kind == ".svg":
+        return content(meta=_svg_meta(cfg, digest))
+    return content
+
+
+def _write(out: str, docs: list) -> list[str]:
+    """Write all documents or none; returns their paths.
+
+    Every file is staged in a temporary directory under out and moved
+    into place only once all are written; on any error the staged files
+    and those already moved are removed.
+    """
+    root = Path(out)
+    root.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=".staging-", dir=root))
+    placed = []
+    try:
+        for name, doc in docs:
+            if callable(doc):
+                doc(stage / name)
+            else:
+                (stage / name).write_bytes(doc.encode("utf-8"))
+        for name, _ in docs:
+            os.replace(stage / name, root / name)
+            placed.append(root / name)
+    except BaseException:
+        for path in placed:
+            path.unlink(missing_ok=True)
+        raise
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+    return [str(root / name) for name, _ in docs]
+
+
+def _run(args: argparse.Namespace) -> dict:
+    """Run one subcommand and write its artifacts; returns the summary.
+
+    A subcommand returns its summary and an ordered list of (filename,
+    content); everything that makes the contents self-describing and
+    puts them on disk happens here.
+    """
+    summary, files = _COMMANDS[args.command](args)
+    names = [name for name, _ in files]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"two artifacts would share a name: {', '.join(repeated)}")
+    cfg = _run_config(args)
+    reference = [args.reference] if getattr(args, "reference", None) else []
+    digest = _digest(cfg, _inputs(args) + reference)
+    skipped = set(_FORMATS) - set(getattr(args, "format", _FORMATS))
+    docs = [
+        (name, _document(name, content, cfg, digest))
+        for name, content in files
+        if Path(name).suffix[1:] not in skipped
+    ]
+    summary.update(command=args.command, digest=digest, artifacts=_write(args.out, docs))
+    return summary
+
+
 def _progress(label: str):
     def cb(done: int, total: int) -> None:
         print(f"progress {label} {done}/{total}", file=sys.stderr, flush=True)
@@ -362,14 +436,9 @@ def _policy(args: argparse.Namespace) -> FilterPolicy | None:
     )
 
 
-def _load_one(path: str, profile: str):
-    dataset, report = load_dataset(path, profile, label=Path(path).stem)
-    return dataset, report
-
-
 def _prepare(args: argparse.Namespace, path: str):
     """Load one input and apply filtering plus region selection."""
-    dataset, report = _load_one(path, args.profile)
+    dataset, report = load_dataset(path, args.profile, label=Path(path).stem)
     if not args.no_filter:
         dataset = apply_filters(dataset, _policy(args))
     if args.exclude_regions:
@@ -382,12 +451,10 @@ def _prepare(args: argparse.Namespace, path: str):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (summary, [(filename, content), ...])
 
 
-def _cmd_validate(args: argparse.Namespace) -> dict:
-    cfg = _run_config(args, ("input", "profile", "reference"))
-    digest = _digest(cfg, list(args.input) + ([args.reference] if args.reference else []))
+def _cmd_validate(args: argparse.Namespace) -> tuple[dict, list]:
     reference = None
     if args.reference:
         with open(args.reference, "r", encoding="utf-8") as fh:
@@ -395,7 +462,7 @@ def _cmd_validate(args: argparse.Namespace) -> dict:
 
     results = []
     for path in args.input:
-        dataset, report = _load_one(path, args.profile)
+        dataset, report = load_dataset(path, args.profile, label=Path(path).stem)
         entry = {
             "input": Path(path).name,
             "stations": len(dataset),
@@ -416,36 +483,18 @@ def _cmd_validate(args: argparse.Namespace) -> dict:
                 for d in disc
             ]
         results.append(entry)
-
-    artifacts = _Artifacts()
-    artifacts.add("validation.json", _json_doc(cfg, digest, {"results": results}))
-    written = artifacts.write(args.out)
-    return {"command": "validate", "digest": digest, "artifacts": written, "results": results}
+    return {"results": results}, [("validation.json", {"results": results})]
 
 
-def _defs_for(window_widths: tuple[Fraction, ...]):
-    hw = window_widths[0]
-    return [
-        (name, stat, WindowSpec(center_kind=kind, half_width=hw))
-        for name, stat, kind in _ANALYZE_DEFS
-    ]
-
-
-def _cmd_analyze(args: argparse.Namespace) -> dict:
+def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, list]:
     if args.iterations < 100:
         raise ValueError("analyze needs --iterations >= 100")
-    cfg = _run_config(
-        args,
-        (
-            "input", "profile", "model", "iterations", "seed", "window", "levels",
-            "min_registered", "max_percent", "keep_undefined_result", "no_filter",
-            "exclude_regions", "restrict_regions",
-        ),
-    )
-    digest = _digest(cfg, [args.input])
     dataset, _ = _prepare(args, args.input)
 
-    named = _defs_for(args.window)
+    named = [
+        (name, stat, WindowSpec(center_kind=kind, half_width=args.window[0]))
+        for name, stat, kind in _ANALYZE_DEFS
+    ]
     # a --window list adds the sweep's definitions to the same draws;
     # each report depends only on its own definition, so the sweep rows
     # equal what window_sweep would compute
@@ -465,76 +514,60 @@ def _cmd_analyze(args: argparse.Namespace) -> dict:
     by_name = {name: rep for (name, _, _), rep in zip(named, reports)}
     sweep_reports = reports[len(named):]
 
-    artifacts = _Artifacts()
-    if "json" in args.format:
-        artifacts.add(
+    names = list(by_name)
+    files = [
+        (
             "analysis.json",
-            _json_doc(
-                cfg,
-                digest,
-                {
-                    "stations": len(dataset),
-                    "reports": {name: rep.to_dict() for name, rep in by_name.items()},
-                },
-            ),
-        )
-    if "csv" in args.format:
-        names = [name for name, _, _ in named]
-        rows = [
-            [it] + [int(by_name[n].mc_samples[it]) for n in names]
-            for it in range(args.iterations)
-        ]
-        artifacts.add(
-            "samples.csv", _csv_doc(cfg, digest, ["iteration"] + names, rows)
-        )
-        if sweep_reports:
-            rows = [
-                [
-                    rep.window.half_width,
-                    rep.empirical,
-                    rep.mc_mean,
-                    rep.mc_sd,
-                    rep.z_score,
-                    rep.p_value_text(),
-                ]
-                for rep in sweep_reports
-            ]
-            artifacts.add(
-                "window_sweep.csv",
-                _csv_doc(
-                    cfg,
-                    digest,
-                    ["half_width", "empirical", "mc_mean", "mc_sd", "z_score", "p_value"],
-                    rows,
-                ),
-            )
-    if "svg" in args.format:
-        entries = [
             {
-                "label": name,
-                "low": float(rep.percentile_interval[0]),
-                "high": float(rep.percentile_interval[1]),
-                "mean": rep.mc_mean,
-                "empirical": float(rep.empirical),
-            }
-            for name, rep in by_name.items()
-        ]
-        artifacts.add(
-            "analysis.svg",
-            render_box_plot(
-                entries,
-                "stations in window vs simulated null",
-                "window statistic",
-                meta=_svg_meta(cfg, digest),
+                "stations": len(dataset),
+                "reports": {name: rep.to_dict() for name, rep in by_name.items()},
+            },
+        ),
+        (
+            "samples.csv",
+            (
+                ["iteration"] + names,
+                [
+                    [it] + [int(by_name[n].mc_samples[it]) for n in names]
+                    for it in range(args.iterations)
+                ],
             ),
-        )
-    written = artifacts.write(args.out)
+        ),
+    ]
+    if sweep_reports:
+        rows = [
+            [
+                rep.window.half_width,
+                rep.empirical,
+                rep.mc_mean,
+                rep.mc_sd,
+                rep.z_score,
+                rep.p_value_text(),
+            ]
+            for rep in sweep_reports
+        ]
+        header = ["half_width", "empirical", "mc_mean", "mc_sd", "z_score", "p_value"]
+        files.append(("window_sweep.csv", (header, rows)))
+    entries = [
+        {
+            "label": name,
+            "low": float(rep.percentile_interval[0]),
+            "high": float(rep.percentile_interval[1]),
+            "mean": rep.mc_mean,
+            "empirical": float(rep.empirical),
+        }
+        for name, rep in by_name.items()
+    ]
+    files.append((
+        "analysis.svg",
+        partial(
+            render_box_plot, entries, "stations in window vs simulated null",
+            "window statistic",
+        ),
+    ))
 
     main = by_name["main"]
-    return {
-        "command": "analyze",
-        "digest": digest,
-        "artifacts": written,
+    summary = {
         "stations": len(dataset),
         "main": {
             "empirical": int(main.empirical),
@@ -545,25 +578,28 @@ def _cmd_analyze(args: argparse.Namespace) -> dict:
             "p_value": main.p_value_text(),
         },
     }
+    return summary, files
 
 
 def _metrics(arg: str) -> tuple[str, ...]:
     return ("turnout", "result") if arg == "both" else (arg,)
 
 
-def _cmd_histogram(args: argparse.Namespace) -> dict:
+def _peak_shape_rows(hists, means, metric: str, bin_width: Fraction):
+    """Rows of peak_shape_<metric>.csv.
+
+    A generator, so peak_shape runs only when the CSV is written.
+    """
+    mc_hists = [
+        WeightedHistogram(metric=metric, bin_width=bin_width, weights=m) for m in means
+    ]
+    shape = peak_shape(hists, mc_hists)
+    yield from zip(shape.offsets, shape.mean_excess)
+
+
+def _cmd_histogram(args: argparse.Namespace) -> tuple[dict, list]:
     if args.iterations and args.iterations < 100:
         raise ValueError("envelopes need --iterations >= 100 (or 0 to skip)")
-    cfg = _run_config(
-        args,
-        (
-            "input", "profile", "model", "iterations", "seed", "metric", "bins",
-            "jitter", "include_hundred", "levels", "average",
-            "min_registered", "max_percent", "keep_undefined_result", "no_filter",
-            "exclude_regions", "restrict_regions",
-        ),
-    )
-    digest = _digest(cfg, list(args.input))
     suppress = not args.include_hundred
 
     loaded = [_prepare(args, path) for path in args.input]
@@ -572,7 +608,7 @@ def _cmd_histogram(args: argparse.Namespace) -> dict:
     if args.average and len(datasets) < 2:
         raise ValueError("--average needs at least two inputs")
 
-    artifacts = _Artifacts()
+    files = []
     summary: dict = {"inputs": labels, "metrics": {}}
     for metric in _metrics(args.metric):
         hists = [
@@ -601,104 +637,68 @@ def _cmd_histogram(args: argparse.Namespace) -> dict:
             emp = np.asarray(avg.weights, dtype=np.float64)
             header = ["bin_center", "average_weight"]
             cols = [emp]
-            mc_avg = None
-            if matrices:
-                means = [m.mean(axis=0) for m in matrices]
+            series = [("average empirical", centers, emp)]
+            means = [m.mean(axis=0) for m in matrices]
+            if means:
                 mc_avg = np.zeros_like(means[0])
                 for m in means:
                     mc_avg += m
                 mc_avg /= len(means)
                 header.append("mc_mean")
                 cols.append(mc_avg)
-            if "csv" in args.format:
-                rows = [[c] + [col[i] for col in cols] for i, c in enumerate(centers)]
-                artifacts.add(
-                    f"hist_{metric}_avg.csv", _csv_doc(cfg, digest, header, rows)
-                )
-                if mc_avg is not None:
-                    mc_hists = [
-                        WeightedHistogram(
-                            metric=metric, bin_width=args.bins, weights=mat.mean(axis=0)
-                        )
-                        for mat in matrices
-                    ]
-                    shape = peak_shape(hists, mc_hists)
-                    rows = [
-                        [off, exc]
-                        for off, exc in zip(shape.offsets, shape.mean_excess)
-                    ]
-                    artifacts.add(
-                        f"peak_shape_{metric}.csv",
-                        _csv_doc(cfg, digest, ["offset", "mean_excess"], rows),
-                    )
-            if "svg" in args.format:
-                series = [("average empirical", centers, emp)]
-                if mc_avg is not None:
-                    series.append(("average simulated mean", centers, mc_avg))
-                artifacts.add(
-                    f"hist_{metric}_avg.svg",
-                    render_line_plot(
-                        series, f"{metric} histogram (averaged)", "percent",
-                        "stations per bin", meta=_svg_meta(cfg, digest),
-                    ),
-                )
+                series.append(("average simulated mean", centers, mc_avg))
+            rows = [[c] + [col[i] for col in cols] for i, c in enumerate(centers)]
+            files.append((f"hist_{metric}_avg.csv", (header, rows)))
+            if means:
+                files.append((
+                    f"peak_shape_{metric}.csv",
+                    (["offset", "mean_excess"],
+                     _peak_shape_rows(hists, means, metric, args.bins)),
+                ))
+            files.append((
+                f"hist_{metric}_avg.svg",
+                partial(
+                    render_line_plot, series, f"{metric} histogram (averaged)",
+                    "percent", "stations per bin",
+                ),
+            ))
             summary["metrics"][metric] = {"total_weight": float(avg.weights.sum())}
         else:
             per_metric = []
             for i, (hist, label) in enumerate(zip(hists, labels)):
                 centers = hist.bin_centers
                 stem = f"hist_{metric}_{label}" if len(labels) > 1 else f"hist_{metric}"
-                env = None
+                title = f"{metric} histogram: {label}"
+                header = ["bin_center", "weight"]
+                rows = [[c, int(w)] for c, w in zip(centers, hist.weights)]
                 if matrices:
-                    env = envelope_from_matrix(
-                        matrices[i], metric, args.bins, args.levels
+                    env = envelope_from_matrix(matrices[i], metric, args.bins, args.levels)
+                    header += ["mc_mean", "low", "high"]
+                    for r, m, lo, hi in zip(rows, env.mean, env.low, env.high):
+                        r += [m, int(lo), int(hi)]
+                    svg = partial(
+                        render_envelope_plot, centers, hist.weights.astype(float),
+                        env.mean, env.low.astype(float), env.high.astype(float),
+                        title, "percent", "stations per bin",
                     )
-                if "csv" in args.format:
-                    header = ["bin_center", "weight"]
-                    rows = [[c, int(w)] for c, w in zip(centers, hist.weights)]
-                    if env is not None:
-                        header += ["mc_mean", "low", "high"]
-                        for r, m, lo, hi in zip(rows, env.mean, env.low, env.high):
-                            r += [m, int(lo), int(hi)]
-                    artifacts.add(f"{stem}.csv", _csv_doc(cfg, digest, header, rows))
-                if "svg" in args.format:
-                    if env is not None:
-                        svg = render_envelope_plot(
-                            centers, hist.weights.astype(float), env.mean,
-                            env.low.astype(float), env.high.astype(float),
-                            f"{metric} histogram: {label}", "percent",
-                            "stations per bin", meta=_svg_meta(cfg, digest),
-                        )
-                    else:
-                        svg = render_line_plot(
-                            [("empirical", centers, hist.weights.astype(float))],
-                            f"{metric} histogram: {label}", "percent",
-                            "stations per bin", meta=_svg_meta(cfg, digest),
-                        )
-                    artifacts.add(f"{stem}.svg", svg)
+                else:
+                    svg = partial(
+                        render_line_plot,
+                        [("empirical", centers, hist.weights.astype(float))],
+                        title, "percent", "stations per bin",
+                    )
+                files += [(f"{stem}.csv", (header, rows)), (f"{stem}.svg", svg)]
                 per_metric.append({"input": label, "total_weight": int(hist.weights.sum())})
             summary["metrics"][metric] = per_metric
-
-    written = artifacts.write(args.out)
-    summary.update({"command": "histogram", "digest": digest, "artifacts": written})
-    return summary
+    return summary, files
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> dict:
+def _cmd_spectrum(args: argparse.Namespace) -> tuple[dict, list]:
     if args.iterations < 100:
         raise ValueError("spectrum needs --iterations >= 100 for the simulated baseline")
-    cfg = _run_config(
-        args,
-        (
-            "input", "profile", "model", "iterations", "seed", "metric",
-            "min_registered", "max_percent", "keep_undefined_result", "no_filter",
-            "exclude_regions", "restrict_regions",
-        ),
-    )
-    digest = _digest(cfg, [args.input])
     dataset, _ = _prepare(args, args.input)
 
-    artifacts = _Artifacts()
+    files = []
     summary: dict = {"metrics": {}}
     for metric in _metrics(args.metric):
         hist = build_histogram(dataset, metric)
@@ -711,69 +711,50 @@ def _cmd_spectrum(args: argparse.Namespace) -> dict:
         gram = spectrogram(hist, matrix)
         profile = harmonic_profile(gram, frequency=1.0)
 
-        if "csv" in args.format:
-            rows = list(zip(spec.frequencies, spec.amplitudes))
-            artifacts.add(
+        gram_header = ["center"] + [_cell(f) for f in gram.frequencies]
+        gram_rows = [
+            [gram.centers[i]] + list(gram.ratio[i]) for i in range(gram.ratio.shape[0])
+        ]
+        files += [
+            (
                 f"spectrum_{metric}.csv",
-                _csv_doc(cfg, digest, ["frequency", "amplitude"], rows),
-            )
-            header = ["center"] + [_cell(f) for f in gram.frequencies]
-            rows = [
-                [gram.centers[i]] + list(gram.ratio[i])
-                for i in range(gram.ratio.shape[0])
-            ]
-            artifacts.add(
-                f"spectrogram_{metric}.csv", _csv_doc(cfg, digest, header, rows)
-            )
-            rows = list(zip(profile.centers, profile.values))
-            artifacts.add(
+                (["frequency", "amplitude"], list(zip(spec.frequencies, spec.amplitudes))),
+            ),
+            (f"spectrogram_{metric}.csv", (gram_header, gram_rows)),
+            (
                 f"harmonic_{metric}.csv",
-                _csv_doc(cfg, digest, ["center", "ratio"], rows),
-            )
-        if "svg" in args.format:
-            artifacts.add(
+                (["center", "ratio"], list(zip(profile.centers, profile.values))),
+            ),
+            (
                 f"spectrum_{metric}.svg",
-                render_line_plot(
-                    [("amplitude", spec.frequencies, spec.amplitudes)],
-                    f"{metric} amplitude spectrum", "frequency (1/percent)",
-                    "amplitude", meta=_svg_meta(cfg, digest),
+                partial(
+                    render_line_plot, [("amplitude", spec.frequencies, spec.amplitudes)],
+                    f"{metric} amplitude spectrum", "frequency (1/percent)", "amplitude",
                 ),
-            )
-            artifacts.add(
+            ),
+            (
                 f"spectrogram_{metric}.svg",
-                render_heatmap(
+                partial(
+                    render_heatmap,
                     gram.ratio,
                     (float(gram.centers[0]), float(gram.centers[-1])),
                     (float(gram.frequencies[0]), float(gram.frequencies[-1])),
                     f"{metric} spectrogram ratio", "window center (percent)",
                     "frequency (1/percent)", v_lo=0.0, v_hi=3.0,
-                    meta=_svg_meta(cfg, digest),
                 ),
-            )
+            ),
+        ]
         summary["metrics"][metric] = {
             "final_window_value": profile.final_window_value,
         }
-
-    written = artifacts.write(args.out)
-    summary.update({"command": "spectrum", "digest": digest, "artifacts": written})
-    return summary
+    return summary, files
 
 
-def _cmd_regions(args: argparse.Namespace) -> dict:
+def _cmd_regions(args: argparse.Namespace) -> tuple[dict, list]:
     if args.iterations < 100:
         raise ValueError("regions needs --iterations >= 100")
     if args.exclude_top < 0:
         raise ValueError("--exclude-top must be >= 0")
-    cfg = _run_config(
-        args,
-        (
-            "input", "profile", "model", "iterations", "seed", "centers",
-            "exclude_top",
-            "min_registered", "max_percent", "keep_undefined_result", "no_filter",
-            "exclude_regions", "restrict_regions",
-        ),
-    )
-    digest = _digest(cfg, list(args.input))
     loaded = [_prepare(args, path) for path in args.input]
     datasets = {d.label: d for d, _ in loaded}
     if len(datasets) != len(loaded):
@@ -789,29 +770,25 @@ def _cmd_regions(args: argparse.Namespace) -> dict:
         progress=_progress("regions"),
     )
 
-    artifacts = _Artifacts()
-    if "json" in args.format:
-        artifacts.add(
+    rows = [
+        [r.region_code, r.dataset_label, r.peak_amplitude, r.peak_metric, r.peak_percent]
+        for r in table.rows
+    ]
+    files = [
+        (
             "region_ranking.json",
-            _json_doc(cfg, digest, {"center_kind": table.center_kind, "ranking": list(table.ranking)}),
-        )
-    if "csv" in args.format:
-        rows = [
-            [r.region_code, r.dataset_label, r.peak_amplitude, r.peak_metric, r.peak_percent]
-            for r in table.rows
-        ]
-        artifacts.add(
+            {"center_kind": table.center_kind, "ranking": list(table.ranking)},
+        ),
+        (
             "region_peaks.csv",
-            _csv_doc(
-                cfg, digest,
-                ["region_code", "dataset", "peak_amplitude", "peak_metric", "peak_percent"],
-                rows,
-            ),
-        )
+            (["region_code", "dataset", "peak_amplitude", "peak_metric", "peak_percent"], rows),
+        ),
+    ]
 
     excluded = list(table.ranking[: args.exclude_top])
     if excluded:
-        artifacts.add("excluded_regions.txt", "\n".join(excluded) + "\n")
+        files.append(("excluded_regions.txt", "\n".join(excluded) + "\n"))
+        without = f"without_top_{len(excluded)}"
         for metric in ("turnout", "result"):
             full = [build_histogram(d, metric) for d in datasets.values()]
             reduced = [
@@ -821,105 +798,65 @@ def _cmd_regions(args: argparse.Namespace) -> dict:
             centers = full[0].bin_centers
             avg_full = np.asarray(average_histograms(full).weights, dtype=np.float64)
             avg_reduced = np.asarray(average_histograms(reduced).weights, dtype=np.float64)
-            if "csv" in args.format:
-                rows = [
-                    [c, avg_full[i], avg_reduced[i]] for i, c in enumerate(centers)
-                ]
-                artifacts.add(
+            rows = [[c, avg_full[i], avg_reduced[i]] for i, c in enumerate(centers)]
+            files += [
+                (
                     f"hist_{metric}_excluded.csv",
-                    _csv_doc(
-                        cfg, digest,
-                        ["bin_center", "all_regions", f"without_top_{len(excluded)}"],
-                        rows,
-                    ),
-                )
-            if "svg" in args.format:
-                artifacts.add(
+                    (["bin_center", "all_regions", without], rows),
+                ),
+                (
                     f"hist_{metric}_excluded.svg",
-                    render_line_plot(
+                    partial(
+                        render_line_plot,
                         [
                             ("all regions", centers, avg_full),
                             (f"without top {len(excluded)}", centers, avg_reduced),
                         ],
                         f"{metric} histogram after excluding ranked regions",
-                        "percent", "stations per bin", meta=_svg_meta(cfg, digest),
+                        "percent", "stations per bin",
                     ),
-                )
-
-    written = artifacts.write(args.out)
-    return {
-        "command": "regions",
-        "digest": digest,
-        "artifacts": written,
-        "ranking": list(table.ranking),
-        "excluded": excluded,
-    }
+                ),
+            ]
+    return {"ranking": list(table.ranking), "excluded": excluded}, files
 
 
-def _cmd_fingerprint(args: argparse.Namespace) -> dict:
-    cfg = _run_config(
-        args,
-        (
-            "input", "profile", "weighted",
-            "min_registered", "max_percent", "keep_undefined_result", "no_filter",
-            "exclude_regions", "restrict_regions",
-        ),
-    )
-    digest = _digest(cfg, [args.input])
+def _cmd_fingerprint(args: argparse.Namespace) -> tuple[dict, list]:
     dataset, _ = _prepare(args, args.input)
     fp = fingerprint(dataset, weighted_correlation=args.weighted)
 
-    artifacts = _Artifacts()
-    if "json" in args.format:
-        artifacts.add(
+    edges = [i * 0.5 for i in range(fp.cells.shape[0])]
+    header = ["turnout_percent"] + [_cell(e) for e in edges]
+    rows = [[edges[i]] + list(fp.cells[i]) for i in range(fp.cells.shape[0])]
+    corr = "n/a" if fp.correlation is None else f"{fp.correlation:.3f}"
+    files = [
+        (
             "fingerprint.json",
-            _json_doc(
-                cfg, digest,
-                {
-                    "correlation": fp.correlation,
-                    "weighted": fp.weighted,
-                    "stations": fp.n_stations,
-                    "bin_width": fp.bin_width,
-                },
-            ),
-        )
-    if "csv" in args.format:
-        edges = [i * 0.5 for i in range(fp.cells.shape[0])]
-        header = ["turnout_percent"] + [_cell(e) for e in edges]
-        rows = [[edges[i]] + list(fp.cells[i]) for i in range(fp.cells.shape[0])]
-        artifacts.add("fingerprint.csv", _csv_doc(cfg, digest, header, rows))
-    if "svg" in args.format:
-        corr = "n/a" if fp.correlation is None else f"{fp.correlation:.3f}"
-        artifacts.add(
+            {
+                "correlation": fp.correlation,
+                "weighted": fp.weighted,
+                "stations": fp.n_stations,
+                "bin_width": fp.bin_width,
+            },
+        ),
+        ("fingerprint.csv", (header, rows)),
+        (
             "fingerprint.svg",
-            render_heatmap(
+            partial(
+                render_heatmap,
                 fp.cells.astype(np.float64),
                 (0.0, 100.0), (0.0, 100.0),
                 "turnout vs leader result", "turnout (percent)",
                 "leader result (percent)", log_scale=True,
-                note=f"correlation {corr}", meta=_svg_meta(cfg, digest),
+                note=f"correlation {corr}",
             ),
-        )
-    written = artifacts.write(args.out)
-    return {
-        "command": "fingerprint",
-        "digest": digest,
-        "artifacts": written,
-        "correlation": fp.correlation,
-        "stations": fp.n_stations,
-    }
+        ),
+    ]
+    return {"correlation": fp.correlation, "stations": fp.n_stations}, files
 
 
-def _cmd_simulate(args: argparse.Namespace) -> dict:
+def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, list]:
     if args.stations < 1:
         raise ValueError("--stations must be >= 1")
-    fields = (
-        "stations", "regions", "seed", "fraud_mechanism", "fraud_fraction",
-        "fraud_side", "fraud_metric", "fraud_regions", "fraud_window", "fraud_seed",
-    )
-    cfg = _run_config(args, fields)
-    digest = _digest(cfg, [])
-
     config = GeneratorConfig(n_stations=args.stations, n_regions=args.regions)
     election = generate(config, seed=args.seed)
     dataset = election.dataset
@@ -959,25 +896,19 @@ def _cmd_simulate(args: argparse.Namespace) -> dict:
             ],
         }
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tsv_path = out_dir / "election.tsv"
     # the data file carries only the canonical header so it loads back
     # through the canonical profile; the run configuration lives in the
     # sidecar log instead of comment lines
-    write_canonical_tsv(dataset, tsv_path)
-    artifacts = _Artifacts()
-    artifacts.add("injection_log.json", _json_doc(cfg, digest, log_payload))
-    written = artifacts.write(args.out)
-
-    return {
-        "command": "simulate",
-        "digest": digest,
-        "artifacts": [str(tsv_path)] + written,
+    files = [
+        ("election.tsv", partial(write_canonical_tsv, dataset)),
+        ("injection_log.json", log_payload),
+    ]
+    summary = {
         "stations": len(dataset),
         "modified": log_payload["modified"],
         "skipped": len(log_payload["skipped"]),
     }
+    return summary, files
 
 
 _COMMANDS = {
@@ -995,7 +926,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        summary = _COMMANDS[args.command](args)
+        summary = _run(args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

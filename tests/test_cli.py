@@ -397,6 +397,42 @@ class TestExitCodes:
         assert "max_percentage precision" in err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv, blocked",
+        [
+            (["simulate", "--stations", "50"], "injection_log.json"),
+            (["analyze", "--input", "clean.tsv", "--iterations", "100"], "samples.csv"),
+        ],
+    )
+    def test_failed_write_leaves_no_artifacts(self, data_dir, tmp_path, capsys, argv, blocked):
+        # a directory in the way of a later artifact fails the run after
+        # the earlier artifacts were written
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        argv = [str(data_dir / a) if a.endswith(".tsv") else a for a in argv]
+        rc, _, err = run(capsys, argv + ["--out", str(out)])
+        assert rc == 1
+        assert "error:" in err
+        assert os.listdir(out) == [blocked]
+
+    def test_duplicate_artifact_names_rejected(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc, _, err = run(
+            capsys,
+            ["histogram", "--input", str(data_dir / "clean" / "election.tsv"),
+             str(data_dir / "fraud" / "election.tsv"), "--out", str(out),
+             "--metric", "turnout"],
+        )
+        assert rc == 1
+        assert "hist_turnout_election.csv" in err
+        assert not out.exists()
+
+    def test_validate_has_no_format_flag(self, data_dir, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--input", str(data_dir / "clean.tsv"),
+                  "--out", str(tmp_path), "--format", "csv"])
+        assert exc.value.code == 2
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
