@@ -398,18 +398,17 @@ class TestExitCodes:
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize(
-        "argv, blocked",
-        [
-            (["simulate", "--stations", "50"], "injection_log.json"),
-            (["analyze", "--input", "clean.tsv", "--iterations", "100"], "samples.csv"),
-        ],
+        "command, blocked", [("simulate", "injection_log.json"), ("analyze", "samples.csv")]
     )
-    def test_failed_write_leaves_no_artifacts(self, data_dir, tmp_path, capsys, argv, blocked):
+    def test_failed_write_leaves_no_artifacts(self, data_dir, tmp_path, capsys, command, blocked):
         # a directory in the way of a later artifact fails the run after
         # the earlier artifacts were written
+        argv = {
+            "simulate": ["simulate", "--stations", "50"],
+            "analyze": ["analyze", "--input", str(data_dir / "clean.tsv"), "--iterations", "100"],
+        }[command]
         out = tmp_path / "out"
         (out / blocked).mkdir(parents=True)
-        argv = [str(data_dir / a) if a.endswith(".tsv") else a for a in argv]
         rc, _, err = run(capsys, argv + ["--out", str(out)])
         assert rc == 1
         assert "error:" in err
