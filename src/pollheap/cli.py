@@ -857,14 +857,14 @@ def _cmd_fingerprint(args: argparse.Namespace) -> tuple[dict, list]:
 def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, list]:
     if args.stations < 1:
         raise ValueError("--stations must be >= 1")
+    if args.fraud_mechanism is not None and not 0 <= args.fraud_fraction <= 1:
+        raise ValueError("--fraud-fraction must be in [0, 1]")
     config = GeneratorConfig(n_stations=args.stations, n_regions=args.regions)
     election = generate(config, seed=args.seed)
     dataset = election.dataset
 
     log_payload: dict = {"requested": 0, "modified": 0, "skipped": [], "records": []}
     if args.fraud_mechanism is not None:
-        if not 0 <= args.fraud_fraction <= 1:
-            raise ValueError("--fraud-fraction must be in [0, 1]")
         spec = FraudSpec(
             mechanism=args.fraud_mechanism,
             affected_fraction=args.fraud_fraction,

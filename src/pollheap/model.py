@@ -24,6 +24,7 @@ __all__ = [
     "compute_metrics",
     "apply_filters",
     "as_fraction",
+    "MAX_COUNT",
     "MAX_DENOMINATOR",
     "REASON_INVALID",
     "REASON_TOO_SMALL",
@@ -45,6 +46,11 @@ REASON_UNDEFINED_RESULT = "undefined_result"
 # comparisons form, such as 100 * given * denominator, well inside
 # int64 for country-scale counts.
 MAX_DENOMINATOR = 10**6
+
+# Largest station count ingest accepts, for a cell or a derived sum.
+# With MAX_DENOMINATOR it bounds the widest exact product,
+# 100 * count * denominator <= 10**17, inside int64.
+MAX_COUNT = 10**9
 
 
 def as_fraction(value: int | float | str | Fraction) -> Fraction:

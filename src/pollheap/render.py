@@ -4,7 +4,9 @@ Every function returns a complete standalone SVG document as a string.
 Output bytes depend only on the input data: fixed canvas geometry,
 fixed-precision coordinate formatting, no timestamps, no external
 assets. Heatmaps embed a losslessly compressed raster as a data URI so
-a 150k-cell spectrogram does not become 150k SVG nodes.
+a 150k-cell spectrogram does not become 150k SVG nodes. Text (titles,
+labels, notes, the <desc> metadata) is XML-escaped, so any file name or
+label yields a well-formed document.
 """
 
 from __future__ import annotations
@@ -26,6 +28,15 @@ _W, _H = 900, 480
 _ML, _MR, _MT, _MB = 70, 20, 40, 50  # margins: left right top bottom
 
 _COLORS = ("#1f6fb4", "#d1495b", "#3a7d44", "#8d5a97", "#c87d2f", "#4f6d7a")
+
+
+def _escape(text: str) -> str:
+    """Text as XML character data: &, < and > become entities.
+
+    xml.sax.saxutils.escape does the same, but importing it loads
+    urllib.request, http.client and ssl.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(v: float) -> str:
@@ -62,10 +73,10 @@ class _Canvas:
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
             f'viewBox="0 0 {_W} {_H}" font-family="sans-serif">',
             f'<rect width="{_W}" height="{_H}" fill="white"/>',
-            f'<text x="{_W/2:.0f}" y="24" text-anchor="middle" font-size="16">{title}</text>',
-            f'<text x="{_W/2:.0f}" y="{_H-10}" text-anchor="middle" font-size="12">{xlabel}</text>',
+            f'<text x="{_W/2:.0f}" y="24" text-anchor="middle" font-size="16">{_escape(title)}</text>',
+            f'<text x="{_W/2:.0f}" y="{_H-10}" text-anchor="middle" font-size="12">{_escape(xlabel)}</text>',
             f'<text x="16" y="{_H/2:.0f}" text-anchor="middle" font-size="12" '
-            f'transform="rotate(-90 16 {_H/2:.0f})">{ylabel}</text>',
+            f'transform="rotate(-90 16 {_H/2:.0f})">{_escape(ylabel)}</text>',
         ]
 
     def px(self, x: float) -> float:
@@ -116,18 +127,18 @@ class _Canvas:
                 f'<line x1="{x}" y1="{y+4}" x2="{x+22}" y2="{y+4}" stroke="{color}" stroke-width="2"/>'
             )
             self.parts.append(
-                f'<text x="{x+28}" y="{y+8}" font-size="11">{label}</text>'
+                f'<text x="{x+28}" y="{y+8}" font-size="11">{_escape(label)}</text>'
             )
             y += 16
 
     def note(self, text: str) -> None:
         self.parts.append(
-            f'<text x="{_W-_MR-6}" y="{_MT+14}" text-anchor="end" font-size="12">{text}</text>'
+            f'<text x="{_W-_MR-6}" y="{_MT+14}" text-anchor="end" font-size="12">{_escape(text)}</text>'
         )
 
     def done(self, meta: str = "") -> str:
         if meta:
-            self.parts.insert(1, f"<desc>{meta}</desc>")
+            self.parts.insert(1, f"<desc>{_escape(meta)}</desc>")
         self.parts.append("</svg>")
         return "\n".join(self.parts)
 
@@ -217,7 +228,7 @@ def render_box_plot(
         xc = c.px(i)
         c.parts.append(f'<circle cx="{xc:.1f}" cy="{ye:.1f}" r="4" fill="{_COLORS[1]}"/>')
         c.parts.append(
-            f'<text x="{xc:.1f}" y="{_H-_MB+18}" text-anchor="middle" font-size="11">{e["label"]}</text>'
+            f'<text x="{xc:.1f}" y="{_H-_MB+18}" text-anchor="middle" font-size="11">{_escape(e["label"])}</text>'
         )
     return c.done(meta)
 

@@ -14,7 +14,9 @@ CDF over a central support window. A lookup starts each station at the
 same Cornish-Fisher guess the direct quantile uses and walks the
 station's table row to the first entry above u; draws landing outside
 the window (probability ~1e-12 each) fall back to a direct quantile
-whose CDF authority is scipy's bdtr.
+whose CDF authority is scipy's bdtr. scipy.special is imported inside
+the functions that call it, so a command that never draws or builds a
+table never loads scipy.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.special import bdtr, betaincinv, gammaln, ndtri
 
 __all__ = [
     "NullModel",
@@ -162,6 +163,8 @@ def _quantile_guess(u: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
     follows makes the answer exact, but binom_quantile walks on bdtr,
     which is not bitwise monotone, so this arithmetic must not change.
     """
+    from scipy.special import ndtri
+
     q = 1.0 - p
     mu = n * p
     sig = np.sqrt(mu * q)
@@ -180,6 +183,8 @@ def binom_quantile(u, n, p) -> np.ndarray:
     shrinking set of unsettled entries. F(n) is taken as exactly 1, so
     the walk always terminates.
     """
+    from scipy.special import bdtr
+
     u = np.atleast_1d(np.asarray(u, dtype=np.float64))
     n = np.broadcast_to(np.asarray(n, dtype=np.int64), u.shape)
     p = np.broadcast_to(np.asarray(p, dtype=np.float64), u.shape)
@@ -276,6 +281,8 @@ def _build_table(den: np.ndarray, p: np.ndarray) -> _QuantileTable:
     consecutive stations, so each scratch array holds at most
     max(_BUILD_CELLS, widest row) cells whatever the station count.
     """
+    from scipy.special import bdtr, gammaln
+
     den = np.asarray(den, dtype=np.int64)
     p = np.asarray(p, dtype=np.float64)
     n_st = den.size
@@ -400,6 +407,8 @@ class DatasetSampler:
                 return binom_quantile(u[:, 0], self.den, _empirical_p(self.den, self.num))
             return self._table.lookup(u[:, 0])
         if kind == "beta_binomial":
+            from scipy.special import betaincinv
+
             a = (self.num + 1).astype(np.float64)
             b = (self.den - self.num + 1).astype(np.float64)
             p_draw = betaincinv(a, b, u[:, 0])

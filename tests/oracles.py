@@ -2,13 +2,15 @@
 
 Everything here is deliberately slow and literal: exact rational
 arithmetic for the probability mass functions, O(N^2) direct sums for
-the discrete Fourier transform. None of it imports the package under
-test, so agreement between the two is meaningful evidence.
+the discrete Fourier transform, one csv record at a time for ingest.
+None of it imports the package under test, so agreement between the
+two is meaningful evidence.
 """
 
 from __future__ import annotations
 
 import cmath
+import csv
 from fractions import Fraction
 from math import comb
 
@@ -96,3 +98,95 @@ def count_in_window(percentages, centers: str, half_width: Fraction) -> int:
         if dist <= half_width:
             hits += 1
     return hits
+
+
+def load_rows(path, delimiter, has_header, resolve, max_count, max_errors):
+    """Row-at-a-time reference loader for a delimited export.
+
+    resolve(header, width) maps each canonical field to its source
+    column indices, in mapping order (header is None without a header
+    row). Blank records are skipped; a bad record is tallied with the
+    message of its first failing check: too few cells, a count cell
+    that is not plain ASCII digits or exceeds max_count, a sum above
+    max_count, an empty or a duplicate station id.
+    """
+    count_fields = ("registered", "given", "cast", "leader")
+
+    def parse_count(cell):
+        s = cell.strip()
+        if not (s.isascii() and s.isdigit()):
+            raise ValueError(f"not a plain integer: {cell!r}")
+        # the length test comes first: int() refuses over 4300 digits
+        if len(s.lstrip("0")) > len(str(max_count)) or int(s) > max_count:
+            raise ValueError(f"count above {max_count}: {cell!r}")
+        return int(s)
+
+    out = {
+        "ids": [],
+        "regions": [],
+        "constituencies": [],
+        "counts": {name: [] for name in count_fields},
+        "parsed": 0,
+        "invalid": 0,
+        "errors": [],
+    }
+
+    def record_error(line_no, message):
+        out["invalid"] += 1
+        if len(out["errors"]) < max_errors:
+            out["errors"].append(f"line {line_no}: {message}")
+
+    seen = set()
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle, delimiter=delimiter)
+        indices = None
+        for line_no, row in enumerate(reader, start=1):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if indices is None:
+                if has_header:
+                    header = [cell.strip() for cell in row]
+                    indices = resolve(header, len(header))
+                    continue
+                indices = resolve(None, len(row))
+            needed = max(i for cols in indices.values() for i in cols)
+            if len(row) <= needed:
+                record_error(
+                    line_no, f"expected at least {needed + 1} columns, got {len(row)}"
+                )
+                continue
+            try:
+                values = {}
+                for name, cols in indices.items():
+                    if name in count_fields:
+                        total = sum(parse_count(row[i]) for i in cols)
+                        if total > max_count:
+                            raise ValueError(f"{name} sum above {max_count}: {total}")
+                        values[name] = total
+            except ValueError as exc:
+                record_error(line_no, str(exc))
+                continue
+            sid = row[indices["station_id"][0]].strip()
+            if not sid:
+                record_error(line_no, "empty station_id")
+                continue
+            if sid in seen:
+                record_error(line_no, f"duplicate station_id {sid!r}")
+                continue
+            seen.add(sid)
+            region = "ALL"
+            if "region_code" in indices:
+                region = row[indices["region_code"][0]].strip() or "ALL"
+            constituency = ""
+            if "constituency_id" in indices:
+                constituency = row[indices["constituency_id"][0]].strip()
+            out["ids"].append(sid)
+            out["regions"].append(region)
+            out["constituencies"].append(constituency)
+            for name in count_fields:
+                out["counts"][name].append(values[name])
+            out["parsed"] += 1
+        if indices is None and has_header:
+            raise ValueError(f"{path}: no header row found")
+    out["skipped"] = out["invalid"]
+    return out

@@ -6,10 +6,16 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
+from xml.dom import minidom
 
 import pytest
 
+import pollheap
 import pollheap.anomaly as anomaly
+import pollheap.cli as cli
 from pollheap.cli import _cell, main
 from pollheap.ingest import load_dataset
 from pollheap.model import apply_filters
@@ -78,6 +84,23 @@ class TestSimulate:
         assert log["run"]["fraud_fraction"] == 0.25
 
 
+class TestSimulateArguments:
+    def test_fraud_fraction_checked_before_generating(self, tmp_path, capsys, monkeypatch):
+        def generate(*args, **kwargs):
+            raise AssertionError("generate ran before the arguments were checked")
+
+        monkeypatch.setattr(cli, "generate", generate)
+        out = tmp_path / "out"
+        rc, _, err = run(
+            capsys,
+            ["simulate", "--out", str(out), "--stations", "2000000",
+             "--fraud-mechanism", "integer_rounding", "--fraud-fraction", "2"],
+        )
+        assert rc == 1
+        assert "--fraud-fraction must be in [0, 1]" in err
+        assert not out.exists()
+
+
 class TestValidate:
     def test_parse_summary(self, data_dir, tmp_path, capsys):
         rc, summary, _ = run(
@@ -109,6 +132,23 @@ class TestValidate:
         disc = summary["results"][0]["discrepancies"]
         assert {"region_code": "A", "field": "given", "expected": 1201, "actual": 1200} in disc
         assert all(d["field"] != "leader" for d in disc)
+
+    def test_oversized_count_is_one_invalid_row(self, tmp_path, capsys):
+        # int64 cannot hold the first count; the second fits int64 but
+        # not the exact products analyze forms
+        tsv = tmp_path / "big.tsv"
+        tsv.write_text(
+            "station_id\tregion_code\tconstituency_id\tregistered\tgiven\tcast\tleader\n"
+            "S1\tA\tC1\t1000\t700\t690\t400\n"
+            "S2\tA\tC1\t99999999999999999999\t500\t495\t300\n"
+            f"S3\tA\tC1\t{2**63 - 1}\t500\t495\t300\n"
+        )
+        rc, summary, _ = run(capsys, ["validate", "--input", str(tsv), "--out", str(tmp_path)])
+        assert rc == 0
+        entry = summary["results"][0]
+        assert entry["parsed"] == 1
+        assert entry["invalid"] == 2
+        assert [e.split(":")[0] for e in entry["errors"]] == ["line 3", "line 4"]
 
 
 class TestAnalyze:
@@ -342,6 +382,19 @@ class TestFingerprint:
         svg = (tmp_path / "fingerprint.svg").read_text()
         assert "correlation" in svg
 
+    def test_svg_escapes_markup_in_input_names(self, data_dir, tmp_path, capsys):
+        src = tmp_path / "a&b<c>.tsv"
+        shutil.copy(data_dir / "clean.tsv", src)
+        rc, _, _ = run(
+            capsys,
+            ["fingerprint", "--input", str(src), "--out", str(tmp_path / "out"),
+             "--format", "svg"],
+        )
+        assert rc == 0
+        doc = minidom.parse(str(tmp_path / "out" / "fingerprint.svg"))
+        desc = doc.getElementsByTagName("desc")[0].firstChild.data
+        assert "a&b<c>.tsv" in desc
+
 
 class TestExitCodes:
     def test_missing_input_is_runtime_error(self, tmp_path, capsys):
@@ -431,6 +484,29 @@ class TestExitCodes:
             main(["validate", "--input", str(data_dir / "clean.tsv"),
                   "--out", str(tmp_path), "--format", "csv"])
         assert exc.value.code == 2
+
+
+def test_commands_that_do_not_simulate_never_import_scipy(data_dir, tmp_path):
+    src_dir = Path(pollheap.__file__).resolve().parent.parent
+    clean = str(data_dir / "clean.tsv")
+    script = f"""
+import sys
+import pollheap.cli
+assert "scipy" not in sys.modules, "import"
+for argv in (
+    ["simulate", "--out", {str(tmp_path / "sim")!r}, "--stations", "50"],
+    ["validate", "--input", {clean!r}, "--out", {str(tmp_path / "val")!r}],
+    ["fingerprint", "--input", {clean!r}, "--out", {str(tmp_path / "fp")!r}, "--format", "svg"],
+    ["histogram", "--input", {clean!r}, "--out", {str(tmp_path / "hist")!r}, "--iterations", "0"],
+):
+    assert pollheap.cli.main(argv) == 0, argv
+    assert "scipy" not in sys.modules, argv[0]
+"""
+    env = dict(os.environ, PYTHONPATH=str(src_dir))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def _sha(data: bytes) -> str:

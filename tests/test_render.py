@@ -3,6 +3,7 @@
 import base64
 import re
 import zlib
+from xml.dom import minidom
 
 import numpy as np
 
@@ -104,3 +105,32 @@ def test_heatmap_log_scale_runs():
         log_scale=True, note="correlation 0.5", meta="m",
     )
     assert "correlation 0.5" in svg
+
+
+def _texts(svg: str) -> list[str]:
+    doc = minidom.parseString(svg)
+    return ["".join(n.data for n in t.childNodes) for t in doc.getElementsByTagName("text")]
+
+
+def test_text_and_meta_are_xml_escaped():
+    x = np.arange(5.0)
+    svg = render_line_plot(
+        [("a<b", x, x), ("c&d", x, x + 1)],
+        title="p < 0.05 & q > 1",
+        xlabel="x&y",
+        ylabel="<y>",
+        meta='{"input": ["a&b.tsv"]}',
+    )
+    assert {"p < 0.05 & q > 1", "x&y", "<y>", "a<b", "c&d"} <= set(_texts(svg))
+    desc = minidom.parseString(svg).getElementsByTagName("desc")[0]
+    assert desc.firstChild.data == '{"input": ["a&b.tsv"]}'
+    box = render_box_plot(
+        [{"label": "R&1", "low": 0.0, "high": 1.0, "mean": 0.5, "empirical": 0.7}],
+        title="t",
+        ylabel="y",
+    )
+    assert "R&1" in _texts(box)
+    heat = render_heatmap(
+        np.ones((3, 3)), (0.0, 1.0), (0.0, 1.0), "t", "x", "y", note="n < 5 & m > 2"
+    )
+    assert "n < 5 & m > 2" in _texts(heat)
