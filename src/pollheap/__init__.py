@@ -26,6 +26,7 @@ from .histograms import (
     build_histogram,
     envelope_from_matrix,
     histogram_envelope,
+    mc_histogram_matrices,
     mc_histograms,
     peak_shape,
 )
@@ -132,6 +133,7 @@ __all__ = [
     "load_dataset",
     "make_sampler",
     "mc_histograms",
+    "mc_histogram_matrices",
     "peak_shape",
     "percentile_band",
     "region_peaks",

@@ -390,7 +390,7 @@ def run_nulls(
     ]
     reducer = _QReducer(evaluators)
     (samples_matrix,) = run_simulation(
-        samplers, [reducer], iterations, master_seed, workers, progress
+        [samplers], [reducer], iterations, master_seed, workers, progress
     )
     reports = []
     for j, (stat, window) in enumerate(defs):

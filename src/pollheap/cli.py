@@ -53,7 +53,8 @@ from .histograms import (
     average_histograms,
     build_histogram,
     envelope_from_matrix,
-    mc_histograms,
+    mc_histogram_matrices,
+    mc_histograms,  # noqa: F401  not called here; perfbench/tracing.py patches cli.mc_histograms
     peak_shape,
 )
 from .ingest import PROFILES, SchemaError, load_dataset, verify_subtotals, write_canonical_tsv
@@ -608,9 +609,20 @@ def _cmd_histogram(args: argparse.Namespace) -> tuple[dict, list]:
     if args.average and len(datasets) < 2:
         raise ValueError("--average needs at least two inputs")
 
+    metrics = _metrics(args.metric)
+    # one simulation for every (metric, input), matrices in that order
+    simulated = []
+    if args.iterations:
+        simulated = mc_histogram_matrices(
+            [(ds, metric) for metric in metrics for ds in datasets],
+            model=args.model, iterations=args.iterations, master_seed=args.seed,
+            bin_width=args.bins, jitter=args.jitter, suppress_hundred=suppress,
+            workers=args.workers, progress=_progress("histogram"),
+        )
+
     files = []
     summary: dict = {"inputs": labels, "metrics": {}}
-    for metric in _metrics(args.metric):
+    for k, metric in enumerate(metrics):
         hists = [
             build_histogram(
                 ds, metric, bin_width=args.bins, jitter=args.jitter,
@@ -618,18 +630,7 @@ def _cmd_histogram(args: argparse.Namespace) -> tuple[dict, list]:
             )
             for ds in datasets
         ]
-        matrices = []
-        if args.iterations:
-            for ds, label in zip(datasets, labels):
-                matrices.append(
-                    mc_histograms(
-                        ds, metric, model=args.model, iterations=args.iterations,
-                        master_seed=args.seed, bin_width=args.bins,
-                        jitter=args.jitter, suppress_hundred=suppress,
-                        workers=args.workers,
-                        progress=_progress(f"histogram {label} {metric}"),
-                    )
-                )
+        matrices = simulated[k * len(datasets) : (k + 1) * len(datasets)]
 
         if args.average:
             avg = average_histograms(hists)
@@ -698,16 +699,18 @@ def _cmd_spectrum(args: argparse.Namespace) -> tuple[dict, list]:
         raise ValueError("spectrum needs --iterations >= 100 for the simulated baseline")
     dataset, _ = _prepare(args, args.input)
 
+    metrics = _metrics(args.metric)
+    matrices = mc_histogram_matrices(
+        [(dataset, metric) for metric in metrics],
+        model=args.model, iterations=args.iterations, master_seed=args.seed,
+        workers=args.workers, progress=_progress("spectrum"),
+    )
+
     files = []
     summary: dict = {"metrics": {}}
-    for metric in _metrics(args.metric):
+    for metric, matrix in zip(metrics, matrices):
         hist = build_histogram(dataset, metric)
         spec = amplitude_spectrum(hist)
-        matrix = mc_histograms(
-            dataset, metric, model=args.model, iterations=args.iterations,
-            master_seed=args.seed, workers=args.workers,
-            progress=_progress(f"spectrum {metric}"),
-        )
         gram = spectrogram(hist, matrix)
         profile = harmonic_profile(gram, frequency=1.0)
 
@@ -925,6 +928,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "simulate" and args.fraud_fraction and args.fraud_mechanism is None:
+        parser.error("--fraud-fraction needs --fraud-mechanism")
     try:
         summary = _run(args)
     except SchemaError as exc:

@@ -28,6 +28,7 @@ __all__ = [
     "PeakShape",
     "build_histogram",
     "mc_histograms",
+    "mc_histogram_matrices",
     "histogram_envelope",
     "average_histograms",
     "peak_shape",
@@ -168,6 +169,7 @@ class _HistogramReducer(Reducer):
         suppress_hundred: bool,
         jitter: bool,
         master_seed: int,
+        group: int = 0,
     ):
         self.metric = metric
         self.den = den
@@ -177,6 +179,7 @@ class _HistogramReducer(Reducer):
         self.jitter = jitter
         self.master_seed = int(master_seed)
         self.out_shape = (100 * m + 1,)
+        self.group = group
 
     def reduce(self, iteration_index: int, counts: Mapping[str, np.ndarray]):
         num = counts[self.metric]
@@ -212,18 +215,56 @@ def mc_histograms(
     are reproducible individually: they depend only on (master_seed,
     iteration index, model, dataset).
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    m = _bins_per_percent(bin_width)
-    num, den = _metric_arrays(dataset, metric)
-    sampler = make_sampler(den, num, model, metric)
-    reducer = _HistogramReducer(
-        metric, den, dataset.registered, m, suppress_hundred, jitter, master_seed
-    )
-    (matrix,) = run_simulation(
-        {metric: sampler}, [reducer], iterations, master_seed, workers, progress
+    (matrix,) = mc_histogram_matrices(
+        [(dataset, metric)], model, iterations, master_seed,
+        bin_width, jitter, suppress_hundred, workers, progress,
     )
     return matrix
+
+
+def _sampler_builder(den: np.ndarray, num: np.ndarray, model, metric: str):
+    # make_sampler is looked up when the group is built, which may be
+    # in a forked worker
+    return lambda: {metric: make_sampler(den, num, model, metric)}
+
+
+def mc_histogram_matrices(
+    jobs: Sequence[tuple[ElectionDataset, str]],
+    model: NullModel | str,
+    iterations: int,
+    master_seed: int,
+    bin_width=DEFAULT_BIN_WIDTH,
+    jitter: bool = False,
+    suppress_hundred: bool = True,
+    workers: int | None = None,
+    progress=None,
+) -> list[np.ndarray]:
+    """mc_histograms of several (dataset, metric) jobs in one simulation.
+
+    Entry k equals mc_histograms(*jobs[k], model, ...) bit for bit:
+    each job is its own station-set group, so its draws do not depend
+    on the other jobs. Each job's sampler table is built by whichever
+    process simulates it (see mc.run_simulation).
+    """
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
+    if not jobs:
+        raise ValueError("at least one (dataset, metric) job is required")
+    m = _bins_per_percent(bin_width)
+    if isinstance(model, str):
+        model = NullModel.parse(model)
+    groups = []
+    reducers = []
+    for k, (dataset, metric) in enumerate(jobs):
+        num, den = _metric_arrays(dataset, metric)
+        groups.append(_sampler_builder(den, num, model, metric))
+        reducers.append(
+            _HistogramReducer(
+                metric, den, dataset.registered, m, suppress_hundred, jitter,
+                master_seed, group=k,
+            )
+        )
+    return run_simulation(groups, reducers, iterations, master_seed, workers, progress)
 
 
 @dataclass(frozen=True)

@@ -446,7 +446,8 @@ def load_dataset(
     counts = {name: [np.zeros(0, dtype=np.int64)] for name in COUNT_FIELDS}
     seen: set[str] = set()
 
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    # utf-8-sig: spreadsheet exports often begin with a byte-order mark
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle, delimiter=mapping.delimiter)
         line_no = 0
         first = None

@@ -1,22 +1,42 @@
 """Chunked Monte Carlo driver with schedule-independent results.
 
-Iterations are grouped into fixed blocks of CHUNK_ITERATIONS. Workers
-process whole blocks; the parent folds block results together in block
-order. Because the block boundaries and the fold order never depend on
-the worker count, every reduction (including floating-point sums)
-follows the same arithmetic tree and the output is bit-identical
-whether the run used one process or twenty.
+A run simulates one or more groups. A group is one station set: the
+samplers of its metrics, given either built or as a zero-argument
+builder that returns them. Every reducer belongs to one group, and
+draws are keyed by (seed, iteration, metric) within their group, so a
+group simulated alongside others draws exactly what it would draw
+alone.
 
-Worker processes are forked, so the samplers' precomputed tables are
-shared copy-on-write instead of being pickled.
+Iterations are cut into fixed blocks of CHUNK_ITERATIONS. Each reducer
+folds its group's block results in block order. Because the block
+boundaries and the fold order never depend on the worker count, every
+reduction (including floating-point sums) follows the same arithmetic
+tree and the output is bit-identical whether the run used one process
+or twenty.
+
+Where the tables are built depends on the schedule:
+
+- one worker: the groups run in order in this process; each is built,
+  simulated, folded and dropped before the next is built;
+- at least as many groups as workers: one forked pool with one task
+  per group; the worker builds the group's tables, runs every block
+  and returns the folded result, so no process holds more than one
+  group's tables;
+- fewer groups than workers: this process builds every group, then
+  forks once and schedules (group, block) tasks, so the tables are
+  shared copy-on-write by the workers instead of being pickled.
+
+Worker processes are always forked. Where the platform has no "fork"
+start method, the run uses one worker and says so on stderr.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Mapping, Sequence
+import sys
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -28,21 +48,26 @@ __all__ = ["CHUNK_ITERATIONS", "Reducer", "run_simulation", "default_workers"]
 # therefore byte-level output; it is a constant, not a tuning knob.
 CHUNK_ITERATIONS = 32
 
+Samplers = Mapping[str, DatasetSampler]
+Group = Union[Samplers, Callable[[], Samplers]]
+
 
 class Reducer:
     """Per-iteration reduction of simulated counts.
 
     Subclasses set out_shape/dtype/mode and implement reduce(), which
     receives the iteration index and a dict of simulated count arrays
-    keyed by metric tag ("turnout", "result"). mode "stack" keeps one
-    row per iteration; mode "sum" accumulates elementwise totals.
-    reduce() must be pure and must not mutate shared state: the same
-    instance runs concurrently in forked workers.
+    keyed by metric tag ("turnout", "result") of the reducer's group.
+    mode "stack" keeps one row per iteration; mode "sum" accumulates
+    elementwise totals. reduce() must be pure and must not mutate
+    shared state: the same instance runs concurrently in forked
+    workers.
     """
 
     out_shape: tuple[int, ...] = ()
     dtype: np.dtype = np.dtype(np.int64)
     mode: str = "stack"
+    group: int = 0  # index of the station-set group this reducer reads
 
     def reduce(
         self, iteration_index: int, counts: Mapping[str, np.ndarray]
@@ -55,13 +80,23 @@ class Reducer:
 _ACTIVE: dict | None = None
 
 
-def _run_chunk(bounds: tuple[int, int]):
-    start, end = bounds
-    samplers: dict[str, DatasetSampler] = _ACTIVE["samplers"]
-    reducers: Sequence[Reducer] = _ACTIVE["reducers"]
-    master_seed: int = _ACTIVE["master_seed"]
-    tags = sorted(samplers)
+def _build(group: Group) -> dict[str, DatasetSampler]:
+    samplers = dict(group() if callable(group) else group)
+    if not samplers:
+        raise ValueError("at least one sampler is required")
+    if len({s.n_stations for s in samplers.values()}) != 1:
+        raise ValueError("all samplers of a group must cover the same station set")
+    return samplers
 
+
+def _run_chunk(
+    samplers: Samplers,
+    reducers: Sequence[Reducer],
+    master_seed: int,
+    start: int,
+    end: int,
+) -> list[np.ndarray]:
+    tags = sorted(samplers)
     stacks: list[list[np.ndarray] | None] = []
     sums: list[np.ndarray | None] = []
     for r in reducers:
@@ -81,13 +116,56 @@ def _run_chunk(bounds: tuple[int, int]):
             else:
                 stacks[j].append(np.asarray(val, dtype=r.dtype))
 
+    return [
+        sums[j] if r.mode == "sum" else np.stack(stacks[j])
+        for j, r in enumerate(reducers)
+    ]
+
+
+def _fold(reducers: Sequence[Reducer], parts: list[list[np.ndarray]]) -> list[np.ndarray]:
+    """One array per reducer from its block results, in block order."""
     out = []
     for j, r in enumerate(reducers):
+        blocks = [p[j] for p in parts]
         if r.mode == "sum":
-            out.append(sums[j])
+            total = np.zeros(r.out_shape, dtype=r.dtype)
+            for b in blocks:  # fold in block order: fixed summation tree
+                total += b
+            out.append(total)
         else:
-            out.append(np.stack(stacks[j]))
-    return start, out
+            out.append(np.concatenate(blocks, axis=0))
+    return out
+
+
+def _run_group(
+    group: Group,
+    reducers: Sequence[Reducer],
+    master_seed: int,
+    chunks: Sequence[tuple[int, int]],
+    advance: Callable[[int], None] | None = None,
+) -> list[np.ndarray]:
+    """Build one group, run its blocks in order and fold them.
+
+    The group's samplers live only for this call.
+    """
+    samplers = _build(group)
+    parts = []
+    for s, e in chunks:
+        parts.append(_run_chunk(samplers, reducers, master_seed, s, e))
+        if advance is not None:
+            advance(e - s)
+    return _fold(reducers, parts)
+
+
+def _group_task(g: int) -> list[np.ndarray]:
+    a = _ACTIVE
+    return _run_group(a["groups"][g], a["reducers"][g], a["master_seed"], a["chunks"])
+
+
+def _chunk_task(task: tuple[int, int, int]) -> list[np.ndarray]:
+    g, start, end = task
+    a = _ACTIVE
+    return _run_chunk(a["groups"][g], a["reducers"][g], a["master_seed"], start, end)
 
 
 def default_workers() -> int:
@@ -95,7 +173,7 @@ def default_workers() -> int:
 
 
 def run_simulation(
-    samplers: Mapping[str, DatasetSampler],
+    groups: Sequence[Group],
     reducers: Sequence[Reducer],
     iterations: int,
     master_seed: int,
@@ -104,62 +182,97 @@ def run_simulation(
 ) -> list[np.ndarray]:
     """Run the null simulation and return one array per reducer.
 
-    Stack-mode reducers yield shape (iterations, *out_shape) with row i
-    holding iteration i; sum-mode reducers yield shape out_shape. The
-    result depends only on (samplers, reducers, iterations,
-    master_seed), never on workers.
+    groups lists the station sets; each is a mapping of metric tag to
+    sampler, or a zero-argument callable returning one (built where
+    the schedule puts it, see the module docstring). reducers[j] reads
+    groups[reducers[j].group]. Stack-mode reducers yield shape
+    (iterations, *out_shape) with row i holding iteration i; sum-mode
+    reducers yield shape out_shape. The result depends only on
+    (groups, reducers, iterations, master_seed), never on workers.
+    progress(done, total) counts iterations over all groups and ends
+    at done == total == len(groups) * iterations.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    if not samplers:
-        raise ValueError("at least one sampler is required")
-    sizes = {s.n_stations for s in samplers.values()}
-    if len(sizes) != 1:
-        raise ValueError("all samplers must cover the same station set")
+    if isinstance(groups, Mapping) or not groups:
+        raise ValueError("groups must be a non-empty sequence of sampler groups")
+    n_groups = len(groups)
+    for r in reducers:
+        if not 0 <= r.group < n_groups:
+            raise ValueError(f"reducer group {r.group} is not one of {n_groups} groups")
+    members = [[j for j, r in enumerate(reducers) if r.group == g] for g in range(n_groups)]
+    by_group = [[reducers[j] for j in idx] for idx in members]
 
-    global _ACTIVE
     chunks = [
         (s, min(s + CHUNK_ITERATIONS, iterations))
         for s in range(0, iterations, CHUNK_ITERATIONS)
     ]
-    _ACTIVE = {
-        "samplers": dict(samplers),
-        "reducers": list(reducers),
-        "master_seed": int(master_seed),
-    }
+    total = n_groups * iterations
+    done = 0
+
+    def advance(n: int) -> None:
+        nonlocal done
+        done += n
+        if progress is not None:
+            progress(done, total)
+
+    seed = int(master_seed)
+    if workers is None:
+        workers = default_workers()
+    workers = max(1, min(int(workers), n_groups * len(chunks)))
+    if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        print(
+            "note: the 'fork' start method is not available here; running with one worker",
+            file=sys.stderr,
+            flush=True,
+        )
+        workers = 1
+
+    global _ACTIVE
     try:
-        if workers is None:
-            workers = default_workers()
-        workers = max(1, min(int(workers), len(chunks)))
         if workers == 1:
-            parts = []
-            done = 0
-            for ch in chunks:
-                parts.append(_run_chunk(ch))
-                done += ch[1] - ch[0]
-                if progress is not None:
-                    progress(done, iterations)
-        else:
+            folded = [
+                _run_group(group, by_group[g], seed, chunks, advance)
+                for g, group in enumerate(groups)
+            ]
+        elif n_groups >= workers:
+            # every simulation draws through scipy.special: load it once
+            # here instead of once per forked worker
+            import scipy.special  # noqa: F401
+
+            _ACTIVE = {
+                "groups": list(groups),
+                "reducers": by_group,
+                "master_seed": seed,
+                "chunks": chunks,
+            }
+            folded = [None] * n_groups
             ctx = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-                parts = []
-                for part in pool.map(_run_chunk, chunks):
-                    parts.append(part)
-                    if progress is not None:
-                        # map yields in submission order, so this is monotone
-                        progress(min(part[0] + CHUNK_ITERATIONS, iterations), iterations)
+                futures = {pool.submit(_group_task, g): g for g in range(n_groups)}
+                for fut in as_completed(futures):
+                    folded[futures[fut]] = fut.result()
+                    advance(iterations)
+        else:
+            _ACTIVE = {
+                "groups": [_build(group) for group in groups],
+                "reducers": by_group,
+                "master_seed": seed,
+            }
+            tasks = [(g, s, e) for g in range(n_groups) for s, e in chunks]
+            parts: list[list] = [[] for _ in range(n_groups)]
+            ctx = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+                # map yields in submission order, so blocks arrive in order
+                for (g, s, e), part in zip(tasks, pool.map(_chunk_task, tasks)):
+                    parts[g].append(part)
+                    advance(e - s)
+            folded = [_fold(by_group[g], parts[g]) for g in range(n_groups)]
     finally:
         _ACTIVE = None
 
-    parts.sort(key=lambda t: t[0])
-    results: list[np.ndarray] = []
-    for j, r in enumerate(reducers):
-        blocks = [p[1][j] for p in parts]
-        if r.mode == "sum":
-            total = np.zeros(r.out_shape, dtype=r.dtype)
-            for b in blocks:  # fold in chunk order: fixed summation tree
-                total += b
-            results.append(total)
-        else:
-            results.append(np.concatenate(blocks, axis=0))
+    results: list[np.ndarray | None] = [None] * len(reducers)
+    for idx, arrays in zip(members, folded):
+        for j, arr in zip(idx, arrays):
+            results[j] = arr
     return results

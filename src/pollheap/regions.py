@@ -76,13 +76,14 @@ class _RegionHistogramReducer(Reducer):
     mode = "sum"
     dtype = np.dtype(np.int64)
 
-    def __init__(self, metric, region_idx, n_regions, den, weight):
+    def __init__(self, metric, region_idx, n_regions, den, weight, group=0):
         self.metric = metric
         self.region_idx = region_idx
         self.n_regions = n_regions
         self.den = den
         self.weight = weight
         self.out_shape = (n_regions, _N_BINS)
+        self.group = group
 
     def reduce(self, iteration_index, counts):
         return _region_histograms(
@@ -114,6 +115,15 @@ class RegionPeakTable:
         return self.ranking[:count]
 
 
+def _sampler_builder(ds: ElectionDataset, model: NullModel):
+    # make_sampler is looked up when the group is built, which may be
+    # in a forked worker
+    return lambda: {
+        "turnout": make_sampler(ds.registered, ds.given, model, "turnout"),
+        "result": make_sampler(ds.cast, ds.leader, model, "result"),
+    }
+
+
 def region_peaks(
     datasets: Mapping[str, ElectionDataset],
     model: NullModel | str,
@@ -143,26 +153,39 @@ def region_peaks(
     )
     cand_metric_is_result = np.array([m == "result" for _, m in candidates])
 
+    if isinstance(model, str):
+        model = NullModel.parse(model)
+    labels = sorted(datasets)
     all_codes = sorted({c for ds in datasets.values() for c in ds.region_codes})
-    rows: list[RegionPeakRow] = []
-    best: dict[str, float] = {}
 
-    for label in sorted(datasets):
+    # one simulation: each dataset is a group, built where it is simulated
+    groups = []
+    reducers = []
+    partitions = []
+    for g, label in enumerate(labels):
         ds = datasets[label]
         codes, region_idx = ds.region_partition()
-        n_regions = len(codes)
-        samplers = {
-            "turnout": make_sampler(ds.registered, ds.given, model, "turnout"),
-            "result": make_sampler(ds.cast, ds.leader, model, "result"),
-        }
-        reducers = [
-            _RegionHistogramReducer("turnout", region_idx, n_regions, ds.registered, ds.registered),
-            _RegionHistogramReducer("result", region_idx, n_regions, ds.cast, ds.registered),
+        partitions.append((codes, region_idx))
+        groups.append(_sampler_builder(ds, model))
+        reducers += [
+            _RegionHistogramReducer(
+                "turnout", region_idx, len(codes), ds.registered, ds.registered, group=g
+            ),
+            _RegionHistogramReducer(
+                "result", region_idx, len(codes), ds.cast, ds.registered, group=g
+            ),
         ]
-        sums = run_simulation(samplers, reducers, iterations, master_seed, workers, progress)
+    sums = run_simulation(groups, reducers, iterations, master_seed, workers, progress)
+
+    rows: list[RegionPeakRow] = []
+    best: dict[str, float] = {}
+    for g, label in enumerate(labels):
+        ds = datasets[label]
+        codes, region_idx = partitions[g]
+        n_regions = len(codes)
         mc_mean = {
-            "turnout": sums[0] / iterations,
-            "result": sums[1] / iterations,
+            "turnout": sums[2 * g] / iterations,
+            "result": sums[2 * g + 1] / iterations,
         }
         emp = {
             "turnout": _region_histograms(region_idx, n_regions, ds.given, ds.registered, ds.registered),

@@ -77,19 +77,23 @@ def _hamming(n: int) -> np.ndarray:
     return 0.54 - 0.46 * np.cos(2.0 * np.pi * j / (n - 1))
 
 
-def _raw_spectrogram(values: np.ndarray) -> np.ndarray:
-    """|DFT| per sliding window, shape (n_centers, n_frequencies).
+def _raw_spectrogram(
+    values: np.ndarray, ham: np.ndarray, scratch: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """|DFT| per sliding window, written into out (n_centers, n_frequencies).
 
     Windows are demeaned before the transform so the bulk histogram
     level cannot swamp the periodic part; the DC row instead reports
-    the windowed mass itself.
+    the windowed mass itself. scratch is a (n_centers, window) buffer,
+    so a caller transforming many rows allocates it once.
     """
     windows = np.lib.stride_tricks.sliding_window_view(values, _WINDOW_BINS)
-    ham = _hamming(_WINDOW_BINS)
-    demeaned = (windows - windows.mean(axis=1, keepdims=True)) * ham
-    spec = np.abs(np.fft.rfft(demeaned, n=_FFT_LEN, axis=1))
-    spec[:, 0] = np.abs((windows * ham).sum(axis=1))
-    return spec
+    np.subtract(windows, windows.mean(axis=1, keepdims=True), out=scratch)
+    scratch *= ham
+    np.abs(np.fft.rfft(scratch, n=_FFT_LEN, axis=1), out=out)
+    np.multiply(windows, ham, out=scratch)
+    np.abs(scratch.sum(axis=1), out=out[:, 0])
+    return out
 
 
 @dataclass(frozen=True)
@@ -127,10 +131,15 @@ def spectrogram(
     if mc.shape[1] != w.size:
         raise ValueError("mc_histograms grid does not match the histogram")
 
-    raw = _raw_spectrogram(w)
-    acc = np.zeros_like(raw)
-    for i in range(mc.shape[0]):
-        acc += _raw_spectrogram(mc[i])
+    n_centers = w.size - _WINDOW_BINS + 1
+    shape = (n_centers, _FFT_LEN // 2 + 1)
+    ham = _hamming(_WINDOW_BINS)
+    scratch = np.empty((n_centers, _WINDOW_BINS))
+    raw = _raw_spectrogram(w, ham, scratch, np.empty(shape))
+    mag = np.empty(shape)
+    acc = np.zeros(shape)
+    for row in mc:
+        acc += _raw_spectrogram(row, ham, scratch, mag)
     mc_mean = acc / mc.shape[0]
 
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -2,9 +2,9 @@
 
 Everything here is deliberately slow and literal: exact rational
 arithmetic for the probability mass functions, O(N^2) direct sums for
-the discrete Fourier transform, one csv record at a time for ingest.
-None of it imports the package under test, so agreement between the
-two is meaningful evidence.
+the discrete Fourier transform, one csv record at a time for ingest,
+fresh arrays for every spectrogram row. None of it imports the package
+under test, so agreement between the two is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ import cmath
 import csv
 from fractions import Fraction
 from math import comb
+
+import numpy as np
 
 
 def binom_pmf(n: int, p: Fraction) -> list[Fraction]:
@@ -78,6 +80,33 @@ def dft_direct(values) -> list[complex]:
     return out
 
 
+def spectrogram_rows(values, mc_rows, window_bins=151, fft_len=300):
+    """(raw, mc_mean) of a sliding Hamming-window spectrogram, row by row.
+
+    Each window is demeaned and Hamming-weighted, then transformed with
+    fft_len-point zero padding; the DC column holds |sum of the weighted
+    window| instead. mc_mean averages the per-row spectrograms of
+    mc_rows, accumulated in row order. Every row allocates its own
+    arrays.
+    """
+    j = np.arange(window_bins, dtype=np.float64)
+    ham = 0.54 - 0.46 * np.cos(2.0 * np.pi * j / (window_bins - 1))
+
+    def raw_of(row):
+        windows = np.lib.stride_tricks.sliding_window_view(row, window_bins)
+        demeaned = (windows - windows.mean(axis=1, keepdims=True)) * ham
+        spec = np.abs(np.fft.rfft(demeaned, n=fft_len, axis=1))
+        spec[:, 0] = np.abs((windows * ham).sum(axis=1))
+        return spec
+
+    raw = raw_of(np.asarray(values, dtype=np.float64))
+    mc = np.asarray(mc_rows, dtype=np.float64)
+    acc = np.zeros_like(raw)
+    for i in range(mc.shape[0]):
+        acc += raw_of(mc[i])
+    return raw, acc / mc.shape[0]
+
+
 def count_in_window(percentages, centers: str, half_width: Fraction) -> int:
     """Count exact-Fraction percentages within half_width of a center.
 
@@ -137,7 +166,7 @@ def load_rows(path, delimiter, has_header, resolve, max_count, max_errors):
             out["errors"].append(f"line {line_no}: {message}")
 
     seen = set()
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
         indices = None
         for line_no, row in enumerate(reader, start=1):

@@ -11,11 +11,14 @@ import sys
 from pathlib import Path
 from xml.dom import minidom
 
+import numpy as np
 import pytest
 
 import pollheap
 import pollheap.anomaly as anomaly
 import pollheap.cli as cli
+import pollheap.histograms as histograms
+import pollheap.regions as regions
 from pollheap.cli import _cell, main
 from pollheap.ingest import load_dataset
 from pollheap.model import apply_filters
@@ -101,7 +104,38 @@ class TestSimulateArguments:
         assert not out.exists()
 
 
+    def test_fraud_fraction_needs_a_mechanism(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--out", str(out), "--stations", "20", "--fraud-fraction", "5"])
+        assert exc.value.code == 2
+        assert "--fraud-fraction needs --fraud-mechanism" in capsys.readouterr().err
+        assert not out.exists()
+        # the default fraction without a mechanism is still a clean run
+        rc, summary, _ = run(
+            capsys,
+            ["simulate", "--out", str(out), "--stations", "20", "--fraud-fraction", "0"],
+        )
+        assert rc == 0 and summary["modified"] == 0
+
+
 class TestValidate:
+    def test_utf8_byte_order_mark_is_ignored(self, data_dir, tmp_path, capsys):
+        text = (data_dir / "clean.tsv").read_text(encoding="utf-8")
+        bom = tmp_path / "bom.tsv"
+        bom.write_text(text, encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        rc, summary, err = run(
+            capsys, ["validate", "--input", str(bom), "--out", str(tmp_path / "out")]
+        )
+        assert rc == 0, err
+        entry = summary["results"][0]
+        assert entry["parsed"] == 400 and entry["stations"] == 400
+        with_bom, _ = load_dataset(str(bom), "canonical")
+        plain, _ = load_dataset(str(data_dir / "clean.tsv"), "canonical")
+        assert with_bom.station_ids == plain.station_ids
+        assert np.array_equal(with_bom.registered, plain.registered)
+
     def test_parse_summary(self, data_dir, tmp_path, capsys):
         rc, summary, _ = run(
             capsys,
@@ -484,6 +518,86 @@ class TestExitCodes:
             main(["validate", "--input", str(data_dir / "clean.tsv"),
                   "--out", str(tmp_path), "--format", "csv"])
         assert exc.value.code == 2
+
+
+@pytest.fixture(scope="module")
+def three_inputs(data_dir, tmp_path_factory):
+    """clean.tsv, fraud.tsv and a third 300-station election."""
+    d = tmp_path_factory.mktemp("third")
+    rc, _ = quiet_main(
+        ["simulate", "--out", str(d), "--stations", "300", "--regions", "4", "--seed", "12",
+         "--fraud-mechanism", "integer_rounding", "--fraud-fraction", "0.1"]
+    )
+    assert rc == 0
+    shutil.copy(d / "election.tsv", d / "third.tsv")
+    return [str(data_dir / "clean.tsv"), str(data_dir / "fraud.tsv"), str(d / "third.tsv")]
+
+
+_MC = ["--iterations", "100", "--seed", "4", "--format", "csv,json,svg"]
+
+# (command argv without --out, number of station-set groups it simulates)
+_SIMULATING = {
+    "histogram": (lambda inputs: ["histogram", "--input", *inputs, *_MC], 6),
+    "histogram_jitter": (lambda inputs: ["histogram", "--input", *inputs, "--jitter", *_MC], 6),
+    "spectrum": (lambda inputs: ["spectrum", "--input", inputs[1], *_MC], 2),
+    "regions": (lambda inputs: ["regions", "--input", *inputs, "--exclude-top", "1", *_MC], 3),
+}
+
+
+def _outputs(out: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+class TestWorkerCounts:
+    @pytest.mark.parametrize("name", sorted(_SIMULATING))
+    def test_artifacts_do_not_depend_on_workers(self, three_inputs, tmp_path, name):
+        argv, _ = _SIMULATING[name]
+        seen = {}
+        for workers in (1, 2, 3, 8):
+            out = tmp_path / f"w{workers}"
+            rc, stdout = quiet_main(argv(three_inputs) + ["--out", str(out), "--workers", str(workers)])
+            assert rc == 0
+            summary = json.loads(stdout)
+            summary.pop("artifacts")
+            seen[workers] = (summary, _outputs(out))
+        assert len(seen[1][1]) > 3
+        for workers in (2, 3, 8):
+            assert seen[workers] == seen[1], workers
+
+    @pytest.mark.parametrize("name", sorted(_SIMULATING))
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_one_simulation_with_tables_built_by_its_workers(
+        self, three_inputs, tmp_path, monkeypatch, name, workers
+    ):
+        argv, n_groups = _SIMULATING[name]
+        calls = []
+        pid_log = tmp_path / "pids.txt"
+        for module in (anomaly, histograms, regions):
+            real_run = module.run_simulation
+            real_make = module.make_sampler
+
+            def counting(*args, _real=real_run, **kwargs):
+                calls.append(1)
+                return _real(*args, **kwargs)
+
+            def logging_make(*args, _real=real_make, **kwargs):
+                with open(pid_log, "a", encoding="utf-8") as fh:
+                    fh.write(f"{os.getpid()}\n")
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "run_simulation", counting)
+            monkeypatch.setattr(module, "make_sampler", logging_make)
+        rc, _ = quiet_main(argv(three_inputs) + ["--out", str(tmp_path / "out"),
+                                                 "--workers", str(workers)])
+        assert rc == 0
+        assert len(calls) == 1
+        pids = [int(p) for p in pid_log.read_text().split()]
+        builds_per_group = 2 if name == "regions" else 1
+        assert len(pids) == n_groups * builds_per_group
+        if workers == 1:
+            assert set(pids) == {os.getpid()}
+        elif n_groups >= workers:
+            assert os.getpid() not in pids
 
 
 def test_commands_that_do_not_simulate_never_import_scipy(data_dir, tmp_path):

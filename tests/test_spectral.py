@@ -160,6 +160,29 @@ class TestHarmonicProfile:
         with pytest.raises(ValueError):
             harmonic_profile(spec, 17.0)
 
+    @pytest.mark.parametrize("mc_kind", ["random", "zero"])
+    def test_matches_row_oracle_bitwise(self, mc_kind):
+        rng = np.random.default_rng(12)
+        # sparse empirical row, so some windows are all zero
+        w = np.where(rng.random(1001) < 0.3, rng.integers(0, 5000, 1001), 0)
+        w[:200] = 0
+        if mc_kind == "random":
+            mc = rng.integers(0, 5000, size=(7, 1001)).astype(np.float64)
+            mc[:, 400:700] = 0.0  # windows inside this stretch have a zero MC mean
+        else:
+            mc = np.zeros((4, 1001))
+        spec = spectrogram(hist(w), mc)
+        raw, mc_mean = oracles.spectrogram_rows(w, mc)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ratio = np.where(mc_mean > 0.0, raw / mc_mean, np.nan)
+        for mine, ref in ((spec.raw, raw), (spec.mc_mean, mc_mean), (spec.ratio, ratio)):
+            assert mine.shape == ref.shape
+            assert np.array_equal(mine.view(np.int64), ref.view(np.int64))
+        if mc_kind == "zero":
+            assert np.isnan(spec.ratio).all()
+        else:
+            assert np.isnan(spec.ratio).any() and np.isfinite(spec.ratio).any()
+
     def test_simulated_null_ratio_near_one(self, null_2k):
         from pollheap.histograms import build_histogram
 
