@@ -91,6 +91,10 @@ _ANALYZE_DEFS = (
 )
 
 
+class UsageError(ValueError):
+    """Arguments that parse but do not make sense together (exit 2)."""
+
+
 # ---------------------------------------------------------------------------
 # argument parsing helpers
 
@@ -860,7 +864,10 @@ def _cmd_fingerprint(args: argparse.Namespace) -> tuple[dict, list]:
 def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, list]:
     if args.stations < 1:
         raise ValueError("--stations must be >= 1")
-    if args.fraud_mechanism is not None and not 0 <= args.fraud_fraction <= 1:
+    if args.fraud_mechanism is None:
+        if args.fraud_fraction:
+            raise UsageError("--fraud-fraction needs --fraud-mechanism")
+    elif not 0 <= args.fraud_fraction <= 1:
         raise ValueError("--fraud-fraction must be in [0, 1]")
     config = GeneratorConfig(n_stations=args.stations, n_regions=args.regions)
     election = generate(config, seed=args.seed)
@@ -928,11 +935,9 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "simulate" and args.fraud_fraction and args.fraud_mechanism is None:
-        parser.error("--fraud-fraction needs --fraud-mechanism")
     try:
         summary = _run(args)
-    except SchemaError as exc:
+    except (SchemaError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

@@ -18,13 +18,13 @@ Where the tables are built depends on the schedule:
 
 - one worker: the groups run in order in this process; each is built,
   simulated, folded and dropped before the next is built;
-- at least as many groups as workers: one forked pool with one task
-  per group; the worker builds the group's tables, runs every block
-  and returns the folded result, so no process holds more than one
-  group's tables;
-- fewer groups than workers: this process builds every group, then
-  forks once and schedules (group, block) tasks, so the tables are
-  shared copy-on-write by the workers instead of being pickled.
+- several groups: one forked pool of at most one worker per group, one
+  task per group; the worker builds the group's tables, runs every
+  block and returns the folded result, so no process holds more than
+  one group's tables;
+- one group and several workers: this process builds the group, then
+  forks once and schedules its blocks, so the tables are shared
+  copy-on-write by the workers instead of being pickled.
 
 Worker processes are always forked. Where the platform has no "fork"
 start method, the run uses one worker and says so on stderr.
@@ -162,10 +162,10 @@ def _group_task(g: int) -> list[np.ndarray]:
     return _run_group(a["groups"][g], a["reducers"][g], a["master_seed"], a["chunks"])
 
 
-def _chunk_task(task: tuple[int, int, int]) -> list[np.ndarray]:
-    g, start, end = task
+def _chunk_task(task: tuple[int, int]) -> list[np.ndarray]:
+    start, end = task
     a = _ACTIVE
-    return _run_chunk(a["groups"][g], a["reducers"][g], a["master_seed"], start, end)
+    return _run_chunk(a["samplers"], a["reducers"], a["master_seed"], start, end)
 
 
 def default_workers() -> int:
@@ -219,7 +219,9 @@ def run_simulation(
     seed = int(master_seed)
     if workers is None:
         workers = default_workers()
-    workers = max(1, min(int(workers), n_groups * len(chunks)))
+    # several groups get one task each, so more workers than groups
+    # would idle; one group is split into its blocks
+    workers = max(1, min(int(workers), n_groups if n_groups > 1 else len(chunks)))
     if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
         print(
             "note: the 'fork' start method is not available here; running with one worker",
@@ -235,7 +237,7 @@ def run_simulation(
                 _run_group(group, by_group[g], seed, chunks, advance)
                 for g, group in enumerate(groups)
             ]
-        elif n_groups >= workers:
+        elif n_groups > 1:
             # every simulation draws through scipy.special: load it once
             # here instead of once per forked worker
             import scipy.special  # noqa: F401
@@ -255,19 +257,18 @@ def run_simulation(
                     advance(iterations)
         else:
             _ACTIVE = {
-                "groups": [_build(group) for group in groups],
-                "reducers": by_group,
+                "samplers": _build(groups[0]),
+                "reducers": by_group[0],
                 "master_seed": seed,
             }
-            tasks = [(g, s, e) for g in range(n_groups) for s, e in chunks]
-            parts: list[list] = [[] for _ in range(n_groups)]
+            parts = []
             ctx = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
                 # map yields in submission order, so blocks arrive in order
-                for (g, s, e), part in zip(tasks, pool.map(_chunk_task, tasks)):
-                    parts[g].append(part)
+                for (s, e), part in zip(chunks, pool.map(_chunk_task, chunks)):
+                    parts.append(part)
                     advance(e - s)
-            folded = [_fold(by_group[g], parts[g]) for g in range(n_groups)]
+            folded = [_fold(by_group[0], parts)]
     finally:
         _ACTIVE = None
 

@@ -145,7 +145,6 @@ def spectrogram(
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(mc_mean > 0.0, raw / mc_mean, np.nan)
 
-    n_centers = raw.shape[0]
     centers = 7.5 + np.arange(n_centers) * 0.1
     # sample spacing 0.1% over _FFT_LEN points -> k / (0.1 * _FFT_LEN) per percent
     freqs = np.arange(raw.shape[1]) / (_FFT_LEN * 0.1)

@@ -106,10 +106,11 @@ class TestSimulateArguments:
 
     def test_fraud_fraction_needs_a_mechanism(self, tmp_path, capsys):
         out = tmp_path / "out"
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--out", str(out), "--stations", "20", "--fraud-fraction", "5"])
-        assert exc.value.code == 2
-        assert "--fraud-fraction needs --fraud-mechanism" in capsys.readouterr().err
+        rc, _, err = run(
+            capsys, ["simulate", "--out", str(out), "--stations", "20", "--fraud-fraction", "5"]
+        )
+        assert rc == 2
+        assert "--fraud-fraction needs --fraud-mechanism" in err
         assert not out.exists()
         # the default fraction without a mechanism is still a clean run
         rc, summary, _ = run(
@@ -565,7 +566,7 @@ class TestWorkerCounts:
             assert seen[workers] == seen[1], workers
 
     @pytest.mark.parametrize("name", sorted(_SIMULATING))
-    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_one_simulation_with_tables_built_by_its_workers(
         self, three_inputs, tmp_path, monkeypatch, name, workers
     ):
@@ -596,7 +597,7 @@ class TestWorkerCounts:
         assert len(pids) == n_groups * builds_per_group
         if workers == 1:
             assert set(pids) == {os.getpid()}
-        elif n_groups >= workers:
+        else:  # several groups: every table is built in a worker
             assert os.getpid() not in pids
 
 

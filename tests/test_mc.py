@@ -98,9 +98,13 @@ def test_every_schedule_gives_the_same_bits(workers):
     assert _bits(run_simulation(built, reducers, ITERATIONS, 8, workers=workers)) == _bits(ref)
 
 
-@pytest.mark.parametrize("workers, in_parent", [(1, True), (2, False), (3, False), (4, True)])
-def test_tables_are_built_where_the_schedule_says(tmp_path, workers, in_parent):
-    sets = _station_sets()
+@pytest.mark.parametrize(
+    "n_groups, workers, in_parent",
+    [(3, 1, True), (3, 2, False), (3, 3, False), (3, 4, False), (3, 8, False),
+     (2, 8, False), (1, 1, True), (1, 3, True)],
+)
+def test_tables_are_built_where_the_schedule_says(tmp_path, n_groups, workers, in_parent):
+    sets = _station_sets()[:n_groups]
     log = tmp_path / "pids.txt"
     run_simulation(
         [_builder(c, log) for c in sets], _reducers(sets), ITERATIONS, 8, workers=workers
@@ -111,6 +115,15 @@ def test_tables_are_built_where_the_schedule_says(tmp_path, workers, in_parent):
         assert set(pids) == {os.getpid()}
     else:
         assert os.getpid() not in pids
+
+
+def test_one_group_splits_its_blocks_among_workers():
+    sets = _station_sets()[:1]
+    reducers = _reducers(sets)
+    ref = run_simulation([_builder(c) for c in sets], reducers, ITERATIONS, 8, workers=1)
+    for workers in (2, 3, 8):
+        got = run_simulation([_builder(c) for c in sets], reducers, ITERATIONS, 8, workers=workers)
+        assert _bits(got) == _bits(ref), workers
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 4])
