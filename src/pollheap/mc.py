@@ -219,8 +219,9 @@ def run_simulation(
     seed = int(master_seed)
     if workers is None:
         workers = default_workers()
-    # several groups get one task each, so more workers than groups
-    # would idle; one group is split into its blocks
+    # several groups run as one task each, built in the worker that runs
+    # it, so a worker beyond the group count would idle; only a lone
+    # group is split into its blocks
     workers = max(1, min(int(workers), n_groups if n_groups > 1 else len(chunks)))
     if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
         print(
