@@ -322,12 +322,12 @@ def _digest(cfg: dict, input_paths: list[str]) -> str:
 
 
 def _cell(v) -> str:
+    if type(v) is float:  # the bulk of every matrix CSV
+        return repr(v)
     if v is None:
         return ""
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
-    if isinstance(v, Fraction):
-        return str(v)
     return str(v)
 
 
@@ -719,9 +719,9 @@ def _cmd_spectrum(args: argparse.Namespace) -> tuple[dict, list]:
         profile = harmonic_profile(gram, frequency=1.0)
 
         gram_header = ["center"] + [_cell(f) for f in gram.frequencies]
-        gram_rows = [
-            [gram.centers[i]] + list(gram.ratio[i]) for i in range(gram.ratio.shape[0])
-        ]
+        # made a row at a time as the csv is written, so the matrix never
+        # exists as Python floats all at once
+        gram_rows = (row.tolist() for row in np.column_stack((gram.centers, gram.ratio)))
         files += [
             (
                 f"spectrum_{metric}.csv",

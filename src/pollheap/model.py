@@ -47,9 +47,10 @@ REASON_UNDEFINED_RESULT = "undefined_result"
 # int64 for country-scale counts.
 MAX_DENOMINATOR = 10**6
 
-# Largest station count ingest accepts, for a cell or a derived sum.
-# With MAX_DENOMINATOR it bounds the widest exact product,
-# 100 * count * denominator <= 10**17, inside int64.
+# Largest station count a dataset holds (ingest applies it to a cell
+# and to a derived sum). With MAX_DENOMINATOR it bounds the widest
+# exact product, 100 * count * denominator <= 10**17, inside int64, and
+# every count is exact as a float64.
 MAX_COUNT = 10**9
 
 
@@ -175,6 +176,13 @@ class ElectionDataset:
                 raise ValueError(f"{name} length mismatch")
         if len(set(self.station_ids)) != n:
             raise ValueError(f"dataset {self.label!r}: station_ids are not unique")
+        counts = np.stack([self.registered, self.given, self.cast, self.leader])
+        outside = np.flatnonzero(((counts < 0) | (counts > MAX_COUNT)).any(axis=0))
+        if outside.size:
+            raise ValueError(
+                f"dataset {self.label!r}: station {self.station_ids[outside[0]]!r} "
+                f"has a count outside [0, {MAX_COUNT}]"
+            )
 
     @classmethod
     def from_arrays(

@@ -10,13 +10,15 @@ result is bit-identical under any parallel schedule.
 Counts are produced from those uniforms by inverse-CDF transforms using
 the convention k = min{k : F(k) > u}, which maps a uniform on [0, 1)
 to the exact pmf. The hot path precomputes, per station, the binomial
-CDF over a central support window. A lookup starts each station at the
-same Cornish-Fisher guess the direct quantile uses and walks the
-station's table row to the first entry above u; draws landing outside
-the window (probability ~1e-12 each) fall back to a direct quantile
-whose CDF authority is scipy's bdtr. scipy.special is imported inside
-the functions that call it, so a command that never draws or builds a
-table never loads scipy.
+CDF over a central support window, rows laid out in order of width. A
+lookup starts each station at a Cornish-Fisher estimate from constants
+stored at build and walks the station's table row to the first entry
+above u (sequential search from a start, Devroye 1986, section III.2);
+rows are non-decreasing, so the start sets only how far it walks. Draws
+landing outside the window (probability ~1e-12 each) fall back to a
+direct quantile whose CDF authority is scipy's bdtr. scipy.special is
+imported inside the functions that call it, so a command that never
+draws or builds a table never loads scipy.
 """
 
 from __future__ import annotations
@@ -158,10 +160,13 @@ def station_uniforms(seed: SimSeed, words_per_station: int) -> np.ndarray:
 def _quantile_guess(u: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Second-order Cornish-Fisher guess at the Binom(n, p) quantile of u.
 
-    n is float64. The result is a float64 count clipped to [0, n]. Both
-    binom_quantile and the table lookup start from it; the walk that
-    follows makes the answer exact, but binom_quantile walks on bdtr,
-    which is not bitwise monotone, so this arithmetic must not change.
+    n is float64. The result is a float64 count clipped to [0, n].
+    binom_quantile starts from it; the walk that follows makes the
+    answer exact, but it walks on bdtr, which is not bitwise monotone,
+    so a different start can give a different draw and this arithmetic
+    must not change. The table lookup starts near the same estimate,
+    from per-station constants stored at build; there a start only sets
+    how far the walk goes.
     """
     from scipy.special import ndtri
 
@@ -226,35 +231,61 @@ def binom_quantile(u, n, p) -> np.ndarray:
 
 @dataclass
 class _QuantileTable:
-    """Per-station tabulated binomial CDFs over a central support window."""
+    """Per-station tabulated binomial CDFs over a central support window.
+
+    Station i's row F(lo[i]), F(lo[i] + 1), ... is cdf[starts[i]:
+    starts[i] + last[i] + 1]; rows lie in order of width, not of
+    station. shift, sig and skew are the per-station constants of the
+    lookup's Cornish-Fisher start, so a draw evaluates only ndtri and a
+    few in-place operations.
+    """
 
     n: np.ndarray  # int64 denominators
     p: np.ndarray  # float64 success probabilities
     lo: np.ndarray  # int64 first tabulated outcome per station
-    offsets: np.ndarray  # int64, len n_stations + 1, into cdf
-    cdf: np.ndarray  # float64 flat: F(lo), F(lo+1), ... per station
+    starts: np.ndarray  # int64 index of each station's row in cdf
+    last: np.ndarray  # int64 row width - 1
+    cdf: np.ndarray  # float64 flat: every row back to back
     left_tail: np.ndarray  # float64 F(lo - 1) per station
+    shift: np.ndarray  # float64 mu + 0.5 - lo
+    sig: np.ndarray  # float64 sqrt(n p q)
+    skew: np.ndarray  # float64 (q - p) / 6
 
     def lookup(self, u: np.ndarray) -> np.ndarray:
         """Map one uniform per station to a count.
 
-        Each station starts at the Cornish-Fisher guess, clipped into
-        its row, and walks up while cdf <= u and down while the entry
-        below is > u. A row is a running sum of non-negative terms, so
-        the walk ends at the row's first entry above u from any start.
+        Each station starts at the Cornish-Fisher estimate of its answer,
+        clipped into its row, and walks up while cdf <= u and down while
+        the entry below is > u. A row is a running sum of non-negative
+        terms, so the walk ends at the row's first entry above u from any
+        start; the start only sets how far it walks.
         """
-        starts = self.offsets[:-1]
-        ends = self.offsets[1:]
-        guess = _quantile_guess(u, self.n.astype(np.float64), self.p)
-        i = starts + np.clip(guess.astype(np.int64) - self.lo, 0, ends - starts - 1)
+        from scipy.special import ndtri
+
+        starts = self.starts
+        ends = starts + self.last + 1
+        with np.errstate(divide="ignore"):
+            z = ndtri(u)
+        np.clip(z, -40.0, 40.0, out=z)
+        x = z * z
+        x -= 1.0
+        x *= self.skew
+        z *= self.sig
+        x += z
+        x += self.shift
+        # x >= 0 after the clip, so truncation is the floor
+        np.clip(x, 0.0, self.last, out=x)
+        i = x.astype(np.int64)
+        i += starts
         above = self.cdf[i] > u
         up = np.flatnonzero(~above)
         while up.size:
             i[up] += 1
             up = up[i[up] < ends[up]]
             up = up[self.cdf[i[up]] <= u[up]]
-        down = np.flatnonzero(above & (i > starts))
-        down = down[self.cdf[i[down] - 1] > u[down]]
+        # i - 1 leaves a station's row only where i == starts, and those
+        # stations are masked out
+        down = np.flatnonzero(above & (self.cdf[i - 1] > u) & (i > starts))
         while down.size:
             i[down] -= 1
             down = down[i[down] > starts[down]]
@@ -277,9 +308,12 @@ def _build_table(den: np.ndarray, p: np.ndarray) -> _QuantileTable:
     recurrence; every operation is row-independent, so a one-station
     build is bit-identical to the same station inside a batch.
 
-    Rows are built in chunks of max(1, _BUILD_CELLS // widest row)
-    consecutive stations, so each scratch array holds at most
-    max(_BUILD_CELLS, widest row) cells whatever the station count.
+    Stations are taken in order of row width (a stable sort), and each
+    chunk is a run of near-equal rows holding at most _BUILD_CELLS cells
+    once padded to its widest row, or one row if that is wider; so each
+    scratch array holds at most max(_BUILD_CELLS, widest row) cells
+    whatever the station count. A chunk's rows are copied into one
+    contiguous stretch of cdf.
     """
     from scipy.special import bdtr, gammaln
 
@@ -298,59 +332,81 @@ def _build_table(den: np.ndarray, p: np.ndarray) -> _QuantileTable:
     hi = np.where(degenerate, lo, hi)
 
     width = hi - lo + 1
-    offsets = np.zeros(n_st + 1, dtype=np.int64)
-    np.cumsum(width, out=offsets[1:])
-    cdf = np.empty(int(offsets[-1]), dtype=np.float64)
+    order = np.argsort(width, kind="stable")
+    w = width[order]
+    bounds = np.zeros(n_st + 1, dtype=np.int64)
+    np.cumsum(w, out=bounds[1:])
+    starts = np.empty(n_st, dtype=np.int64)
+    starts[order] = bounds[:-1]
+    cdf = np.empty(int(bounds[-1]), dtype=np.float64)
+
+    # per-station terms, in row order
+    nn = den[order].astype(np.float64)
+    pp = np.where(degenerate, 0.5, p)[order]  # placeholder under degenerate
+    llo = lo[order].astype(np.float64)
+    anchor = np.exp(
+        gammaln(nn + 1.0)
+        - gammaln(llo + 1.0)
+        - gammaln(nn - llo + 1.0)
+        + llo * np.log(pp)
+        + (nn - llo) * np.log1p(-pp)
+    )
+    odds = pp / (1.0 - pp)
     left_tail = np.zeros(n_st, dtype=np.float64)
+    t = np.flatnonzero((lo > 0) & ~degenerate)
+    left_tail[t] = bdtr(lo[t] - 1.0, den[t], p[t])
+    tail = left_tail[order]
 
-    step = max(1, _BUILD_CELLS // int(width.max(initial=1)))
-    for s in range(0, n_st, step):
-        e = min(s + step, n_st)
-        deg = degenerate[s:e]
-        wmax = int(width[s:e].max())
-        nn = den[s:e, None].astype(np.float64)
-        pp = np.where(deg, 0.5, p[s:e])[:, None]  # placeholder under deg
-        llo = lo[s:e].astype(np.float64)
-        grid = llo[:, None] + np.arange(wmax, dtype=np.float64)[None, :]
-        valid = grid <= hi[s:e, None]
+    widest = int(w[-1]) if n_st else 1
+    steps = np.arange(widest, dtype=np.float64)
+    row_buf = np.empty(max(_BUILD_CELLS, widest), dtype=np.float64)
+    grid_buf = np.empty_like(row_buf)
+    s = 0
+    while s < n_st:
+        # the longest run from s whose padded cells fit; widths only grow
+        e = min(n_st, s + max(1, _BUILD_CELLS // int(w[s])))
+        while e - s > 1 and (e - s) * int(w[e - 1]) > _BUILD_CELLS:
+            e = s + max(1, _BUILD_CELLS // int(w[e - 1]))
+        wmax = int(w[e - 1])
+        rows = row_buf[: (e - s) * wmax].reshape(e - s, wmax)
+        rows[:, 0] = anchor[s:e]
+        # cells past a row's width are padding: cumprod and cumsum run
+        # left to right, so whatever they hold never reaches a row's own
+        # cells, and the copy into cdf leaves them behind
+        with np.errstate(over="ignore", invalid="ignore"):
+            if wmax > 1:
+                ratio = rows[:, 1:]
+                grid = grid_buf[: (e - s) * (wmax - 1)].reshape(e - s, wmax - 1)
+                np.add(llo[s:e, None], steps[: wmax - 1], out=grid)
+                np.subtract(nn[s:e, None], grid, out=ratio)
+                grid += 1.0
+                ratio /= grid
+                ratio *= odds[s:e, None]
+                np.cumprod(ratio, axis=1, out=ratio)
+                ratio *= rows[:, :1]
+            np.cumsum(rows, axis=1, out=rows)
+        # the tail is added on the way into cdf, one block per run of
+        # equal widths
+        cuts = [s, *(s + 1 + np.flatnonzero(w[s + 1:e] != w[s:e - 1])).tolist(), e]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            k = int(w[a])
+            out = cdf[bounds[a]:bounds[b]].reshape(b - a, k)
+            np.add(rows[a - s:b - s, :k], tail[a:b, None], out=out)
+        s = e
+    cdf[starts[degenerate]] = 1.0
 
-        log_anchor = (
-            gammaln(nn[:, 0] + 1.0)
-            - gammaln(llo + 1.0)
-            - gammaln(nn[:, 0] - llo + 1.0)
-            + llo * np.log(pp[:, 0])
-            + (nn[:, 0] - llo) * np.log1p(-pp[:, 0])
-        )
-        pmf = np.empty((e - s, wmax), dtype=np.float64)
-        pmf[:, 0] = np.exp(log_anchor)
-        if wmax > 1:
-            ratio = np.where(
-                valid, (nn - grid) / (grid + 1.0) * (pp / (1.0 - pp)), 1.0
-            )
-            np.cumprod(ratio[:, :-1], axis=1, out=ratio[:, :-1])
-            pmf[:, 1:] = pmf[:, :1] * ratio[:, :-1]
-        rows = np.cumsum(np.where(valid, pmf, 0.0), axis=1)
-
-        tail = np.zeros(e - s, dtype=np.float64)
-        has_tail = (lo[s:e] > 0) & ~deg
-        if has_tail.any():
-            t = np.flatnonzero(has_tail)
-            tail[t] = bdtr(llo[t] - 1.0, den[s:e][t], p[s:e][t])
-        rows += tail[:, None]
-        rows[deg, 0] = 1.0
-        left_tail[s:e] = tail
-
-        # rows sit back to back in cdf, and valid (grid <= hi) is
-        # col < width, so the chunk's valid cells in row order fill it
-        cdf[offsets[s]:offsets[e]] = rows[valid]
-
+    q = 1.0 - p
     return _QuantileTable(
         n=den,
         p=p,
         lo=lo,
-        offsets=offsets,
+        starts=starts,
+        last=width - 1,
         cdf=cdf,
         left_tail=left_tail,
+        shift=mu + 0.5 - lo,
+        sig=sig,
+        skew=(q - p) / 6.0,
     )
 
 

@@ -3,8 +3,9 @@
 Everything here is deliberately slow and literal: exact rational
 arithmetic for the probability mass functions, O(N^2) direct sums for
 the discrete Fourier transform, one csv record at a time for ingest,
-fresh arrays for every spectrogram row. None of it imports the package
-under test, so agreement between the two is meaningful evidence.
+fresh arrays for every spectrogram row, binomial CDF tables built in
+station order. None of it imports the package under test, so agreement
+between the two is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -219,3 +220,78 @@ def load_rows(path, delimiter, has_header, resolve, max_count, max_errors):
             raise ValueError(f"{path}: no header row found")
     out["skipped"] = out["invalid"]
     return out
+
+
+def station_order_table(den, p, cells=2**16, tail_sigmas=7.5, tail_pad=5):
+    """Per-station binomial CDF rows over mean +- tail_sigmas sd + tail_pad.
+
+    The table build in station order: rows lie back to back in cdf in
+    station order (row i is cdf[offsets[i]:offsets[i + 1]]), built in
+    chunks of max(1, cells // widest row) consecutive stations, each
+    padded to its widest row and masked. Each row is a log-gamma anchor
+    at lo, the pmf ratio recurrence (cumprod), a cumsum and then + F(lo
+    - 1); degenerate stations (den = 0, p = 0, p = 1) get the single
+    entry 1.0 at their certain outcome. Returns lo, offsets, cdf and
+    left_tail (F(lo - 1), 0 where lo = 0 or degenerate).
+    """
+    from scipy.special import bdtr, gammaln
+
+    den = np.asarray(den, dtype=np.int64)
+    p = np.asarray(p, dtype=np.float64)
+    n_st = den.size
+
+    degenerate = (den <= 0) | (p <= 0.0) | (p >= 1.0)
+    mu = den * p
+    sig = np.sqrt(np.maximum(mu * (1.0 - p), 0.0))
+    half = np.ceil(tail_sigmas * sig).astype(np.int64) + tail_pad
+    lo = np.clip(np.floor(mu).astype(np.int64) - half, 0, None)
+    hi = np.minimum(np.ceil(mu).astype(np.int64) + half, den)
+    certain = np.where(p >= 1.0, den, 0)
+    lo = np.where(degenerate, np.maximum(certain, 0), lo)
+    hi = np.where(degenerate, lo, hi)
+
+    width = hi - lo + 1
+    offsets = np.zeros(n_st + 1, dtype=np.int64)
+    np.cumsum(width, out=offsets[1:])
+    cdf = np.empty(int(offsets[-1]), dtype=np.float64)
+    left_tail = np.zeros(n_st, dtype=np.float64)
+
+    step = max(1, cells // int(width.max(initial=1)))
+    for s in range(0, n_st, step):
+        e = min(s + step, n_st)
+        deg = degenerate[s:e]
+        wmax = int(width[s:e].max())
+        nn = den[s:e, None].astype(np.float64)
+        pp = np.where(deg, 0.5, p[s:e])[:, None]
+        llo = lo[s:e].astype(np.float64)
+        grid = llo[:, None] + np.arange(wmax, dtype=np.float64)[None, :]
+        valid = grid <= hi[s:e, None]
+
+        log_anchor = (
+            gammaln(nn[:, 0] + 1.0)
+            - gammaln(llo + 1.0)
+            - gammaln(nn[:, 0] - llo + 1.0)
+            + llo * np.log(pp[:, 0])
+            + (nn[:, 0] - llo) * np.log1p(-pp[:, 0])
+        )
+        pmf = np.empty((e - s, wmax), dtype=np.float64)
+        pmf[:, 0] = np.exp(log_anchor)
+        if wmax > 1:
+            ratio = np.where(
+                valid, (nn - grid) / (grid + 1.0) * (pp / (1.0 - pp)), 1.0
+            )
+            np.cumprod(ratio[:, :-1], axis=1, out=ratio[:, :-1])
+            pmf[:, 1:] = pmf[:, :1] * ratio[:, :-1]
+        rows = np.cumsum(np.where(valid, pmf, 0.0), axis=1)
+
+        tail = np.zeros(e - s, dtype=np.float64)
+        has_tail = (lo[s:e] > 0) & ~deg
+        if has_tail.any():
+            t = np.flatnonzero(has_tail)
+            tail[t] = bdtr(llo[t] - 1.0, den[s:e][t], p[s:e][t])
+        rows += tail[:, None]
+        rows[deg, 0] = 1.0
+        left_tail[s:e] = tail
+        cdf[offsets[s]:offsets[e]] = rows[valid]
+
+    return {"lo": lo, "offsets": offsets, "cdf": cdf, "left_tail": left_tail}

@@ -9,6 +9,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from pollheap.model import (
+    MAX_COUNT,
     MAX_DENOMINATOR,
     ElectionDataset,
     FilterPolicy,
@@ -165,6 +166,30 @@ class TestElectionDataset:
         assert len(kept) == 1
         assert ds.station_ids[0] in kept.filter_log
         assert kept.filter_log[ds.station_ids[0]] == "invalid_counts"
+
+    def test_counts_outside_range_are_rejected(self):
+        # 4e16 registered at 75% turnout: 100 * given wrapped int64 and
+        # the station fell in turnout bin 58 instead of 750
+        with pytest.raises(ValueError, match="outside"):
+            make_dataset([4 * 10**16], [3 * 10**16], [3 * 10**16], [10**16])
+        for column in range(4):
+            for bad in (-1, -5, MAX_COUNT + 1):
+                counts = [[100], [60], [59], [30]]
+                counts[column] = [bad]
+                with pytest.raises(ValueError, match="outside"):
+                    make_dataset(*counts)
+        with pytest.raises(ValueError, match="outside"):
+            ElectionDataset.from_records(
+                "t", [StationRecord("s1", "R", "", registered=-5, given=0, cast=0, leader=0)]
+            )
+        ds = make_dataset([MAX_COUNT, 0], [MAX_COUNT, 0], [MAX_COUNT, 0], [MAX_COUNT, 0])
+        assert len(ds) == 2
+
+    def test_in_range_inconsistent_counts_are_accepted(self):
+        # given > registered is in range; the filter drops it, logged
+        ds = make_dataset([100, 300], [120, 200], [110, 190], [50, 100])
+        assert len(ds) == 2
+        assert apply_filters(ds).filter_log[ds.station_ids[0]] == "invalid_counts"
 
     def test_record_roundtrip(self, null_2k):
         r = null_2k.record(17)

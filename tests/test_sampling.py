@@ -1,5 +1,6 @@
 """Null-model samplers: exactness, determinism, counter discipline."""
 
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -27,14 +28,19 @@ from pollheap.sampling import (
 import oracles
 
 
+def _row(table, i):
+    """Station i's CDF row in a _QuantileTable."""
+    return table.cdf[table.starts[i]:table.starts[i] + table.last[i] + 1]
+
+
 def _binary_search_lookup(table, u):
     """Reference for _QuantileTable.lookup: a fixed-step binary search.
 
     Finds each row's first entry with cdf > u; strays (no entry above u,
     or u below the row's left tail) are settled by binom_quantile.
     """
-    starts = table.offsets[:-1]
-    ends = table.offsets[1:]
+    starts = table.starts
+    ends = starts + table.last + 1
     left = starts.copy()
     right = ends.copy()
     max_width = int((ends - starts).max()) if starts.size else 1
@@ -299,7 +305,7 @@ def _boundary_uniforms(table, data):
     entries (the last one included), their float neighbours, or anywhere."""
     us = []
     for i in range(table.lo.size):
-        row = table.cdf[table.offsets[i]:table.offsets[i + 1]]
+        row = _row(table, i)
         tail = float(table.left_tail[i])
         candidates = [0.0, _LAST_UNIFORM, tail, np.nextafter(tail, 0.0),
                       float(row[-1]), float(row[data.draw(st.integers(0, row.size - 1))])]
@@ -317,7 +323,7 @@ def _assert_lookup_matches_binary_search(table, data):
     # guess can start on either side of the answer; rows depend only on
     # (n, p), so a table of copies of the station holds the same row
     for i in range(table.lo.size):
-        row = table.cdf[table.offsets[i]:table.offsets[i + 1]]
+        row = _row(table, i)
         picks = row[np.unique(np.linspace(0, row.size - 1, min(row.size, 24)).astype(int))]
         u = np.concatenate([picks, np.nextafter(picks, 0.0), np.nextafter(picks, 1.0)])
         u = np.clip(u, 0.0, _LAST_UNIFORM)
@@ -377,14 +383,17 @@ _station = st.one_of(
 )
 
 
-def _concatenated_tables(tables):
-    widths = [t.cdf.size for t in tables]
-    return {
-        "lo": np.concatenate([t.lo for t in tables]),
-        "offsets": np.concatenate([[0], np.cumsum(widths)]).astype(np.int64),
-        "cdf": np.concatenate([t.cdf for t in tables]),
-        "left_tail": np.concatenate([t.left_tail for t in tables]),
-    }
+_PER_STATION = ("lo", "last", "left_tail", "shift", "sig", "skew")
+
+
+def _table_names(model):
+    return ("_table",) if model == "binomial" else ("_quot_table", "_rem_table")
+
+
+def _stations_to_counts(stations):
+    den = np.array([d for d, _ in stations], dtype=np.int64)
+    num = np.array([min(int(f * d), d) for d, f in stations], dtype=np.int64)
+    return den, num
 
 
 @settings(max_examples=40, deadline=None)
@@ -395,15 +404,65 @@ def _concatenated_tables(tables):
 )
 def test_build_table_is_chunk_invariant_property(stations, cells, model):
     # every build operation is row-independent, so how stations fall
-    # into chunks cannot change a byte of any table
-    den = np.array([d for d, _ in stations], dtype=np.int64)
-    num = np.array([min(int(f * d), d) for d, f in stations], dtype=np.int64)
+    # into chunks cannot change a byte of any station's row or constants
+    den, num = _stations_to_counts(stations)
     singles = [make_sampler(den[i:i + 1], num[i:i + 1], model, "turnout")
                for i in range(den.size)]
     with mock.patch.object(sampling, "_BUILD_CELLS", cells):
         batch = make_sampler(den, num, model, "turnout")
-    names = ("_table",) if model == "binomial" else ("_quot_table", "_rem_table")
-    for name in names:
+    for name in _table_names(model):
         got = getattr(batch, name)
-        for field, want in _concatenated_tables([getattr(s, name) for s in singles]).items():
-            assert getattr(got, field).tobytes() == want.tobytes(), (name, field)
+        for i, single in enumerate(singles):
+            want = getattr(single, name)
+            assert _row(got, i).tobytes() == want.cdf.tobytes(), (name, i)
+            for field in _PER_STATION:
+                assert getattr(got, field)[i:i + 1].tobytes() == getattr(want, field).tobytes(), (
+                    name, field, i)
+
+
+@settings(max_examples=40, deadline=None)
+@hgiven(
+    stations=st.lists(_station, min_size=1, max_size=12),
+    cells=st.sampled_from([1, 100, 5000, sampling._BUILD_CELLS]),
+    model=st.sampled_from(["binomial", "clustered:3", "clustered:7"]),
+)
+def test_build_table_matches_station_order_oracle_property(stations, cells, model):
+    # the width-ordered build must give every station the bytes the
+    # station-ordered build gave it, and its rows must tile cdf exactly
+    den, num = _stations_to_counts(stations)
+    with mock.patch.object(sampling, "_BUILD_CELLS", cells):
+        sampler = make_sampler(den, num, model, "turnout")
+    p = np.where(den > 0, num / np.maximum(den, 1), 0.0)
+    c = 1 if model == "binomial" else NullModel.parse(model).cluster_size
+    parts = {"_table": den, "_quot_table": den // c, "_rem_table": den % c}
+    for name in _table_names(model):
+        got = getattr(sampler, name)
+        want = oracles.station_order_table(parts[name], p)
+        for i in range(den.size):
+            row = want["cdf"][want["offsets"][i]:want["offsets"][i + 1]]
+            assert _row(got, i).tobytes() == row.tobytes(), (name, i)
+        assert got.lo.tobytes() == want["lo"].tobytes()
+        assert got.left_tail.tobytes() == want["left_tail"].tobytes()
+        first = np.sort(got.starts)
+        widths = (got.last + 1)[np.argsort(got.starts)]
+        assert first[0] == 0 and got.cdf.size == want["cdf"].size
+        assert np.array_equal(first[1:], first[:-1] + widths[:-1])
+
+
+@settings(max_examples=40, deadline=None)
+@hgiven(
+    dens=st.lists(st.integers(0, 10**6), min_size=1, max_size=6),
+    ps=st.lists(_p_values, min_size=6, max_size=6),
+    data=st.data(),
+)
+def test_lookup_answer_does_not_depend_on_its_start_property(dens, ps, data):
+    # stored constants that start every station at its row's first
+    # entry, then at its last, change how far the walk goes, not where
+    # it ends: a row never decreases
+    table = _build_table(np.array(dens, dtype=np.int64), np.array(ps[: len(dens)]))
+    u = _boundary_uniforms(table, data)
+    want = _binary_search_lookup(table, u)
+    still = np.zeros(table.lo.size)
+    for shift in (still, table.last.astype(np.float64)):
+        pinned = dataclasses.replace(table, shift=shift, sig=still, skew=still)
+        assert np.array_equal(pinned.lookup(u), want)
