@@ -504,12 +504,6 @@ class Discrepancy:
     expected: int
     actual: int | None
 
-    @property
-    def difference(self) -> int | None:
-        if self.actual is None:
-            return None
-        return self.actual - self.expected
-
 
 def verify_subtotals(
     dataset: ElectionDataset,

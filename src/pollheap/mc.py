@@ -14,17 +14,16 @@ reduction (including floating-point sums) follows the same arithmetic
 tree and the output is bit-identical whether the run used one process
 or twenty.
 
-Where the tables are built depends on the schedule:
-
-- one worker: the groups run in order in this process; each is built,
-  simulated, folded and dropped before the next is built;
-- several groups: one forked pool of at most one worker per group, one
-  task per group; the worker builds the group's tables, runs every
-  block and returns the folded result, so no process holds more than
-  one group's tables;
-- one group and several workers: this process builds the group, then
-  forks once and schedules its blocks, so the tables are shared
-  copy-on-write by the workers instead of being pickled.
+The work is a list of tasks (group, start, end), each a range of one
+group's blocks. A task makes sure its process holds the group: a
+one-slot cache that drops the previous group's samplers before it
+builds the next. It runs the blocks of its range and folds them, and
+the parent folds each group's range results in task order. A pool over
+several groups gets one range per group, so each group is built by
+the one worker that simulates it and only folded arrays come back.
+Every other pass gets one range per block; a lone group over several
+workers is built in this process before the fork and shared
+copy-on-write.
 
 Worker processes are always forked. Where the platform has no "fork"
 start method, the run uses one worker and says so on stderr.
@@ -35,7 +34,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
@@ -79,6 +78,10 @@ class Reducer:
 # forks so children inherit it without pickling.
 _ACTIVE: dict | None = None
 
+# The group this process holds, as (index, samplers). One slot: a
+# process drops its group before it builds the next.
+_HELD: tuple[int, dict[str, DatasetSampler]] | None = None
+
 
 def _build(group: Group) -> dict[str, DatasetSampler]:
     samplers = dict(group() if callable(group) else group)
@@ -87,6 +90,14 @@ def _build(group: Group) -> dict[str, DatasetSampler]:
     if len({s.n_stations for s in samplers.values()}) != 1:
         raise ValueError("all samplers of a group must cover the same station set")
     return samplers
+
+
+def _hold(g: int) -> dict[str, DatasetSampler]:
+    global _HELD
+    if _HELD is None or _HELD[0] != g:
+        _HELD = None  # free the old group's tables before building the next
+        _HELD = (g, _build(_ACTIVE["groups"][g]))
+    return _HELD[1]
 
 
 def _run_chunk(
@@ -137,35 +148,16 @@ def _fold(reducers: Sequence[Reducer], parts: list[list[np.ndarray]]) -> list[np
     return out
 
 
-def _run_group(
-    group: Group,
-    reducers: Sequence[Reducer],
-    master_seed: int,
-    chunks: Sequence[tuple[int, int]],
-    advance: Callable[[int], None] | None = None,
-) -> list[np.ndarray]:
-    """Build one group, run its blocks in order and fold them.
-
-    The group's samplers live only for this call.
-    """
-    samplers = _build(group)
-    parts = []
-    for s, e in chunks:
-        parts.append(_run_chunk(samplers, reducers, master_seed, s, e))
-        if advance is not None:
-            advance(e - s)
-    return _fold(reducers, parts)
-
-
-def _group_task(g: int) -> list[np.ndarray]:
-    a = _ACTIVE
-    return _run_group(a["groups"][g], a["reducers"][g], a["master_seed"], a["chunks"])
-
-
-def _chunk_task(task: tuple[int, int]) -> list[np.ndarray]:
-    start, end = task
-    a = _ACTIVE
-    return _run_chunk(a["samplers"], a["reducers"], a["master_seed"], start, end)
+def _task(task: tuple[int, int, int]) -> list[np.ndarray]:
+    """Group g's blocks in [start, end), folded in block order."""
+    g, start, end = task
+    samplers = _hold(g)
+    reducers = _ACTIVE["reducers"][g]
+    seed = _ACTIVE["master_seed"]
+    return _fold(reducers, [
+        _run_chunk(samplers, reducers, seed, s, min(s + CHUNK_ITERATIONS, end))
+        for s in range(start, end, CHUNK_ITERATIONS)
+    ])
 
 
 def default_workers() -> int:
@@ -203,26 +195,14 @@ def run_simulation(
     members = [[j for j, r in enumerate(reducers) if r.group == g] for g in range(n_groups)]
     by_group = [[reducers[j] for j in idx] for idx in members]
 
-    chunks = [
-        (s, min(s + CHUNK_ITERATIONS, iterations))
-        for s in range(0, iterations, CHUNK_ITERATIONS)
-    ]
-    total = n_groups * iterations
-    done = 0
-
-    def advance(n: int) -> None:
-        nonlocal done
-        done += n
-        if progress is not None:
-            progress(done, total)
-
+    n_blocks = -(-iterations // CHUNK_ITERATIONS)
     seed = int(master_seed)
     if workers is None:
         workers = default_workers()
-    # several groups run as one task each, built in the worker that runs
+    # several groups run as one range each, built in the worker that runs
     # it, so a worker beyond the group count would idle; only a lone
     # group is split into its blocks
-    workers = max(1, min(int(workers), n_groups if n_groups > 1 else len(chunks)))
+    workers = max(1, min(int(workers), n_groups if n_groups > 1 else n_blocks))
     if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
         print(
             "note: the 'fork' start method is not available here; running with one worker",
@@ -230,51 +210,52 @@ def run_simulation(
             flush=True,
         )
         workers = 1
+    step = iterations if workers > 1 and n_groups > 1 else CHUNK_ITERATIONS
+    tasks = [
+        (g, s, min(s + step, iterations))
+        for g in range(n_groups)
+        for s in range(0, iterations, step)
+    ]
 
-    global _ACTIVE
+    global _ACTIVE, _HELD
+    _ACTIVE = {"groups": list(groups), "reducers": by_group, "master_seed": seed}
+    pool = None
+    total = n_groups * iterations
+    done = 0
+    folded: list[list[np.ndarray]] = []
+    parts: list[list[np.ndarray]] = []
     try:
         if workers == 1:
-            folded = [
-                _run_group(group, by_group[g], seed, chunks, advance)
-                for g, group in enumerate(groups)
-            ]
-        elif n_groups > 1:
+            results = map(_task, tasks)
+        else:
             # every simulation draws through scipy.special: load it once
             # here instead of once per forked worker
             import scipy.special  # noqa: F401
 
-            _ACTIVE = {
-                "groups": list(groups),
-                "reducers": by_group,
-                "master_seed": seed,
-                "chunks": chunks,
-            }
-            folded = [None] * n_groups
+            if n_groups == 1:
+                _hold(0)  # shared copy-on-write by the forked workers
             ctx = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-                futures = {pool.submit(_group_task, g): g for g in range(n_groups)}
-                for fut in as_completed(futures):
-                    folded[futures[fut]] = fut.result()
-                    advance(iterations)
-        else:
-            _ACTIVE = {
-                "samplers": _build(groups[0]),
-                "reducers": by_group[0],
-                "master_seed": seed,
-            }
-            parts = []
-            ctx = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-                # map yields in submission order, so blocks arrive in order
-                for (s, e), part in zip(chunks, pool.map(_chunk_task, chunks)):
-                    parts.append(part)
-                    advance(e - s)
-            folded = [_fold(by_group[0], parts)]
+            pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
+            results = pool.map(_task, tasks)
+        # results come in task order, so a group's ranges arrive in block
+        # order. Refolding a lone range adds it to +0.0 zeros: the identity,
+        # because a fold that starts at +0.0 can never hold -0.0.
+        for (g, s, e), part in zip(tasks, results):
+            parts.append(part)
+            done += e - s
+            if progress is not None:
+                progress(done, total)
+            if e == iterations:
+                folded.append(_fold(by_group[g], parts))
+                parts = []
     finally:
+        if pool is not None:
+            pool.shutdown()
         _ACTIVE = None
+        _HELD = None
 
-    results: list[np.ndarray | None] = [None] * len(reducers)
+    out: list[np.ndarray | None] = [None] * len(reducers)
     for idx, arrays in zip(members, folded):
         for j, arr in zip(idx, arrays):
-            results[j] = arr
-    return results
+            out[j] = arr
+    return out

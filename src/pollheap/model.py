@@ -10,7 +10,7 @@ actually needs a real number, so decisions near boundaries such as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
@@ -52,6 +52,26 @@ MAX_DENOMINATOR = 10**6
 # exact product, 100 * count * denominator <= 10**17, inside int64, and
 # every count is exact as a float64.
 MAX_COUNT = 10**9
+
+# The int64 bound of every exact product, from count <= MAX_COUNT (C)
+# and bound denominator <= MAX_DENOMINATOR (D); int64 holds 9.2e18. A
+# filter cap or window half-width is at most 100, so its numerator is
+# at most 100 * D. m is bins per percent, N the station count and I
+# the iterations of a run; a bin sum adds registered counts.
+#
+#   site                         largest product              bound
+#   apply_filters                100*G*bd, bn*V               1e17
+#   _Evaluator.refilter_max      100*pd*num, pn*den           1e17
+#   _side_residues               100*num                      1e11
+#   _side_membership             hd*min(r, d-r), hd*|2r-d|    1e15
+#   _bin_histogram (m <= 1000)   200*m*num + den              2e14
+#   _region_histograms (m = 10)  2000*num + den               2e12
+#   fingerprint (m = 2)          400*given + registered       4e11
+#   a histogram bin or cell      sum of registered            N*C
+#   regions sum over iterations  I bin sums                   I*N*C
+#
+# Only the last two grow with the input, and both stay exact while
+# I*N < 9.2e9.
 
 
 def as_fraction(value: int | float | str | Fraction) -> Fraction:
@@ -310,9 +330,6 @@ class FilterPolicy:
                 "would overflow 64-bit integer arithmetic"
             )
         object.__setattr__(self, "max_percentage", bound)
-
-    def with_overrides(self, **kwargs) -> "FilterPolicy":
-        return replace(self, **kwargs)
 
 
 def apply_filters(

@@ -30,22 +30,13 @@ import numpy as np
 
 __all__ = [
     "NullModel",
-    "SimSeed",
     "DatasetSampler",
     "binom_quantile",
     "iteration_uniforms",
-    "station_uniforms",
-    "sample_turnout",
-    "sample_result",
     "make_sampler",
 ]
 
 METRIC_CODES = {"turnout": 0, "result": 1}
-
-# Philox-4x64 emits four 64-bit words per counter value and Generator
-# consumes one word per double, so word w lives at counter w // 4,
-# offset w % 4. advance() moves the counter.
-_WORDS_PER_BLOCK = 4
 
 # Support window for tabulated CDFs: mean +- _TAIL_SIGMAS stddevs plus
 # slack. Beyond-window draws are settled by the direct quantile.
@@ -105,24 +96,6 @@ class NullModel:
         return cls(t)
 
 
-@dataclass(frozen=True)
-class SimSeed:
-    """Addresses one station's random block within one iteration."""
-
-    master_seed: int
-    iteration_index: int
-    station_index: int
-    metric_tag: Literal["turnout", "result"]
-
-    def __post_init__(self) -> None:
-        if not 0 <= int(self.master_seed) < 2**64:
-            raise ValueError("master_seed must fit in an unsigned 64-bit integer")
-        if self.iteration_index < 0 or self.station_index < 0:
-            raise ValueError("iteration_index and station_index must be >= 0")
-        if self.metric_tag not in METRIC_CODES:
-            raise ValueError(f"metric_tag must be one of {sorted(METRIC_CODES)}")
-
-
 def _stream_entropy(master_seed: int, iteration_index: int, metric_tag: str):
     return (int(master_seed), int(iteration_index), METRIC_CODES[metric_tag])
 
@@ -141,20 +114,6 @@ def iteration_uniforms(
     gen = np.random.Generator(np.random.Philox(seq))
     flat = gen.random(n_stations * words_per_station)
     return flat.reshape(n_stations, words_per_station)
-
-
-def station_uniforms(seed: SimSeed, words_per_station: int) -> np.ndarray:
-    """One station's uniform block, bit-identical to its batch row."""
-    first = words_per_station * seed.station_index
-    bitgen = np.random.Philox(
-        np.random.SeedSequence(
-            _stream_entropy(seed.master_seed, seed.iteration_index, seed.metric_tag)
-        )
-    )
-    bitgen.advance(first // _WORDS_PER_BLOCK)
-    gen = np.random.Generator(bitgen)
-    skip = first % _WORDS_PER_BLOCK
-    return gen.random(skip + words_per_station)[skip:]
 
 
 def _quantile_guess(u: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -511,50 +470,3 @@ def make_sampler(
             sampler._rem_table = _build_table(den % c, p)
     return sampler
 
-
-def _single_draw(den: int, num: int, model: NullModel, seed: SimSeed) -> int:
-    words = station_uniforms(seed, model.words_per_station)
-    sampler = make_sampler(
-        np.array([den], dtype=np.int64),
-        np.array([num], dtype=np.int64),
-        model,
-        seed.metric_tag,
-    )
-    return int(sampler.draw_from_uniforms(words.reshape(1, -1))[0])
-
-
-def sample_turnout(record, model: NullModel, seed: SimSeed) -> int:
-    """Simulated given-ballot count for one station.
-
-    Reproduces exactly the value the vectorized engine assigns to the
-    station sitting at seed.station_index, because both the uniform
-    block and the inverse-CDF arithmetic are position-independent.
-    """
-    if seed.metric_tag != "turnout":
-        raise ValueError("sample_turnout requires a seed with metric_tag='turnout'")
-    if record.registered < 1:
-        raise ValueError(
-            f"station {record.station_id!r}: registered must be >= 1 to simulate"
-        )
-    if record.given > record.registered:
-        raise ValueError(
-            f"station {record.station_id!r}: given > registered should have "
-            "been filtered before sampling"
-        )
-    return _single_draw(record.registered, record.given, model, seed)
-
-
-def sample_result(record, model: NullModel, seed: SimSeed) -> int:
-    """Simulated leader count for one station (denominator held fixed)."""
-    if seed.metric_tag != "result":
-        raise ValueError("sample_result requires a seed with metric_tag='result'")
-    if record.cast < 1:
-        raise ValueError(
-            f"station {record.station_id!r}: cast must be >= 1 to simulate a result"
-        )
-    if record.leader > record.cast:
-        raise ValueError(
-            f"station {record.station_id!r}: leader > cast should have been "
-            "filtered before sampling"
-        )
-    return _single_draw(record.cast, record.leader, model, seed)

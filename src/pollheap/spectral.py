@@ -23,7 +23,6 @@ __all__ = [
     "AmplitudeSpectrum",
     "Spectrogram",
     "HarmonicProfile",
-    "dft_complex",
     "amplitude_spectrum",
     "spectrogram",
     "harmonic_profile",
@@ -36,11 +35,6 @@ _SAMPLES = 1000  # 0.0 ... 99.9, the stated normalization length
 _WINDOW_BINS = 151  # 15% at 0.1% bins, inclusive of both edges
 # zero-padded FFT length; puts 1 per-percent exactly on the grid
 _FFT_LEN = 300
-
-
-def dft_complex(values: np.ndarray) -> np.ndarray:
-    """Full complex DFT, exposed so tests can check linearity/Parseval."""
-    return np.fft.fft(np.asarray(values, dtype=np.float64))
 
 
 @dataclass(frozen=True)

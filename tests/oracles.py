@@ -4,7 +4,8 @@ Everything here is deliberately slow and literal: exact rational
 arithmetic for the probability mass functions, O(N^2) direct sums for
 the discrete Fourier transform, one csv record at a time for ingest,
 fresh arrays for every spectrogram row, binomial CDF tables built in
-station order. None of it imports the package under test, so agreement
+station order, one station's uniforms read alone from its Philox
+stream. None of it imports the package under test, so agreement
 between the two is meaningful evidence.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 import cmath
 import csv
 from fractions import Fraction
-from math import comb
+from math import comb, floor
 
 import numpy as np
 
@@ -69,16 +70,36 @@ def binom_cdf_inverse(n: int, p: Fraction, u: Fraction) -> int:
     return n
 
 
+def station_uniforms(master_seed, iteration_index, metric_code, station_index, words):
+    """One station's uniforms, read alone from its iteration's Philox stream.
+
+    Philox-4x64 emits four 64-bit words per counter value and Generator
+    consumes one word per double, so word w lives at counter w // 4,
+    offset w % 4; advance() moves the counter to the station's block.
+    """
+    first = words * station_index
+    seq = np.random.SeedSequence((master_seed, iteration_index, metric_code))
+    bitgen = np.random.Philox(seq)
+    bitgen.advance(first // 4)
+    skip = first % 4
+    return np.random.Generator(bitgen).random(skip + words)[skip:]
+
+
+def nearest_bin(num: int, den: int, bins_per_percent: int) -> int:
+    """Bin of 100 * num / den on a grid of 1/bins_per_percent percent; halves round up."""
+    return floor(Fraction(100 * bins_per_percent * num, den) + Fraction(1, 2))
+
+
 def dft_direct(values) -> list[complex]:
-    """O(N^2) forward DFT, same sign convention as numpy.fft.fft."""
+    """O(N^2) forward DFT, same sign convention as numpy.fft.fft.
+
+    exp(-2 pi i k j / n) is read from a table of the n roots of unity at
+    index k * j mod n, and zero samples add nothing, so they are skipped.
+    """
     n = len(values)
-    out = []
-    for k in range(n):
-        s = 0j
-        for j, v in enumerate(values):
-            s += v * cmath.exp(-2j * cmath.pi * k * j / n)
-        out.append(s)
-    return out
+    roots = [cmath.exp(-2j * cmath.pi * m / n) for m in range(n)]
+    terms = [(j, complex(v)) for j, v in enumerate(values) if v != 0]
+    return [sum((v * roots[k * j % n] for j, v in terms), 0j) for k in range(n)]
 
 
 def spectrogram_rows(values, mc_rows, window_bins=151, fft_len=300):

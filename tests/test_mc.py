@@ -1,6 +1,7 @@
 """The Monte Carlo driver: groups, schedules and worker-count invariance."""
 
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -88,15 +89,19 @@ def test_groups_draw_what_they_draw_alone():
 
 
 @pytest.mark.parametrize("workers", [2, 3, 4, 8])
-@pytest.mark.parametrize("n_groups", [1, 3])  # block tasks, group tasks
-def test_every_schedule_gives_the_same_bits(n_groups, workers):
+@pytest.mark.parametrize(
+    "n_groups, iterations",  # block tasks, group tasks; then less than one block
+    [(1, ITERATIONS), (3, ITERATIONS), (1, 5), (3, 5)],
+    ids=["1", "3", "1-5iter", "3-5iter"],
+)
+def test_every_schedule_gives_the_same_bits(n_groups, iterations, workers):
     sets = _station_sets()[:n_groups]
     reducers = _reducers(sets)
-    ref = run_simulation([_builder(c) for c in sets], reducers, ITERATIONS, 8, workers=1)
-    got = run_simulation([_builder(c) for c in sets], reducers, ITERATIONS, 8, workers=workers)
+    ref = run_simulation([_builder(c) for c in sets], reducers, iterations, 8, workers=1)
+    got = run_simulation([_builder(c) for c in sets], reducers, iterations, 8, workers=workers)
     assert _bits(got) == _bits(ref)
     built = [_builder(c)() for c in sets]  # groups may also be passed built
-    assert _bits(run_simulation(built, reducers, ITERATIONS, 8, workers=workers)) == _bits(ref)
+    assert _bits(run_simulation(built, reducers, iterations, 8, workers=workers)) == _bits(ref)
 
 
 @pytest.mark.parametrize(
@@ -116,6 +121,37 @@ def test_tables_are_built_where_the_schedule_says(tmp_path, n_groups, workers, i
         assert set(pids) == {os.getpid()}
     else:
         assert os.getpid() not in pids
+
+
+def test_one_worker_holds_one_group_at_a_time():
+    sets = _station_sets()
+    finalizers = []
+
+    def builder(counts):
+        def build():
+            assert not any(f.alive for f in finalizers), "an earlier group is still alive"
+            samplers = _builder(counts)()
+            finalizers.extend(weakref.finalize(s, lambda: None) for s in samplers.values())
+            return samplers
+
+        return build
+
+    run_simulation([builder(c) for c in sets], _reducers(sets), ITERATIONS, 8, workers=1)
+    assert len(finalizers) == 2 * len(sets)
+    assert not any(f.alive for f in finalizers)
+
+
+def test_failing_builder_in_a_worker_raises_and_clears_the_state():
+    sets = _station_sets()
+
+    def broken():
+        raise RuntimeError("builder failed")
+
+    groups = [_builder(sets[0]), broken, _builder(sets[2])]
+    with pytest.raises(RuntimeError, match="builder failed"):
+        run_simulation(groups, _reducers(sets), ITERATIONS, 8, workers=2)
+    assert mc._ACTIVE is None
+    assert getattr(mc, "_HELD", None) is None
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 4])

@@ -8,6 +8,8 @@ from hypothesis import given as hgiven
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from pollheap.anomaly import WindowSpec, _side_membership, _side_residues
+from pollheap.histograms import build_histogram
 from pollheap.model import (
     MAX_COUNT,
     MAX_DENOMINATOR,
@@ -18,7 +20,9 @@ from pollheap.model import (
     as_fraction,
     compute_metrics,
 )
+from pollheap.regions import _region_histograms, fingerprint
 
+import oracles
 from helpers import make_dataset, random_counts
 
 
@@ -244,3 +248,57 @@ def test_filter_matches_exact_fractions_at_finest_cap_property(seed, cap_num):
         and Fraction(100 * int(l[i]), int(b[i])) <= cap
     ]
     assert list(kept.station_ids) == [f"S{i:07d}" for i in expected]
+
+
+# counts at either end of the range, and just past its top
+_EDGE_COUNT = st.one_of(st.integers(0, 50), st.integers(MAX_COUNT - 10**6, MAX_COUNT + 2))
+_HALF_WIDTH = st.one_of(
+    st.fractions(Fraction(1, MAX_DENOMINATOR), Fraction(1, 2), max_denominator=MAX_DENOMINATOR),
+    # exact distances of the small stations, so boundary hits occur
+    st.builds(Fraction, st.integers(1, 25), st.integers(50, 100)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@hgiven(
+    stations=st.lists(st.lists(_EDGE_COUNT, min_size=4, max_size=4), min_size=1, max_size=6),
+    m=st.sampled_from([1, 10, 1000]),
+    center_kind=st.sampled_from(["integer", "half_integer"]),
+    half_width=_HALF_WIDTH,
+)
+def test_exact_arithmetic_at_the_count_bound_property(stations, m, center_kind, half_width):
+    # each station sorted so that registered >= given >= cast >= leader
+    columns = [list(c) for c in zip(*(sorted(s, reverse=True) for s in stations))]
+    if max(columns[0]) > MAX_COUNT:
+        with pytest.raises(ValueError, match="outside"):
+            ElectionDataset.from_arrays("edge", *columns)
+        return
+    ds = ElectionDataset.from_arrays("edge", *columns)
+    registered = ds.registered.tolist()
+    window = WindowSpec(center_kind, half_width)
+    for metric, num, den in (("turnout", ds.given, ds.registered), ("result", ds.leader, ds.cast)):
+        pairs = list(zip(num.tolist(), den.tolist()))
+        bins = np.zeros(100 * m + 1, dtype=np.int64)
+        region = np.zeros((1, 1001), dtype=np.int64)
+        for (n, d), v in zip(pairs, registered):
+            if d > 0:
+                region[0, oracles.nearest_bin(n, d, 10)] += v
+                if n != d:  # build_histogram drops stations at exactly 100%
+                    bins[oracles.nearest_bin(n, d, m)] += v
+        hist = build_histogram(ds, metric, Fraction(1, m))
+        assert np.array_equal(hist.weights, bins)
+        one_region = np.zeros(len(ds), dtype=np.int64)
+        assert np.array_equal(_region_histograms(one_region, 1, num, den, ds.registered), region)
+
+        member = _side_membership(_side_residues(num, den), len(ds), window)
+        expected = [
+            d > 0 and oracles.count_in_window([Fraction(100 * n, d)], center_kind, half_width) == 1
+            for n, d in pairs
+        ]
+        assert member.tolist() == expected
+
+    cells = np.zeros((201, 201), dtype=np.int64)
+    for v, g, b, l in zip(*(c.tolist() for c in (ds.registered, ds.given, ds.cast, ds.leader))):
+        if b > 0 and v > 0:
+            cells[oracles.nearest_bin(g, v, 2), oracles.nearest_bin(l, b, 2)] += v
+    assert np.array_equal(fingerprint(ds).cells, cells)

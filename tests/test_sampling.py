@@ -17,12 +17,9 @@ from pollheap.sampling import (
     _build_table,
     DatasetSampler,
     NullModel,
-    SimSeed,
     binom_quantile,
     iteration_uniforms,
     make_sampler,
-    sample_result,
-    sample_turnout,
 )
 
 import oracles
@@ -189,6 +186,15 @@ class TestDistributionalExactness:
         assert np.all(draws % 5 == 0)
 
 
+def _single_draw(den, num, model, metric, master_seed, iteration_index, i):
+    """Station i drawn alone: its own uniforms and a one-station sampler."""
+    u = oracles.station_uniforms(
+        master_seed, iteration_index, METRIC_CODES[metric], i, model.words_per_station
+    )
+    sampler = make_sampler(den[i:i + 1], num[i:i + 1], model, metric)
+    return int(sampler.draw_from_uniforms(u.reshape(1, -1))[0])
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "model",
@@ -198,10 +204,7 @@ class TestDeterminism:
         sampler = make_sampler(null_2k.registered, null_2k.given, model, "turnout")
         batch = sampler.draw(master_seed=7, iteration_index=3)
         for i in (0, 1, 17, 500, 1999):
-            seed = SimSeed(
-                master_seed=7, iteration_index=3, station_index=i, metric_tag="turnout"
-            )
-            single = sample_turnout(null_2k.record(i), model, seed)
+            single = _single_draw(null_2k.registered, null_2k.given, model, "turnout", 7, 3, i)
             assert single == batch[i], i
 
     def test_result_metric_stream_is_independent(self, null_2k):
@@ -234,10 +237,8 @@ class TestDeterminism:
         sampler = make_sampler(null_2k.cast, null_2k.leader, model, "result")
         batch = sampler.draw(master_seed=21, iteration_index=2)
         for i in (3, 777, 1500):
-            seed = SimSeed(
-                master_seed=21, iteration_index=2, station_index=i, metric_tag="result"
-            )
-            assert sample_result(null_2k.record(i), model, seed) == batch[i]
+            single = _single_draw(null_2k.cast, null_2k.leader, model, "result", 21, 2, i)
+            assert single == batch[i], i
 
 
 class TestEdgeStations:
