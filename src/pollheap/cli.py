@@ -18,9 +18,9 @@ Conventions shared by every subcommand:
   * --format selects the CSV, JSON and SVG files of analyze, histogram,
     spectrum, regions and fingerprint; validate and simulate have no
     --format and write every file they make
-  * artifacts are computed in memory, staged in --out under temporary
-    names and moved into place only once all are written, so a failing
-    run leaves no files
+  * artifacts are rendered and staged one at a time in --out under
+    temporary names (a CSV a row at a time) and moved into place only
+    once all are written, so a failing run leaves no files
   * outputs are byte-identical for a given configuration regardless of
     --workers
 """
@@ -34,6 +34,7 @@ import os
 import shutil
 import sys
 import tempfile
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -331,15 +332,12 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _csv_doc(cfg: dict, digest: str, header: list[str], rows) -> str:
-    lines = [
-        "# config: " + json.dumps(cfg, sort_keys=True),
-        "# digest: " + digest,
-        ",".join(header),
-    ]
+def _csv_lines(cfg: dict, digest: str, header: list[str], rows):
+    yield "# config: " + json.dumps(cfg, sort_keys=True) + "\n"
+    yield "# digest: " + digest + "\n"
+    yield ",".join(header) + "\n"
     for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+        yield ",".join(_cell(v) for v in row) + "\n"
 
 
 def _json_doc(cfg: dict, digest: str, payload: dict) -> str:
@@ -352,42 +350,46 @@ def _svg_meta(cfg: dict, digest: str) -> str:
     return "config " + json.dumps(cfg, sort_keys=True) + " digest " + digest
 
 
-def _document(name: str, content, cfg: dict, digest: str):
-    """What is written for one artifact, by its file type.
+def _stage(path: Path, content, cfg: dict, digest: str) -> None:
+    """Write one artifact to path, by its file type.
 
-    A command gives .csv files as (header, rows), .json files as a
-    payload dict, .svg files as a render function still to be called
-    with meta=, .tsv files as a function writing to a path (returned as
-    is), and other files as their text.
+    A command gives .csv files as (header, rows), written a row at a
+    time as rows yields them; .json files as a payload dict; .svg files
+    as a render function still to be called with meta=; .tsv files as a
+    function writing to a path; and other files as their text.
     """
-    kind = Path(name).suffix
-    if kind == ".csv":
-        return _csv_doc(cfg, digest, *content)
-    if kind == ".json":
-        return _json_doc(cfg, digest, content)
-    if kind == ".svg":
-        return content(meta=_svg_meta(cfg, digest))
-    return content
+    kind = path.suffix
+    if kind == ".tsv":
+        content(path)
+        return
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if kind == ".csv":
+            fh.writelines(_csv_lines(cfg, digest, *content))
+        elif kind == ".json":
+            fh.write(_json_doc(cfg, digest, content))
+        elif kind == ".svg":
+            fh.write(content(meta=_svg_meta(cfg, digest)))
+        else:
+            fh.write(content)
 
 
-def _write(out: str, docs: list) -> list[str]:
-    """Write all documents or none; returns their paths.
+def _write(out: str, files: list, cfg: dict, digest: str) -> list[str]:
+    """Write all artifacts or none; returns their paths.
 
-    Every file is staged in a temporary directory under out and moved
-    into place only once all are written; on any error the staged files
-    and those already moved are removed.
+    The artifacts are rendered and staged one at a time in a temporary
+    directory under out, and moved into place only once all are
+    written; on any error the staged files and those already moved are
+    removed.
     """
     root = Path(out)
     root.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(prefix=".staging-", dir=root))
+    names = [name for name, _ in files]
     placed = []
     try:
-        for name, doc in docs:
-            if callable(doc):
-                doc(stage / name)
-            else:
-                (stage / name).write_bytes(doc.encode("utf-8"))
-        for name, _ in docs:
+        for name, content in files:
+            _stage(stage / name, content, cfg, digest)
+        for name in names:
             os.replace(stage / name, root / name)
             placed.append(root / name)
     except BaseException:
@@ -396,7 +398,7 @@ def _write(out: str, docs: list) -> list[str]:
         raise
     finally:
         shutil.rmtree(stage, ignore_errors=True)
-    return [str(root / name) for name, _ in docs]
+    return [str(root / name) for name in names]
 
 
 def _run(args: argparse.Namespace) -> dict:
@@ -415,12 +417,8 @@ def _run(args: argparse.Namespace) -> dict:
     reference = [args.reference] if getattr(args, "reference", None) else []
     digest = _digest(cfg, _inputs(args) + reference)
     skipped = set(_FORMATS) - set(getattr(args, "format", _FORMATS))
-    docs = [
-        (name, _document(name, content, cfg, digest))
-        for name, content in files
-        if Path(name).suffix[1:] not in skipped
-    ]
-    summary.update(command=args.command, digest=digest, artifacts=_write(args.out, docs))
+    kept = [(name, content) for name, content in files if Path(name).suffix[1:] not in skipped]
+    summary.update(command=args.command, digest=digest, artifacts=_write(args.out, kept, cfg, digest))
     return summary
 
 
@@ -602,6 +600,25 @@ def _peak_shape_rows(hists, means, metric: str, bin_width: Fraction):
     yield from zip(shape.offsets, shape.mean_excess)
 
 
+def _simulated_mean(k: int, matrix: np.ndarray) -> np.ndarray:
+    return matrix.mean(axis=0)
+
+
+def _job_envelope(job_metrics: list, bin_width, levels, k: int, matrix: np.ndarray):
+    """Job k's envelope, computed where its simulation completes."""
+    return envelope_from_matrix(matrix, job_metrics[k], bin_width, levels)
+
+
+def _hist_rows(centers, weights, env):
+    """Rows of a per-input histogram CSV, made as the CSV is written."""
+    if env is None:
+        for c, w in zip(centers, weights):
+            yield [c, int(w)]
+    else:
+        for c, w, m, lo, hi in zip(centers, weights, env.mean, env.low, env.high):
+            yield [c, int(w), m, int(lo), int(hi)]
+
+
 def _cmd_histogram(args: argparse.Namespace) -> tuple[dict, list]:
     if args.iterations and args.iterations < 100:
         raise ValueError("envelopes need --iterations >= 100 (or 0 to skip)")
@@ -614,7 +631,9 @@ def _cmd_histogram(args: argparse.Namespace) -> tuple[dict, list]:
         raise ValueError("--average needs at least two inputs")
 
     metrics = _metrics(args.metric)
-    # one simulation for every (metric, input), matrices in that order
+    # one simulation for every (metric, input), in that order; each job's
+    # matrix is reduced to its mean or envelope where it is simulated
+    job_metrics = [metric for metric in metrics for _ in datasets]
     simulated = []
     if args.iterations:
         simulated = mc_histogram_matrices(
@@ -622,6 +641,10 @@ def _cmd_histogram(args: argparse.Namespace) -> tuple[dict, list]:
             model=args.model, iterations=args.iterations, master_seed=args.seed,
             bin_width=args.bins, jitter=args.jitter, suppress_hundred=suppress,
             workers=args.workers, progress=_progress("histogram"),
+            finish=(
+                _simulated_mean if args.average
+                else partial(_job_envelope, job_metrics, args.bins, args.levels)
+            ),
         )
 
     files = []
@@ -634,7 +657,7 @@ def _cmd_histogram(args: argparse.Namespace) -> tuple[dict, list]:
             )
             for ds in datasets
         ]
-        matrices = simulated[k * len(datasets) : (k + 1) * len(datasets)]
+        finished = simulated[k * len(datasets) : (k + 1) * len(datasets)]
 
         if args.average:
             avg = average_histograms(hists)
@@ -643,7 +666,7 @@ def _cmd_histogram(args: argparse.Namespace) -> tuple[dict, list]:
             header = ["bin_center", "average_weight"]
             cols = [emp]
             series = [("average empirical", centers, emp)]
-            means = [m.mean(axis=0) for m in matrices]
+            means = finished
             if means:
                 mc_avg = np.zeros_like(means[0])
                 for m in means:
@@ -652,8 +675,7 @@ def _cmd_histogram(args: argparse.Namespace) -> tuple[dict, list]:
                 header.append("mc_mean")
                 cols.append(mc_avg)
                 series.append(("average simulated mean", centers, mc_avg))
-            rows = [[c] + [col[i] for col in cols] for i, c in enumerate(centers)]
-            files.append((f"hist_{metric}_avg.csv", (header, rows)))
+            files.append((f"hist_{metric}_avg.csv", (header, zip(centers, *cols))))
             if means:
                 files.append((
                     f"peak_shape_{metric}.csv",
@@ -675,12 +697,9 @@ def _cmd_histogram(args: argparse.Namespace) -> tuple[dict, list]:
                 stem = f"hist_{metric}_{label}" if len(labels) > 1 else f"hist_{metric}"
                 title = f"{metric} histogram: {label}"
                 header = ["bin_center", "weight"]
-                rows = [[c, int(w)] for c, w in zip(centers, hist.weights)]
-                if matrices:
-                    env = envelope_from_matrix(matrices[i], metric, args.bins, args.levels)
+                env = finished[i] if finished else None
+                if env is not None:
                     header += ["mc_mean", "low", "high"]
-                    for r, m, lo, hi in zip(rows, env.mean, env.low, env.high):
-                        r += [m, int(lo), int(hi)]
                     svg = partial(
                         render_envelope_plot, centers, hist.weights.astype(float),
                         env.mean, env.low.astype(float), env.high.astype(float),
@@ -692,10 +711,31 @@ def _cmd_histogram(args: argparse.Namespace) -> tuple[dict, list]:
                         [("empirical", centers, hist.weights.astype(float))],
                         title, "percent", "stations per bin",
                     )
+                rows = _hist_rows(centers, hist.weights, env)
                 files += [(f"{stem}.csv", (header, rows)), (f"{stem}.svg", svg)]
                 per_metric.append({"input": label, "total_weight": int(hist.weights.sum())})
             summary["metrics"][metric] = per_metric
     return summary, files
+
+
+def _grid_rows(labels, grid: np.ndarray):
+    """Rows of a matrix CSV, each its label and then its grid row.
+
+    Made a row at a time as the CSV is written, so the grid never
+    exists as Python numbers all at once.
+    """
+    for label, row in zip(np.asarray(labels).tolist(), grid):
+        yield [label] + row.tolist()
+
+
+def _spectrogram_ratio(hists: list, k: int, matrix: np.ndarray):
+    """Job k's spectrogram, less the raw and mc_mean grids nothing writes.
+
+    Runs where job k's simulation completes, often a worker; it calls
+    spectrogram through this module's global, the name
+    perfbench/tracing.py wraps.
+    """
+    return replace(spectrogram(hists[k], matrix), raw=None, mc_mean=None)
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> tuple[dict, list]:
@@ -704,24 +744,22 @@ def _cmd_spectrum(args: argparse.Namespace) -> tuple[dict, list]:
     dataset, _ = _prepare(args, args.input)
 
     metrics = _metrics(args.metric)
-    matrices = mc_histogram_matrices(
+    hists = [build_histogram(dataset, metric) for metric in metrics]
+    grams = mc_histogram_matrices(
         [(dataset, metric) for metric in metrics],
         model=args.model, iterations=args.iterations, master_seed=args.seed,
         workers=args.workers, progress=_progress("spectrum"),
+        finish=partial(_spectrogram_ratio, hists),
     )
 
     files = []
     summary: dict = {"metrics": {}}
-    for metric, matrix in zip(metrics, matrices):
-        hist = build_histogram(dataset, metric)
+    for metric, hist, gram in zip(metrics, hists, grams):
         spec = amplitude_spectrum(hist)
-        gram = spectrogram(hist, matrix)
         profile = harmonic_profile(gram, frequency=1.0)
 
         gram_header = ["center"] + [_cell(f) for f in gram.frequencies]
-        # made a row at a time as the csv is written, so the matrix never
-        # exists as Python floats all at once
-        gram_rows = (row.tolist() for row in np.column_stack((gram.centers, gram.ratio)))
+        gram_rows = _grid_rows(gram.centers, gram.ratio)
         files += [
             (
                 f"spectrum_{metric}.csv",
@@ -833,7 +871,7 @@ def _cmd_fingerprint(args: argparse.Namespace) -> tuple[dict, list]:
 
     edges = [i * 0.5 for i in range(fp.cells.shape[0])]
     header = ["turnout_percent"] + [_cell(e) for e in edges]
-    rows = [[edges[i]] + list(fp.cells[i]) for i in range(fp.cells.shape[0])]
+    rows = _grid_rows(edges, fp.cells)
     corr = "n/a" if fp.correlation is None else f"{fp.correlation:.3f}"
     files = [
         (

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -170,6 +171,7 @@ class _HistogramReducer(Reducer):
         jitter: bool,
         master_seed: int,
         group: int = 0,
+        finish=None,
     ):
         self.metric = metric
         self.den = den
@@ -180,6 +182,7 @@ class _HistogramReducer(Reducer):
         self.master_seed = int(master_seed)
         self.out_shape = (100 * m + 1,)
         self.group = group
+        self._finish = finish
 
     def reduce(self, iteration_index: int, counts: Mapping[str, np.ndarray]):
         num = counts[self.metric]
@@ -194,6 +197,9 @@ class _HistogramReducer(Reducer):
                 num.size,
             )
         return _bin_histogram(num, self.den, self.weight, self.m, self.suppress_hundred, u)
+
+    def finish(self, folded: np.ndarray):
+        return folded if self._finish is None else self._finish(folded)
 
 
 def mc_histograms(
@@ -238,13 +244,17 @@ def mc_histogram_matrices(
     suppress_hundred: bool = True,
     workers: int | None = None,
     progress=None,
-) -> list[np.ndarray]:
+    finish=None,
+) -> list:
     """mc_histograms of several (dataset, metric) jobs in one simulation.
 
     Entry k equals mc_histograms(*jobs[k], model, ...) bit for bit:
     each job is its own station-set group, so its draws do not depend
     on the other jobs. Each job's sampler table is built by whichever
-    process simulates it (see mc.run_simulation).
+    process simulates it (see mc.run_simulation). With finish given,
+    entry k is finish(k, matrix) instead, computed where the job's
+    simulation completes (Reducer.finish), so with several jobs over
+    several workers each matrix stays in the worker that made it.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -262,6 +272,7 @@ def mc_histogram_matrices(
             _HistogramReducer(
                 metric, den, dataset.registered, m, suppress_hundred, jitter,
                 master_seed, group=k,
+                finish=None if finish is None else partial(finish, k),
             )
         )
     return run_simulation(groups, reducers, iterations, master_seed, workers, progress)

@@ -8,11 +8,14 @@ group simulated alongside others draws exactly what it would draw
 alone.
 
 Iterations are cut into fixed blocks of CHUNK_ITERATIONS. Each reducer
-folds its group's block results in block order. Because the block
-boundaries and the fold order never depend on the worker count, every
-reduction (including floating-point sums) follows the same arithmetic
-tree and the output is bit-identical whether the run used one process
-or twenty.
+folds its group's block results in block order, into a running total
+as they arrive: a sum-mode reducer adds each block's total to one
+array, a stack-mode reducer copies its rows into one preallocated
+(iterations, *out_shape) array. Because the block boundaries and the
+fold order never depend on the worker count, every reduction
+(including floating-point sums) follows the same arithmetic tree and
+the output is bit-identical whether the run used one process or
+twenty.
 
 The work is a list of tasks (group, start, end), each a range of one
 group's blocks. A task makes sure its process holds the group: a
@@ -20,10 +23,15 @@ one-slot cache that drops the previous group's samplers before it
 builds the next. It runs the blocks of its range and folds them, and
 the parent folds each group's range results in task order. A pool over
 several groups gets one range per group, so each group is built by
-the one worker that simulates it and only folded arrays come back.
-Every other pass gets one range per block; a lone group over several
-workers is built in this process before the fork and shared
-copy-on-write.
+the one worker that simulates it. Every other pass gets one range per
+block; a lone group over several workers is built in this process
+before the fork and shared copy-on-write.
+
+Once a reducer's fold is complete, Reducer.finish turns the folded
+array into the reducer's result (the array itself unless a subclass
+says otherwise). It runs where the fold completes: in the worker when
+a pool over several groups gives it the group's whole range, so only
+finished results come back, and in the parent otherwise.
 
 Worker processes are always forked. Where the platform has no "fork"
 start method, the run uses one worker and says so on stderr.
@@ -73,6 +81,15 @@ class Reducer:
     ) -> np.ndarray:
         raise NotImplementedError
 
+    def finish(self, folded: np.ndarray):
+        """The reducer's result from its folded array; the array itself here.
+
+        Runs once per run, in the process that completes the fold (see
+        the module docstring), so like reduce() it must not depend on
+        which process that is.
+        """
+        return folded
+
 
 # Worker payload, installed in the parent immediately before the pool
 # forks so children inherit it without pickling.
@@ -100,64 +117,72 @@ def _hold(g: int) -> dict[str, DatasetSampler]:
     return _HELD[1]
 
 
-def _run_chunk(
-    samplers: Samplers,
-    reducers: Sequence[Reducer],
-    master_seed: int,
-    start: int,
-    end: int,
-) -> list[np.ndarray]:
-    tags = sorted(samplers)
-    stacks: list[list[np.ndarray] | None] = []
-    sums: list[np.ndarray | None] = []
-    for r in reducers:
-        if r.mode == "sum":
-            stacks.append(None)
-            sums.append(np.zeros(r.out_shape, dtype=r.dtype))
-        else:
-            stacks.append([])
-            sums.append(None)
+class _Fold:
+    """Running fold of one group's reducers over iterations [start, end).
 
-    for it in range(start, end):
-        counts = {tag: samplers[tag].draw(master_seed, it) for tag in tags}
-        for j, r in enumerate(reducers):
-            val = r.reduce(it, counts)
+    A stack-mode array is allocated whole and filled row by row. A
+    sum-mode total is the first block's own total, to which each later
+    block's total is added in block order. Every block total starts at
+    +0.0 zeros, so it never holds -0.0 and taking it as is equals
+    adding it to zeros: a range folded from its blocks and a run folded
+    from its ranges follow the same summation tree.
+    """
+
+    def __init__(self, reducers: Sequence[Reducer], start: int, end: int):
+        self.reducers = reducers
+        self.start = start
+        self.arrays = [
+            None if r.mode == "sum" else np.empty((end - start, *r.out_shape), r.dtype)
+            for r in reducers
+        ]
+
+    def _sum(self, j: int, total: np.ndarray) -> None:
+        if self.arrays[j] is None:
+            self.arrays[j] = total
+        else:
+            self.arrays[j] += total
+
+    def add(self, start: int, parts: Sequence[np.ndarray]) -> None:
+        """Fold in the result of the range that begins at iteration start."""
+        for j, (r, part) in enumerate(zip(self.reducers, parts)):
             if r.mode == "sum":
-                sums[j] += val
+                self._sum(j, part)
             else:
-                stacks[j].append(np.asarray(val, dtype=r.dtype))
+                self.arrays[j][start - self.start : start - self.start + len(part)] = part
 
-    return [
-        sums[j] if r.mode == "sum" else np.stack(stacks[j])
-        for j, r in enumerate(reducers)
-    ]
+    def run_block(self, samplers: Samplers, master_seed: int, start: int, end: int) -> None:
+        """Simulate the iterations [start, end) of one block and fold them in."""
+        tags = sorted(samplers)
+        totals = [np.zeros(r.out_shape, r.dtype) if r.mode == "sum" else None for r in self.reducers]
+        for it in range(start, end):
+            counts = {tag: samplers[tag].draw(master_seed, it) for tag in tags}
+            for r, rows, total in zip(self.reducers, self.arrays, totals):
+                val = r.reduce(it, counts)
+                if total is None:
+                    rows[it - self.start] = val
+                else:
+                    total += val
+        for j, total in enumerate(totals):
+            if total is not None:
+                self._sum(j, total)
+
+    def finish(self) -> list:
+        return [r.finish(a) for r, a in zip(self.reducers, self.arrays)]
 
 
-def _fold(reducers: Sequence[Reducer], parts: list[list[np.ndarray]]) -> list[np.ndarray]:
-    """One array per reducer from its block results, in block order."""
-    out = []
-    for j, r in enumerate(reducers):
-        blocks = [p[j] for p in parts]
-        if r.mode == "sum":
-            total = np.zeros(r.out_shape, dtype=r.dtype)
-            for b in blocks:  # fold in block order: fixed summation tree
-                total += b
-            out.append(total)
-        else:
-            out.append(np.concatenate(blocks, axis=0))
-    return out
+def _task(task: tuple[int, int, int]) -> list:
+    """Group g's blocks in [start, end), folded in block order.
 
-
-def _task(task: tuple[int, int, int]) -> list[np.ndarray]:
-    """Group g's blocks in [start, end), folded in block order."""
+    A range that is the group's whole run comes back finished.
+    """
     g, start, end = task
     samplers = _hold(g)
-    reducers = _ACTIVE["reducers"][g]
-    seed = _ACTIVE["master_seed"]
-    return _fold(reducers, [
-        _run_chunk(samplers, reducers, seed, s, min(s + CHUNK_ITERATIONS, end))
-        for s in range(start, end, CHUNK_ITERATIONS)
-    ])
+    fold = _Fold(_ACTIVE["reducers"][g], start, end)
+    for s in range(start, end, CHUNK_ITERATIONS):
+        fold.run_block(samplers, _ACTIVE["master_seed"], s, min(s + CHUNK_ITERATIONS, end))
+    if end - start == _ACTIVE["iterations"]:
+        return fold.finish()
+    return fold.arrays
 
 
 def default_workers() -> int:
@@ -171,15 +196,16 @@ def run_simulation(
     master_seed: int,
     workers: int | None = None,
     progress: Callable[[int, int], None] | None = None,
-) -> list[np.ndarray]:
-    """Run the null simulation and return one array per reducer.
+) -> list:
+    """Run the null simulation and return one result per reducer.
 
     groups lists the station sets; each is a mapping of metric tag to
     sampler, or a zero-argument callable returning one (built where
     the schedule puts it, see the module docstring). reducers[j] reads
     groups[reducers[j].group]. Stack-mode reducers yield shape
     (iterations, *out_shape) with row i holding iteration i; sum-mode
-    reducers yield shape out_shape. The result depends only on
+    reducers yield shape out_shape; a reducer whose finish() is not the
+    identity yields what finish returns. The result depends only on
     (groups, reducers, iterations, master_seed), never on workers.
     progress(done, total) counts iterations over all groups and ends
     at done == total == len(groups) * iterations.
@@ -218,12 +244,14 @@ def run_simulation(
     ]
 
     global _ACTIVE, _HELD
-    _ACTIVE = {"groups": list(groups), "reducers": by_group, "master_seed": seed}
+    _ACTIVE = {
+        "groups": list(groups), "reducers": by_group, "master_seed": seed,
+        "iterations": iterations,
+    }
     pool = None
     total = n_groups * iterations
     done = 0
-    folded: list[list[np.ndarray]] = []
-    parts: list[list[np.ndarray]] = []
+    out: list = [None] * len(reducers)
     try:
         if workers == 1:
             results = map(_task, tasks)
@@ -238,24 +266,29 @@ def run_simulation(
             pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
             results = pool.map(_task, tasks)
         # results come in task order, so a group's ranges arrive in block
-        # order. Refolding a lone range adds it to +0.0 zeros: the identity,
-        # because a fold that starts at +0.0 can never hold -0.0.
-        for (g, s, e), part in zip(tasks, results):
-            parts.append(part)
+        # order and are folded as they come. Each is taken with next(): a
+        # zip would keep the last one alive while the next task runs.
+        fold = None
+        for g, s, e in tasks:
+            part = next(results)
             done += e - s
             if progress is not None:
                 progress(done, total)
-            if e == iterations:
-                folded.append(_fold(by_group[g], parts))
-                parts = []
+            if e - s == iterations:  # the task ran and finished the whole run
+                finished = part
+            else:
+                if s == 0:
+                    fold = _Fold(by_group[g], 0, iterations)
+                fold.add(s, part)
+                part = None
+                if e < iterations:
+                    continue
+                finished, fold = fold.finish(), None
+            for j, value in zip(members[g], finished):
+                out[j] = value
     finally:
         if pool is not None:
             pool.shutdown()
         _ACTIVE = None
         _HELD = None
-
-    out: list[np.ndarray | None] = [None] * len(reducers)
-    for idx, arrays in zip(members, folded):
-        for j, arr in zip(idx, arrays):
-            out[j] = arr
     return out

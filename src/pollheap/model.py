@@ -186,6 +186,9 @@ class ElectionDataset:
     filter_log: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        self._check(unique_ids_known=False)
+
+    def _check(self, unique_ids_known: bool) -> None:
         n = len(self.station_ids)
         for name in ("region_codes", "constituency_ids"):
             if len(getattr(self, name)) != n:
@@ -194,7 +197,7 @@ class ElectionDataset:
             object.__setattr__(self, name, _readonly(getattr(self, name)))
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} length mismatch")
-        if len(set(self.station_ids)) != n:
+        if not unique_ids_known and len(set(self.station_ids)) != n:
             raise ValueError(f"dataset {self.label!r}: station_ids are not unique")
         counts = np.stack([self.registered, self.given, self.cast, self.leader])
         outside = np.flatnonzero(((counts < 0) | (counts > MAX_COUNT)).any(axis=0))
@@ -279,24 +282,38 @@ class ElectionDataset:
         label: str | None = None,
         extra_log: Mapping[str, str] | None = None,
     ) -> "ElectionDataset":
-        """Subset preserving station order; used by filters and region cuts."""
+        """Subset preserving station order; used by filters and region cuts.
+
+        Strictly increasing indices (every boolean mask gives them) pick
+        distinct stations of a dataset whose ids are already unique, so
+        that subset skips the id uniqueness check; any other index array
+        gets every check.
+        """
         idx = np.asarray(indices)
         if idx.dtype == bool:
             idx = np.flatnonzero(idx)
         log = dict(self.filter_log)
         if extra_log:
             log.update(extra_log)
-        return ElectionDataset(
+
+        def pick(column: tuple[str, ...]) -> tuple[str, ...]:
+            return tuple(np.array(column, dtype=object)[idx].tolist())
+
+        subset = object.__new__(ElectionDataset)  # fields set here, checked below
+        subset.__dict__.update(
             label=label if label is not None else self.label,
-            station_ids=tuple(self.station_ids[i] for i in idx),
-            region_codes=tuple(self.region_codes[i] for i in idx),
-            constituency_ids=tuple(self.constituency_ids[i] for i in idx),
+            station_ids=pick(self.station_ids),
+            region_codes=pick(self.region_codes),
+            constituency_ids=pick(self.constituency_ids),
             registered=self.registered[idx],
             given=self.given[idx],
             cast=self.cast[idx],
             leader=self.leader[idx],
             filter_log=log,
         )
+        increasing = idx.size < 2 or (idx[0] >= 0 and bool((idx[1:] > idx[:-1]).all()))
+        subset._check(unique_ids_known=increasing)
+        return subset
 
     def region_partition(self) -> tuple[list[str], np.ndarray]:
         """Sorted unique region codes and each station's index into them."""

@@ -254,9 +254,7 @@ def _png_bytes(rgb: np.ndarray) -> bytes:
     )
 
 
-def _colormap(values: np.ndarray) -> np.ndarray:
-    """Map [0, 1] to a blue-white-red ramp, NaN to light gray."""
-    v = np.asarray(values, dtype=np.float64)
+def _colormap_row(v: np.ndarray) -> np.ndarray:
     nan = ~np.isfinite(v)
     v = np.where(nan, 0.5, np.clip(v, 0.0, 1.0))
     lo = np.array([33.0, 102.0, 172.0])
@@ -266,6 +264,19 @@ def _colormap(values: np.ndarray) -> np.ndarray:
     rgb = np.where(t < 0.5, lo + (mid - lo) * (t / 0.5), mid + (hi - mid) * ((t - 0.5) / 0.5))
     rgb[nan] = np.array([224.0, 224.0, 224.0])
     return np.clip(np.rint(rgb), 0, 255).astype(np.uint8)
+
+
+def _colormap(image: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Map [lo, hi] to a blue-white-red ramp, NaN and +-inf to light gray.
+
+    image is (height, width); it is normalized and mapped a row at a
+    time, so the float temporaries are one row wide, not one image.
+    """
+    v = np.asarray(image, dtype=np.float64)
+    rgb = np.empty(v.shape + (3,), dtype=np.uint8)
+    for row, out in zip(v, rgb):
+        out[...] = _colormap_row((row - lo) / (hi - lo))
+    return rgb
 
 
 def render_heatmap(
@@ -287,18 +298,16 @@ def render_heatmap(
     to top). Values are normalized to [v_lo, v_hi] (data range by
     default), optionally through log1p for mass-like data.
     """
-    m = np.asarray(matrix, dtype=np.float64)
-    vals = m.copy()
+    vals = np.asarray(matrix, dtype=np.float64)
     if log_scale:
         vals = np.log1p(np.maximum(vals, 0.0))
-    finite = vals[np.isfinite(vals)]
+    finite = vals[np.isfinite(vals)] if v_lo is None or v_hi is None else None
     lo = float(np.min(finite)) if v_lo is None else (np.log1p(v_lo) if log_scale else v_lo)
     hi = float(np.max(finite)) if v_hi is None else (np.log1p(v_hi) if log_scale else v_hi)
     if hi <= lo:
         hi = lo + 1.0
-    norm = (vals - lo) / (hi - lo)
     # image rows top-to-bottom = y descending; columns = x ascending
-    rgb = _colormap(norm.T[::-1])
+    rgb = _colormap(vals.T[::-1], lo, hi)
     png = base64.b64encode(_png_bytes(rgb)).decode("ascii")
 
     c = _Canvas(x_extent[0], x_extent[1], y_extent[0], y_extent[1], title, xlabel, ylabel)

@@ -97,13 +97,14 @@ class Spectrogram:
     ratio holds raw/mc_mean per (center, frequency) cell; cells whose
     MC average is zero are NaN rather than divided. centers span
     7.5% ... 92.5% in 0.1% steps; frequencies span 0 ... 5 per percent.
+    A caller that needs only the ratio may drop raw and mc_mean (None).
     """
 
     window_width: float
     centers: np.ndarray
     frequencies: np.ndarray
-    raw: np.ndarray
-    mc_mean: np.ndarray
+    raw: np.ndarray | None
+    mc_mean: np.ndarray | None
     ratio: np.ndarray
     mc_iterations: int
 

@@ -3,7 +3,8 @@
 Everything here is deliberately slow and literal: exact rational
 arithmetic for the probability mass functions, O(N^2) direct sums for
 the discrete Fourier transform, one csv record at a time for ingest,
-fresh arrays for every spectrogram row, binomial CDF tables built in
+fresh arrays for every spectrogram row, the heatmap colour ramp over a
+whole image at once, binomial CDF tables built in
 station order, one station's uniforms read alone from its Philox
 stream. None of it imports the package under test, so agreement
 between the two is meaningful evidence.
@@ -127,6 +128,24 @@ def spectrogram_rows(values, mc_rows, window_bins=151, fft_len=300):
     for i in range(mc.shape[0]):
         acc += raw_of(mc[i])
     return raw, acc / mc.shape[0]
+
+
+def colormap_whole(values) -> np.ndarray:
+    """The heatmap colour ramp computed over the whole array at once.
+
+    [0, 1] maps to blue-white-red, NaN and +-inf to light gray, in
+    float64 temporaries as large as the image times three.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    nan = ~np.isfinite(v)
+    v = np.where(nan, 0.5, np.clip(v, 0.0, 1.0))
+    lo = np.array([33.0, 102.0, 172.0])
+    mid = np.array([247.0, 247.0, 247.0])
+    hi = np.array([178.0, 24.0, 43.0])
+    t = v[..., None]
+    rgb = np.where(t < 0.5, lo + (mid - lo) * (t / 0.5), mid + (hi - mid) * ((t - 0.5) / 0.5))
+    rgb[nan] = np.array([224.0, 224.0, 224.0])
+    return np.clip(np.rint(rgb), 0, 255).astype(np.uint8)
 
 
 def count_in_window(percentages, centers: str, half_width: Fraction) -> int:

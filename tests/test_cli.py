@@ -502,6 +502,33 @@ class TestExitCodes:
         assert "error:" in err
         assert os.listdir(out) == [blocked]
 
+    def test_failing_csv_rows_leave_no_artifacts(self, data_dir, tmp_path, capsys, monkeypatch):
+        # the peak-shape rows are made while their CSV is written, after
+        # hist_turnout_avg.csv is staged
+        staged = []
+        real_stage = cli._stage
+
+        def spying_stage(path, *args):
+            staged.append(path.name)
+            return real_stage(path, *args)
+
+        def failing_rows(*args):
+            yield [0.0, 1.0]
+            raise ValueError("peak shape failed")
+
+        monkeypatch.setattr(cli, "_stage", spying_stage)
+        monkeypatch.setattr(cli, "_peak_shape_rows", failing_rows)
+        out = tmp_path / "out"
+        rc, _, err = run(
+            capsys,
+            ["histogram", "--input", str(data_dir / "clean.tsv"), str(data_dir / "fraud.tsv"),
+             "--average", "--iterations", "100", "--out", str(out)],
+        )
+        assert rc == 1
+        assert "peak shape failed" in err
+        assert staged == ["hist_turnout_avg.csv", "peak_shape_turnout.csv"]
+        assert list(out.rglob("*")) == []
+
     def test_duplicate_artifact_names_rejected(self, data_dir, tmp_path, capsys):
         out = tmp_path / "out"
         rc, _, err = run(
@@ -624,16 +651,10 @@ for argv in (
     assert proc.returncode == 0, proc.stderr
 
 
-def test_traced_run_keeps_the_benchmark_trace_contract(data_dir, tmp_path):
-    # perfbench/tracing.py wraps pollheap names where callers look them
-    # up; a traced multi-group pass must still show as one mc.run span
-    # whose tables are built in the workers
+def _traced_spans(argv: list[str], trace_dir: Path) -> list[dict]:
+    """Spans of one CLI run under perfbench/tracing.py, from every process."""
     src_dir = Path(pollheap.__file__).resolve().parent.parent
-    trace_dir = tmp_path / "trace"
     trace_dir.mkdir()
-    argv = ["histogram", "--input", str(data_dir / "clean.tsv"), str(data_dir / "fraud.tsv"),
-            "--out", str(tmp_path / "out"), "--iterations", "100", "--seed", "4",
-            "--workers", "2"]
     script = f"""
 import sys
 sys.path.insert(0, {str(src_dir.parent / "perfbench")!r})
@@ -650,14 +671,38 @@ sys.exit(rc)
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    spans = [json.loads(line) for f in sorted(trace_dir.glob("*.jsonl"))
-             for line in f.read_text().splitlines()]
+    return [json.loads(line) for f in sorted(trace_dir.glob("*.jsonl"))
+            for line in f.read_text().splitlines()]
+
+
+def test_traced_run_keeps_the_benchmark_trace_contract(data_dir, tmp_path):
+    # perfbench/tracing.py wraps pollheap names where callers look them
+    # up; a traced multi-group pass must still show as one mc.run span
+    # whose tables are built, and spectrograms computed, in the workers
+    mc = ["--iterations", "100", "--seed", "4", "--workers", "2"]
+    spans = _traced_spans(
+        ["histogram", "--input", str(data_dir / "clean.tsv"), str(data_dir / "fraud.tsv"),
+         "--out", str(tmp_path / "out"), *mc],
+        tmp_path / "trace",
+    )
     parent = {s["pid"] for s in spans if s["name"] == "cli.main"}
     builds = [s for s in spans if s["name"] == "sampling.build"]
     assert len(parent) == 1
     assert [s["name"] for s in spans].count("mc.run") == 1
     assert len(builds) == 4  # two inputs, two metrics each
     assert parent.isdisjoint(s["pid"] for s in builds)
+
+    spans = _traced_spans(
+        ["spectrum", "--input", str(data_dir / "fraud.tsv"), "--out", str(tmp_path / "spec"),
+         *mc],
+        tmp_path / "trace_spectrum",
+    )
+    parent = {s["pid"] for s in spans if s["name"] == "cli.main"}
+    grams = [s for s in spans if s["name"] == "spectral.spectrogram"]
+    assert len(parent) == 1
+    assert [s["name"] for s in spans].count("mc.run") == 1
+    assert len(grams) == 2  # turnout and result
+    assert parent.isdisjoint(s["pid"] for s in grams)
 
 
 def _sha(data: bytes) -> str:

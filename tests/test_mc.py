@@ -1,6 +1,7 @@
 """The Monte Carlo driver: groups, schedules and worker-count invariance."""
 
 import os
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -121,6 +122,92 @@ def test_tables_are_built_where_the_schedule_says(tmp_path, n_groups, workers, i
         assert set(pids) == {os.getpid()}
     else:
         assert os.getpid() not in pids
+
+
+class _PidFinish(_Share):
+    """Records the pid that finishes it, and returns the folded sum doubled."""
+
+    def __init__(self, metric, den, group, pid_log):
+        super().__init__(metric, den, group)
+        self.pid_log = pid_log
+
+    def finish(self, folded):
+        with open(self.pid_log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return ("finished", folded * 2.0)
+
+
+@pytest.mark.parametrize(
+    "n_groups, workers, in_parent",
+    [(3, 1, True), (3, 2, False), (3, 3, False), (3, 4, False), (3, 8, False),
+     (2, 8, False), (1, 1, True), (1, 3, True)],
+)
+def test_finish_runs_where_the_schedule_says(tmp_path, n_groups, workers, in_parent):
+    sets = _station_sets()[:n_groups]
+    log = tmp_path / "pids.txt"
+    reducers = [_PidFinish("turnout", c[0], k, log) for k, c in enumerate(sets)]
+    got = run_simulation(
+        [_builder(c) for c in sets], reducers, ITERATIONS, 8, workers=workers
+    )
+    plain = run_simulation(
+        [_builder(c) for c in sets], [_Share("turnout", c[0], k) for k, c in enumerate(sets)],
+        ITERATIONS, 8, workers=1,
+    )
+    assert [tag for tag, _ in got] == ["finished"] * n_groups
+    assert _bits(a for _, a in got) == _bits(a * 2.0 for a in plain)
+    pids = [int(p) for p in log.read_text().split()]
+    assert len(pids) == n_groups  # every reducer finished exactly once
+    if in_parent:
+        assert set(pids) == {os.getpid()}
+    else:
+        assert os.getpid() not in pids
+
+
+def test_failing_finish_in_a_worker_raises_and_clears_the_state():
+    sets = _station_sets()
+
+    class _Broken(_Share):
+        def finish(self, folded):
+            raise RuntimeError("finish failed")
+
+    reducers = [_Share("turnout", sets[0][0], 0), _Broken("turnout", sets[1][0], 1),
+                _Share("turnout", sets[2][0], 2)]
+    with pytest.raises(RuntimeError, match="finish failed"):
+        run_simulation([_builder(c) for c in sets], reducers, ITERATIONS, 8, workers=2)
+    assert mc._ACTIVE is None
+    assert mc._HELD is None
+
+
+class _Wide(Reducer):
+    """Sum mode over a float64 output far larger than the station set."""
+
+    mode = "sum"
+    dtype = np.dtype(np.float64)
+
+    def __init__(self, size):
+        self.out_shape = (size,)
+
+    def reduce(self, iteration_index, counts):
+        return np.full(self.out_shape, float(counts["turnout"].sum()))
+
+
+def test_one_worker_folds_blocks_as_they_arrive():
+    # 24 blocks of a 2 MB sum: keeping every block result until the last
+    # would hold 48 MB. A running fold holds four at most: the run's
+    # total, the current block's total, and the last reduce() result
+    # while the next one is made
+    (v, g, b, l), = _station_sets()[:1]
+    reducer = _Wide(250_000)
+    samplers = {"turnout": make_sampler(v, g, "binomial", "turnout")}
+    out_bytes = reducer.out_shape[0] * 8
+    tracemalloc.start()
+    try:
+        (total,) = run_simulation([samplers], [reducer], 24 * CHUNK_ITERATIONS, 8, workers=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert total.shape == reducer.out_shape
+    assert peak < 5 * out_bytes, peak / out_bytes
 
 
 def test_one_worker_holds_one_group_at_a_time():

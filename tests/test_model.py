@@ -149,6 +149,36 @@ class TestElectionDataset:
         assert np.array_equal(sub.given, null_multiregion.given[idx])
         assert list(sub.station_ids) == [null_multiregion.station_ids[i] for i in idx]
 
+    def test_take_matches_the_station_by_station_subset(self, null_multiregion):
+        ds = null_multiregion
+        n = len(ds)
+        rng = np.random.default_rng(17)
+        one = np.zeros(n, dtype=bool)
+        one[n // 2] = True
+        cases = [rng.random(n) < share for share in (0.0, 0.01, 0.5, 0.97, 1.0)] + [
+            one, np.array([], dtype=np.int64), np.array([n - 1]),
+            rng.permutation(n)[:50], np.array([-1, 0, 5]), np.arange(0, n, 7),
+        ]
+        for indices in cases:
+            sub = ds.take(indices, label="sub", extra_log={"x": "y"})
+            idx = np.flatnonzero(indices) if indices.dtype == bool else indices
+            assert sub.station_ids == tuple(ds.station_ids[i] for i in idx)
+            assert sub.region_codes == tuple(ds.region_codes[i] for i in idx)
+            assert sub.constituency_ids == tuple(ds.constituency_ids[i] for i in idx)
+            for name in ("registered", "given", "cast", "leader"):
+                assert np.array_equal(getattr(sub, name), getattr(ds, name)[idx])
+                assert not getattr(sub, name).flags.writeable
+            assert sub.label == "sub"
+            assert sub.filter_log == dict(ds.filter_log, x="y")
+        assert ds.take(one).label == ds.label
+
+    def test_take_with_repeated_stations_raises(self, null_multiregion):
+        n = len(null_multiregion)
+        # the last case increases, yet -(n - 1) and 1 are the same station
+        for idx in ([3, 3], [4, 2, 4], [-(n - 1), 1]):
+            with pytest.raises(ValueError, match="not unique"):
+                null_multiregion.take(np.array(idx))
+
     def test_region_partition_covers_everything(self, null_multiregion):
         codes, idx = null_multiregion.region_partition()
         assert len(idx) == len(null_multiregion)

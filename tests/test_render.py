@@ -7,7 +7,9 @@ from xml.dom import minidom
 
 import numpy as np
 
+import oracles
 from pollheap.render import (
+    _colormap,
     _fmt,
     _ticks,
     render_box_plot,
@@ -95,6 +97,26 @@ def test_heatmap_embeds_valid_png():
     idat = png[png.index(b"IDAT") + 4 : png.rindex(b"IEND") - 4]
     raw = zlib.decompress(idat)
     assert len(raw) == 30 * (1 + 40 * 3)
+
+
+def test_row_wise_colormap_matches_the_whole_image_ramp():
+    rng = np.random.default_rng(3)
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 0.5, 1.0, -2.5, 1.0 + 1e-12, 7.0,
+               0.5 - 1e-15, 0.5 + 1e-15, 1e308, -1e308]
+    for shape, lo, hi in [((1, 1), 0.0, 1.0), ((1, 9), 0.0, 1.0), ((9, 1), -1.0, 2.0),
+                          ((151, 851), 0.0, 3.0), ((4, 40), np.log1p(0.0), np.log1p(7.0))]:
+        image = rng.uniform(lo - 0.5, hi + 0.5, size=shape)
+        flat = image.reshape(-1)
+        picks = rng.integers(0, flat.size, size=min(flat.size, 3 * len(special)))
+        flat[picks] = np.resize(special, picks.size)
+        got = _colormap(image, lo, hi)
+        assert got.dtype == np.uint8 and got.shape == shape + (3,)
+        want = oracles.colormap_whole((image - lo) / (hi - lo))
+        assert got.tobytes() == want.tobytes()
+    grid = rng.uniform(0, 3, size=(30, 20))
+    flipped = grid.T[::-1]  # the heatmap passes a strided view
+    want = oracles.colormap_whole(((grid - 0.0) / 3.0).T[::-1])
+    assert _colormap(flipped, 0.0, 3.0).tobytes() == want.tobytes()
 
 
 def test_heatmap_log_scale_runs():
