@@ -42,11 +42,8 @@ from .ingest import (
 from .model import (
     ElectionDataset,
     FilterPolicy,
-    StationMetrics,
-    StationRecord,
     apply_filters,
     as_fraction,
-    compute_metrics,
 )
 from .regions import (
     Fingerprint2D,
@@ -109,8 +106,6 @@ __all__ = [
     "RegionPeakTable",
     "SchemaError",
     "Spectrogram",
-    "StationMetrics",
-    "StationRecord",
     "StatisticDef",
     "SyntheticElection",
     "WeightedHistogram",
@@ -120,7 +115,6 @@ __all__ = [
     "as_fraction",
     "average_histograms",
     "build_histogram",
-    "compute_metrics",
     "default_target_palette",
     "envelope_from_matrix",
     "exclude_regions",

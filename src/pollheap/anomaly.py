@@ -233,6 +233,19 @@ class _QReducer(Reducer):
         return np.array([ev(t, r, memo) for ev in self.evaluators], dtype=np.int64)
 
 
+def _band_indices(n: int, levels) -> tuple[int, int]:
+    """Sorted-sample indices of the percentile_band bounds of n samples."""
+    lo_level = as_fraction(levels[0])
+    hi_level = as_fraction(levels[1])
+    if not 0 <= lo_level <= hi_level <= 100:
+        raise ValueError("levels must satisfy 0 <= low <= high <= 100")
+    if n == 0:
+        raise ValueError("percentile_band needs at least one sample")
+    lo_idx = min(math.ceil(n * lo_level / 100), n - 1)
+    hi_idx = max(n - 1 - math.ceil(n * (100 - hi_level) / 100), 0)
+    return lo_idx, hi_idx
+
+
 def percentile_band(samples: np.ndarray, levels=DEFAULT_LEVELS) -> tuple[float, float]:
     """Order-statistic percentile interval at the given percent levels.
 
@@ -241,16 +254,8 @@ def percentile_band(samples: np.ndarray, levels=DEFAULT_LEVELS) -> tuple[float, 
     100 samples at levels (0.5, 99.5) give the second-smallest and
     second-largest values.
     """
-    lo_level = as_fraction(levels[0])
-    hi_level = as_fraction(levels[1])
-    if not 0 <= lo_level <= hi_level <= 100:
-        raise ValueError("levels must satisfy 0 <= low <= high <= 100")
     s = np.sort(np.asarray(samples))
-    n = s.size
-    if n == 0:
-        raise ValueError("percentile_band needs at least one sample")
-    lo_idx = min(math.ceil(n * lo_level / 100), n - 1)
-    hi_idx = max(n - 1 - math.ceil(n * (100 - hi_level) / 100), 0)
+    lo_idx, hi_idx = _band_indices(s.size, levels)
     return float(s[lo_idx]), float(s[hi_idx])
 
 

@@ -34,7 +34,7 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -476,15 +476,7 @@ def _cmd_validate(args: argparse.Namespace) -> tuple[dict, list]:
         }
         if reference is not None:
             disc = verify_subtotals(dataset, reference)
-            entry["discrepancies"] = [
-                {
-                    "region_code": d.region_code,
-                    "field": d.field,
-                    "expected": d.expected,
-                    "actual": d.actual,
-                }
-                for d in disc
-            ]
+            entry["discrepancies"] = [asdict(d) for d in disc]
         results.append(entry)
     return {"results": results}, [("validation.json", {"results": results})]
 
@@ -929,19 +921,7 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, list]:
             "requested": log.requested,
             "modified": log.modified,
             "skipped": [{"station_id": sid, "reason": why} for sid, why in log.skipped],
-            "records": [
-                {
-                    "station_id": r.station_id,
-                    "mechanism": r.mechanism,
-                    "metric": r.metric,
-                    "target_percent": r.target_percent,
-                    "given_before": r.given_before,
-                    "given_after": r.given_after,
-                    "leader_before": r.leader_before,
-                    "leader_after": r.leader_after,
-                }
-                for r in log.records
-            ],
+            "records": [asdict(r) for r in log.records],
         }
 
     # the data file carries only the canonical header so it loads back

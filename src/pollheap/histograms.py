@@ -4,13 +4,11 @@ Histograms put each station's registered-voter count into the bin
 containing its turnout or result percentage. Bins are centered on a
 uniform grid 0.0, bw, 2*bw, ..., 100.0 and are lower-closed: bin k
 covers [k*bw - bw/2, k*bw + bw/2). Bin assignment for unjittered data
-is exact integer arithmetic: with m bins per percent, the index of
-100*num/den is (200*m*num + den) // (2*den).
+is exact integer arithmetic (see percent_bin).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -21,7 +19,7 @@ import numpy as np
 from .mc import Reducer, run_simulation
 from .model import ElectionDataset, as_fraction
 from .sampling import METRIC_CODES, NullModel, make_sampler
-from .anomaly import DEFAULT_LEVELS, percentile_band
+from .anomaly import DEFAULT_LEVELS, _band_indices
 
 __all__ = [
     "WeightedHistogram",
@@ -96,6 +94,15 @@ def _metric_arrays(dataset: ElectionDataset, metric: str):
     raise ValueError(f"metric must be one of {sorted(METRIC_CODES)}")
 
 
+def percent_bin(num: np.ndarray, den: np.ndarray, m: int) -> np.ndarray:
+    """Bin of each 100*num/den on the grid of m bins per percent (den > 0).
+
+    Exact: the nearest multiple of 1/m percent, a half-way value going
+    up, is (200*m*num + den) // (2*den).
+    """
+    return (200 * m * num + den) // (2 * den)
+
+
 def _bin_histogram(
     num: np.ndarray,
     den: np.ndarray,
@@ -114,7 +121,7 @@ def _bin_histogram(
     if idx.size == 0:
         return out
     if jitter_u is None:
-        bins = (200 * m * num[idx] + den[idx]) // (2 * den[idx])
+        bins = percent_bin(num[idx], den[idx], m)
     else:
         pct = 100.0 * (num[idx] + jitter_u[idx]) / den[idx]
         bins = np.floor(pct * m + 0.5).astype(np.int64)
@@ -299,18 +306,17 @@ class Envelope:
 def envelope_from_matrix(
     matrix: np.ndarray, metric: str, bin_width, levels=DEFAULT_LEVELS
 ) -> Envelope:
-    """Order-statistic band per bin from a (iterations, bins) matrix."""
+    """Order-statistic band per bin from a (iterations, bins) matrix.
+
+    Each bin's band is percentile_band of its column.
+    """
     n = matrix.shape[0]
-    lo_level = as_fraction(levels[0])
-    hi_level = as_fraction(levels[1])
-    # same order-statistic convention as percentile_band, vectorized
-    lo_idx = min(math.ceil(n * lo_level / 100), n - 1)
-    hi_idx = max(n - 1 - math.ceil(n * (100 - hi_level) / 100), 0)
+    lo_idx, hi_idx = _band_indices(n, levels)
     s = np.sort(matrix, axis=0)
     return Envelope(
         metric=metric,
         bin_width=as_fraction(bin_width),
-        levels=(float(lo_level), float(hi_level)),
+        levels=(float(as_fraction(levels[0])), float(as_fraction(levels[1]))),
         iterations=n,
         low=s[lo_idx].astype(np.float64),
         high=s[hi_idx].astype(np.float64),

@@ -21,7 +21,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .model import MAX_COUNT, ElectionDataset, StationRecord
+from .model import MAX_COUNT, ElectionDataset
 
 __all__ = [
     "ColumnMapping",

@@ -1,27 +1,24 @@
-"""Domain types for polling-station election data.
+"""Election datasets as count columns, and the station filter.
 
 Each station carries four integer counts: registered voters, given
-ballots, cast ballots, and ballots for the leading candidate.
-Percentages derived from those counts (turnout, leader's result) are
-kept as exact integer ratios until a comparison or a histogram bin
-actually needs a real number, so decisions near boundaries such as
-69.95% never depend on floating-point rounding.
+ballots, cast ballots, and ballots for the leading candidate. A
+dataset holds them as four int64 columns. Percentages derived from
+those counts (turnout, leader's result) are decided on the columns in
+exact integer arithmetic, so decisions near boundaries such as 69.95%
+never depend on floating-point rounding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
-    "StationRecord",
-    "StationMetrics",
     "ElectionDataset",
     "FilterPolicy",
-    "compute_metrics",
     "apply_filters",
     "as_fraction",
     "MAX_COUNT",
@@ -64,9 +61,7 @@ MAX_COUNT = 10**9
 #   _Evaluator.refilter_max      100*pd*num, pn*den           1e17
 #   _side_residues               100*num                      1e11
 #   _side_membership             hd*min(r, d-r), hd*|2r-d|    1e15
-#   _bin_histogram (m <= 1000)   200*m*num + den              2e14
-#   _region_histograms (m = 10)  2000*num + den               2e12
-#   fingerprint (m = 2)          400*given + registered       4e11
+#   percent_bin (m <= 1000)      200*m*num + den              2e14
 #   a histogram bin or cell      sum of registered            N*C
 #   regions sum over iterations  I bin sums                   I*N*C
 #
@@ -92,73 +87,6 @@ def as_fraction(value: int | float | str | Fraction) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact percentage")
 
 
-@dataclass(frozen=True, slots=True)
-class StationRecord:
-    """Raw counts for one polling station."""
-
-    station_id: str
-    region_code: str
-    constituency_id: str
-    registered: int
-    given: int
-    cast: int
-    leader: int
-
-    def count_violation(self) -> str | None:
-        """Name the first violated count constraint, or None if sane.
-
-        A consistent protocol satisfies leader <= cast <= given <=
-        registered. Real exports contain isolated violations; those are
-        reported here and handled by the filter, never by aborting.
-        """
-        if min(self.registered, self.given, self.cast, self.leader) < 0:
-            return "negative count"
-        if self.leader > self.cast:
-            return "leader exceeds cast"
-        if self.cast > self.given:
-            return "cast exceeds given"
-        if self.given > self.registered:
-            return "given exceeds registered"
-        return None
-
-
-@dataclass(frozen=True, slots=True)
-class StationMetrics:
-    """Derived percentages for one station, as exact ratios.
-
-    result is None when cast = 0 (the ratio is undefined).
-    """
-
-    turnout: Fraction
-    result: Fraction | None
-
-    @property
-    def turnout_percent(self) -> float:
-        return float(self.turnout)
-
-    @property
-    def result_percent(self) -> float | None:
-        return None if self.result is None else float(self.result)
-
-
-def compute_metrics(record: StationRecord) -> StationMetrics:
-    """Exact turnout and result percentages for a station.
-
-    turnout = given/registered * 100, result = leader/cast * 100.
-    Raises ValueError when registered is not positive.
-    """
-    if record.registered <= 0:
-        raise ValueError(
-            f"station {record.station_id!r}: registered must be positive "
-            f"to define turnout (got {record.registered})"
-        )
-    turnout = Fraction(100 * record.given, record.registered)
-    result = None
-    if record.cast > 0:
-        result = Fraction(100 * record.leader, record.cast)
-    return StationMetrics(turnout=turnout, result=result)
-
-
 def _readonly(values: Sequence[int] | np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(values, dtype=np.int64)
     arr.setflags(write=False)
@@ -170,9 +98,11 @@ class ElectionDataset:
     """Ordered, immutable collection of stations for one election.
 
     Storage is columnar (one int64 array per count field) because every
-    analysis is vectorized over stations; StationRecord views are
-    materialized on demand. filter_log maps excluded station ids to the
-    single primary reason for their exclusion.
+    analysis is vectorized over stations. Every count lies in
+    [0, MAX_COUNT]; the order leader <= cast <= given <= registered is
+    not required here, apply_filters drops the stations that break it.
+    filter_log maps excluded station ids to the single primary reason
+    for their exclusion.
     """
 
     label: str
@@ -239,42 +169,8 @@ class ElectionDataset:
             leader=np.asarray(leader, dtype=np.int64),
         )
 
-    @classmethod
-    def from_records(
-        cls,
-        label: str,
-        records: Sequence[StationRecord],
-        filter_log: Mapping[str, str] | None = None,
-    ) -> "ElectionDataset":
-        records = list(records)
-        return cls(
-            label=label,
-            station_ids=tuple(r.station_id for r in records),
-            region_codes=tuple(r.region_code for r in records),
-            constituency_ids=tuple(r.constituency_id for r in records),
-            registered=np.array([r.registered for r in records], dtype=np.int64),
-            given=np.array([r.given for r in records], dtype=np.int64),
-            cast=np.array([r.cast for r in records], dtype=np.int64),
-            leader=np.array([r.leader for r in records], dtype=np.int64),
-            filter_log=dict(filter_log or {}),
-        )
-
     def __len__(self) -> int:
         return len(self.station_ids)
-
-    def record(self, i: int) -> StationRecord:
-        return StationRecord(
-            station_id=self.station_ids[i],
-            region_code=self.region_codes[i],
-            constituency_id=self.constituency_ids[i],
-            registered=int(self.registered[i]),
-            given=int(self.given[i]),
-            cast=int(self.cast[i]),
-            leader=int(self.leader[i]),
-        )
-
-    def __iter__(self) -> Iterator[StationRecord]:
-        return (self.record(i) for i in range(len(self)))
 
     def take(
         self,
@@ -371,14 +267,11 @@ def apply_filters(
     bound = min(policy.max_percentage, Fraction(100))
     bn, bd = bound.numerator, bound.denominator
 
+    # counts are never negative (ElectionDataset checks the range)
     invalid = (
         (L > B)
         | (B > G)
         | (G > V)
-        | (V < 0)
-        | (G < 0)
-        | (B < 0)
-        | (L < 0)
         | (V == 0)
     )
     too_small = V < policy.min_registered

@@ -14,10 +14,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
+from .histograms import percent_bin
 from .mc import Reducer, run_simulation
 from .model import ElectionDataset
 from .sampling import NullModel, make_sampler
@@ -65,7 +66,7 @@ def _region_histograms(
     out = np.zeros((n_regions, _N_BINS), dtype=np.int64)
     ok = np.flatnonzero(den > 0)
     if ok.size:
-        bins = (200 * _BINS_PER_PERCENT * num[ok] + den[ok]) // (2 * den[ok])
+        bins = percent_bin(num[ok], den[ok], _BINS_PER_PERCENT)
         np.add.at(out, (region_idx[ok], bins), weight[ok])
     return out
 
@@ -303,8 +304,8 @@ def fingerprint(
     n_bins = 100 * m + 1
     ok = np.flatnonzero((dataset.cast > 0) & (dataset.registered > 0))
     cells = np.zeros((n_bins, n_bins), dtype=np.int64)
-    ti = (200 * m * dataset.given[ok] + dataset.registered[ok]) // (2 * dataset.registered[ok])
-    ri = (200 * m * dataset.leader[ok] + dataset.cast[ok]) // (2 * dataset.cast[ok])
+    ti = percent_bin(dataset.given[ok], dataset.registered[ok], m)
+    ri = percent_bin(dataset.leader[ok], dataset.cast[ok], m)
     np.add.at(cells, (ti, ri), dataset.registered[ok])
 
     t_pct = 100.0 * dataset.given[ok] / dataset.registered[ok]

@@ -15,7 +15,6 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Literal, Sequence
 
 import numpy as np
 
@@ -329,14 +328,15 @@ def inject_fraud(
         i = int(i)
         sid = dataset.station_ids[i]
         g0, l0 = int(given[i]), int(leader[i])
+        label, target, changed = "both", None, True
         if spec.mechanism in ("integer_rounding", "five_multiple_rounding"):
             if spec.metric_choice == "either":
-                metric = "turnout" if rng.random() < 0.5 else "result"
-                sides = (metric,)
+                sides = ("turnout" if rng.random() < 0.5 else "result",)
             elif spec.metric_choice == "both":
                 sides = ("turnout", "result")
             else:
                 sides = (spec.metric_choice,)
+            label = sides[0] if len(sides) == 1 else "both"
             target = int(rng.choice(percents, p=weights))
             changed = False
             for metric in sides:
@@ -364,42 +364,26 @@ def inject_fraud(
                         continue
                     leader[i] = num
                     changed = True
-            if changed:
-                records.append(
-                    InjectionRecord(
-                        station_id=sid,
-                        mechanism=spec.mechanism,
-                        metric=sides[0] if len(sides) == 1 else "both",
-                        target_percent=float(target),
-                        given_before=g0,
-                        leader_before=l0,
-                        given_after=int(given[i]),
-                        leader_after=int(leader[i]),
-                    )
-                )
         elif spec.mechanism == "ballot_stuffing":
             s = rng.uniform(0.1, 0.5)
             given[i] = g0 + int(np.floor(s * (int(V[i]) - g0)))
             leader[i] = l0 + int(np.floor(s * (int(B[i]) - l0)))
-            records.append(
-                InjectionRecord(
-                    station_id=sid, mechanism=spec.mechanism, metric="both",
-                    target_percent=None,
-                    given_before=g0, leader_before=l0,
-                    given_after=int(given[i]), leader_after=int(leader[i]),
-                )
-            )
         else:  # extreme_cluster
             u1 = rng.uniform(0.95, 0.999)
             u2 = rng.uniform(0.95, 0.999)
             given[i] = max(int(np.rint(u1 * int(V[i]))), int(B[i]))
             leader[i] = int(np.rint(u2 * int(B[i])))
+        if changed:
             records.append(
                 InjectionRecord(
-                    station_id=sid, mechanism=spec.mechanism, metric="both",
-                    target_percent=None,
-                    given_before=g0, leader_before=l0,
-                    given_after=int(given[i]), leader_after=int(leader[i]),
+                    station_id=sid,
+                    mechanism=spec.mechanism,
+                    metric=label,
+                    target_percent=None if target is None else float(target),
+                    given_before=g0,
+                    leader_before=l0,
+                    given_after=int(given[i]),
+                    leader_after=int(leader[i]),
                 )
             )
 

@@ -152,6 +152,14 @@ class TestEnvelope:
         assert env.iterations == 100
         assert env.levels == (0.5, 99.5)
 
+    def test_levels_are_checked_like_percentile_band(self):
+        # without the check (-5, 50) gave a low row above the high row,
+        # (60, 40) was accepted and (0.5, 150) raised IndexError
+        matrix = np.arange(300).reshape(100, 3)
+        for levels in ((-5, 50), (60, 40), (0.5, 150)):
+            with pytest.raises(ValueError, match="levels must satisfy"):
+                envelope_from_matrix(matrix, "turnout", Fraction(1, 10), levels)
+
     def test_iteration_floor(self, null_2k):
         with pytest.raises(ValueError):
             histogram_envelope(null_2k, "turnout", "binomial", 99, 1)

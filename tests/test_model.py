@@ -1,4 +1,4 @@
-"""Core data model: records, exact metrics, filtering, dataset ops."""
+"""Core data model: exact bounds, filtering, dataset ops."""
 
 from fractions import Fraction
 
@@ -15,10 +15,8 @@ from pollheap.model import (
     MAX_DENOMINATOR,
     ElectionDataset,
     FilterPolicy,
-    StationRecord,
     apply_filters,
     as_fraction,
-    compute_metrics,
 )
 from pollheap.regions import _region_histograms, fingerprint
 
@@ -42,44 +40,6 @@ class TestAsFraction:
     def test_garbage_raises(self):
         with pytest.raises(ValueError):
             as_fraction("half a percent")
-
-
-class TestStationRecord:
-    def test_count_violation_names_first_broken_rule(self):
-        r = StationRecord("s1", "R", "", registered=100, given=50, cast=60, leader=10)
-        assert r.count_violation() == "cast exceeds given"
-
-    def test_leader_exceeding_cast_flagged(self):
-        r = StationRecord("s1", "R", "", registered=100, given=80, cast=70, leader=71)
-        assert r.count_violation() == "leader exceeds cast"
-
-    def test_negative_count_flagged(self):
-        r = StationRecord("s1", "R", "", registered=-1, given=0, cast=0, leader=0)
-        assert r.count_violation() == "negative count"
-
-    def test_consistent_record_has_no_violation(self):
-        r = StationRecord("s1", "R", "c", registered=200, given=140, cast=138, leader=90)
-        assert r.count_violation() is None
-
-
-class TestComputeMetrics:
-    def test_exact_percentages(self):
-        r = StationRecord("s", "R", "", registered=974, given=682, cast=680, leader=340)
-        m = compute_metrics(r)
-        assert m.turnout == Fraction(682 * 100, 974)
-        assert m.result == Fraction(340 * 100, 680) == Fraction(50)
-
-    def test_zero_cast_has_undefined_result(self):
-        r = StationRecord("s", "R", "", registered=100, given=0, cast=0, leader=0)
-        m = compute_metrics(r)
-        assert m.turnout == 0
-        assert m.result is None
-        assert m.result_percent is None
-
-    def test_zero_registered_raises(self):
-        r = StationRecord("s", "R", "", registered=0, given=0, cast=0, leader=0)
-        with pytest.raises(ValueError):
-            compute_metrics(r)
 
 
 class TestFilters:
@@ -213,9 +173,7 @@ class TestElectionDataset:
                 with pytest.raises(ValueError, match="outside"):
                     make_dataset(*counts)
         with pytest.raises(ValueError, match="outside"):
-            ElectionDataset.from_records(
-                "t", [StationRecord("s1", "R", "", registered=-5, given=0, cast=0, leader=0)]
-            )
+            make_dataset([-5], [0], [0], [0])
         ds = make_dataset([MAX_COUNT, 0], [MAX_COUNT, 0], [MAX_COUNT, 0], [MAX_COUNT, 0])
         assert len(ds) == 2
 
@@ -224,11 +182,6 @@ class TestElectionDataset:
         ds = make_dataset([100, 300], [120, 200], [110, 190], [50, 100])
         assert len(ds) == 2
         assert apply_filters(ds).filter_log[ds.station_ids[0]] == "invalid_counts"
-
-    def test_record_roundtrip(self, null_2k):
-        r = null_2k.record(17)
-        assert r.registered == null_2k.registered[17]
-        assert r.station_id == null_2k.station_ids[17]
 
 
 @settings(max_examples=30, deadline=None)

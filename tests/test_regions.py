@@ -1,6 +1,5 @@
 """Regional decomposition: peak tables, exclusion, 2D fingerprints."""
 
-import warnings
 from fractions import Fraction
 
 import numpy as np

@@ -15,7 +15,6 @@ from pollheap import sampling
 from pollheap.sampling import (
     METRIC_CODES,
     _build_table,
-    DatasetSampler,
     NullModel,
     binom_quantile,
     iteration_uniforms,

@@ -44,11 +44,10 @@ class TestGenerate:
     def test_count_invariants_hold(self):
         elec = generate(GeneratorConfig(n_stations=500), 7)
         ds = elec.dataset
+        assert np.all(ds.leader >= 0)
         assert np.all(ds.leader <= ds.cast)
         assert np.all(ds.cast <= ds.given)
         assert np.all(ds.given <= ds.registered)
-        assert np.all(ds.leader >= 0)
-        assert all(ds.record(i).count_violation() is None for i in range(20))
 
     def test_probability_arrays_align(self):
         elec = generate(GeneratorConfig(n_stations=64), 1)
