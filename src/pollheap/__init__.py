@@ -25,7 +25,6 @@ from .histograms import (
     average_histograms,
     build_histogram,
     envelope_from_matrix,
-    histogram_envelope,
     mc_histogram_matrices,
     mc_histograms,
     peak_shape,
@@ -121,7 +120,6 @@ __all__ = [
     "fingerprint",
     "generate",
     "harmonic_profile",
-    "histogram_envelope",
     "inject_fraud",
     "is_in_window",
     "load_dataset",

@@ -12,7 +12,6 @@ center iff hd * |2r - den| <= 2 * hn * den.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .mc import Reducer, run_simulation
-from .model import MAX_DENOMINATOR, ElectionDataset, as_fraction
+from .model import MAX_DENOMINATOR, METRICS, ElectionDataset, as_fraction
 from .sampling import NullModel, make_sampler
 
 __all__ = [
@@ -37,7 +36,12 @@ __all__ = [
 ]
 
 CENTER_KINDS = ("integer", "half_integer")
-METRIC_SCOPES = ("turnout_or_result", "turnout_only", "result_only")
+# the metrics each scope reads
+METRIC_SCOPES = {
+    "turnout_or_result": METRICS,
+    "turnout_only": ("turnout",),
+    "result_only": ("result",),
+}
 WEIGHTINGS = ("station_count", "registered_voters")
 
 DEFAULT_LEVELS = (Fraction(1, 2), Fraction(199, 2))
@@ -74,7 +78,7 @@ class StatisticDef:
 
     def __post_init__(self) -> None:
         if self.metric_scope not in METRIC_SCOPES:
-            raise ValueError(f"metric_scope must be one of {METRIC_SCOPES}")
+            raise ValueError(f"metric_scope must be one of {tuple(METRIC_SCOPES)}")
         if self.weighting not in WEIGHTINGS:
             raise ValueError(f"weighting must be one of {WEIGHTINGS}")
 
@@ -102,7 +106,7 @@ _Residues = tuple[np.ndarray, np.ndarray, np.ndarray]
 def _side_residues(num: np.ndarray, den: np.ndarray) -> _Residues:
     """Stations with den > 0, their den, and r = (100 * num) mod den.
 
-    Every window tested on one side's numerators needs only these.
+    Every window tested on one metric's numerators needs only these.
     """
     ok = np.flatnonzero(den > 0)
     d = den[ok]
@@ -110,7 +114,7 @@ def _side_residues(num: np.ndarray, den: np.ndarray) -> _Residues:
 
 
 def _side_membership(residues: _Residues, size: int, window: WindowSpec) -> np.ndarray:
-    """Window membership per station from one side's _side_residues."""
+    """Window membership per station from one metric's _side_residues."""
     ok, d, r = residues
     hn = window.half_width.numerator
     hd = window.half_width.denominator
@@ -128,78 +132,57 @@ def _side_membership(residues: _Residues, size: int, window: WindowSpec) -> np.n
 class _Evaluator:
     """Evaluates one (StatisticDef, WindowSpec) pair on numerator arrays.
 
-    Denominators and weights are frozen at construction; the same
-    instance scores the empirical numerators and every simulated
-    iteration, guaranteeing both sides use identical station sets and
-    identical membership arithmetic.
+    Denominators and weights come from the dataset; the same instance
+    scores the empirical numerators and every simulated iteration,
+    guaranteeing both sides use identical station sets and identical
+    membership arithmetic.
     """
 
     stat: StatisticDef
     window: WindowSpec
-    registered: np.ndarray
-    cast: np.ndarray
+    dataset: ElectionDataset
     # sensitivity toggle: drop stations whose evaluated percentages
-    # exceed this cap. Off by default, so simulated iterations score
-    # the exact station set the empirical statistic used.
+    # exceed this cap (checked by run_nulls). Off by default, so
+    # simulated iterations score the exact station set the empirical
+    # statistic used.
     refilter_max: Fraction | None = None
 
-    def __call__(
-        self, turnout_num: np.ndarray, result_num: np.ndarray, memo: dict | None = None
-    ) -> int:
-        """Score one set of numerators.
+    def __call__(self, nums: Mapping[str, np.ndarray], memo: dict | None = None) -> int:
+        """Score one set of numerators, keyed by metric.
 
         Evaluators built on one dataset that share a memo over the same
-        numerators compute each side's residues once (key: side, None)
-        and each side's membership in a window once (key: side, window).
-        Memo entries are never modified in place.
+        numerators compute each metric's residues once (key: metric,
+        None) and each metric's membership in a window once (key:
+        metric, window). Memo entries are never modified in place.
         """
         memo = {} if memo is None else memo
-        scope = self.stat.metric_scope
-        sides = []
-        if scope != "result_only":
-            sides.append(("turnout", turnout_num, self.registered))
-        if scope != "turnout_only":
-            sides.append(("result", result_num, self.cast))
         member = None
-        for side, num, den in sides:
-            key = (side, self.window)
+        for metric in METRIC_SCOPES[self.stat.metric_scope]:
+            num = nums[metric]
+            den = self.dataset.metric(metric)[1]
+            key = (metric, self.window)
             if key not in memo:
-                if (side, None) not in memo:
-                    memo[(side, None)] = _side_residues(num, den)
-                memo[key] = _side_membership(memo[(side, None)], den.size, self.window)
+                if (metric, None) not in memo:
+                    memo[(metric, None)] = _side_residues(num, den)
+                memo[key] = _side_membership(memo[(metric, None)], den.size, self.window)
             m = memo[key]
             if self.stat.zero_exclusion:
                 m = m & (num % 10 != 0) & (den % 10 != 0)
             member = m if member is None else member | m
         if self.refilter_max is not None:
             pn, pd = self.refilter_max.numerator, self.refilter_max.denominator
-            member = member & (100 * pd * turnout_num <= pn * self.registered)
-            ok_cast = self.cast > 0
-            member = member & (~ok_cast | (100 * pd * result_num <= pn * self.cast))
+            for metric in METRICS:
+                num, den = nums[metric], self.dataset.metric(metric)[1]
+                # make_sampler rejected num > den, so den == 0 means
+                # num == 0, which the cap keeps anyway
+                member = member & ((den == 0) | (100 * pd * num <= pn * den))
         if self.stat.weighting == "registered_voters":
-            return int(self.registered[member].sum())
+            return int(self.dataset.registered[member].sum())
         return int(np.count_nonzero(member))
 
-
-def _make_evaluator(
-    dataset: ElectionDataset,
-    stat: StatisticDef,
-    window: WindowSpec,
-    refilter_max: Fraction | None = None,
-) -> _Evaluator:
-    if refilter_max is not None:
-        refilter_max = as_fraction(refilter_max)
-        if not 0 < refilter_max <= 100:
-            raise ValueError("refilter_max_percent must be in (0, 100]")
-        if refilter_max.denominator > MAX_DENOMINATOR:
-            raise ValueError("refilter_max_percent denominator too large")
-    return _Evaluator(
-        stat=stat,
-        window=window,
-        registered=dataset.registered,
-        cast=dataset.cast,
-        refilter_max=refilter_max,
-    )
+    def empirical(self, memo: dict | None = None) -> int:
+        """The score of the dataset's own numerators."""
+        return self({m: self.dataset.metric(m)[0] for m in METRICS}, memo)
 
 
 def empirical_statistic(
@@ -212,8 +195,7 @@ def empirical_statistic(
     or registered count ends in digit 0, and the result side those
     whose leader or cast count ends in 0.
     """
-    ev = _make_evaluator(dataset, stat, window)
-    return ev(dataset.given, dataset.leader)
+    return _Evaluator(stat, window, dataset).empirical()
 
 
 class _QReducer(Reducer):
@@ -227,10 +209,8 @@ class _QReducer(Reducer):
         self.out_shape = (len(self.evaluators),)
 
     def reduce(self, iteration_index: int, counts: Mapping[str, np.ndarray]):
-        t = counts["turnout"]
-        r = counts["result"]
         memo: dict = {}
-        return np.array([ev(t, r, memo) for ev in self.evaluators], dtype=np.int64)
+        return np.array([ev(counts, memo) for ev in self.evaluators], dtype=np.int64)
 
 
 def _band_indices(n: int, levels) -> tuple[int, int]:
@@ -284,8 +264,8 @@ class AnomalyReport:
             return f"<{self.p_value_bound:.6g}"
         return f"{self.p_value_bound:.6g}"
 
-    def to_dict(self, include_samples: bool = False) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        return {
             "metric_scope": self.statistic.metric_scope,
             "weighting": self.statistic.weighting,
             "zero_exclusion": self.statistic.zero_exclusion,
@@ -306,12 +286,6 @@ class AnomalyReport:
             "p_value_bound": self.p_value_bound,
             "p_is_bound": self.p_is_bound,
         }
-        if include_samples:
-            d["mc_samples"] = [int(v) for v in self.mc_samples]
-        return d
-
-    def to_json(self, include_samples: bool = False) -> str:
-        return json.dumps(self.to_dict(include_samples), sort_keys=True)
 
 
 def _build_report(
@@ -377,29 +351,35 @@ def run_nulls(
     sensitivity variant that drops such stations per iteration; it
     makes the effective station count random, so it is off by default.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
     if iterations < 100:
         raise ValueError("iterations must be >= 100 for meaningful percentiles")
     if not defs:
         raise ValueError("at least one statistic definition is required")
+    refilter_max = None
+    if refilter_max_percent is not None:
+        refilter_max = as_fraction(refilter_max_percent)
+        if not 0 < refilter_max <= 100:
+            raise ValueError("refilter_max_percent must be in (0, 100]")
+        if refilter_max.denominator > MAX_DENOMINATOR:
+            raise ValueError("refilter_max_percent denominator too large")
     if isinstance(model, str):
         model = NullModel.parse(model)
-    samplers = {
-        "turnout": make_sampler(dataset.registered, dataset.given, model, "turnout"),
-        "result": make_sampler(dataset.cast, dataset.leader, model, "result"),
-    }
+    # built before run_simulation, not by a group builder, so building
+    # the tables is not part of the simulation pass
+    samplers = {}
+    for metric in METRICS:
+        num, den = dataset.metric(metric)
+        samplers[metric] = make_sampler(den, num, model, metric)
     evaluators = [
-        _make_evaluator(dataset, stat, window, refilter_max_percent)
-        for stat, window in defs
+        _Evaluator(stat, window, dataset, refilter_max) for stat, window in defs
     ]
-    reducer = _QReducer(evaluators)
     (samples_matrix,) = run_simulation(
-        [samplers], [reducer], iterations, master_seed, workers, progress
+        [samplers], [_QReducer(evaluators)], iterations, master_seed, workers, progress
     )
+    memo: dict = {}
     reports = []
     for j, (stat, window) in enumerate(defs):
-        emp = evaluators[j](dataset.given, dataset.leader)
+        emp = evaluators[j].empirical(memo)
         reports.append(
             _build_report(
                 stat, window, model, iterations, master_seed, levels,

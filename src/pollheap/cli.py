@@ -58,8 +58,15 @@ from .histograms import (
     mc_histograms,  # noqa: F401  not called here; perfbench/tracing.py patches cli.mc_histograms
     peak_shape,
 )
-from .ingest import PROFILES, SchemaError, load_dataset, verify_subtotals, write_canonical_tsv
-from .model import FilterPolicy, apply_filters, as_fraction
+from .ingest import (
+    PROFILES,
+    SchemaError,
+    load_dataset,
+    load_reference,
+    verify_subtotals,
+    write_canonical_tsv,
+)
+from .model import METRICS, FilterPolicy, apply_filters, as_fraction
 from .regions import exclude_regions, fingerprint, region_peaks, restrict_regions
 from .render import (
     render_box_plot,
@@ -128,6 +135,16 @@ def _levels_arg(text: str) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
+def _positive_int_arg(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
+
+
 def _model_arg(text: str) -> NullModel:
     try:
         return NullModel.parse(text)
@@ -187,7 +204,7 @@ def _add_mc(p: argparse.ArgumentParser, default_iterations: int) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int_arg,
         default=None,
         help="simulation worker processes (default: available parallelism)",
     )
@@ -221,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, multi_input=True)
     _add_filters(p)
     _add_mc(p, default_iterations=0)
-    p.add_argument("--metric", default="both", choices=("turnout", "result", "both"))
+    p.add_argument("--metric", default="both", choices=(*METRICS, "both"))
     p.add_argument("--bins", type=_fraction_arg, default=Fraction(1, 10), help="bin width in percent")
     p.add_argument("--jitter", action="store_true", help="de-heap by jittering numerators")
     p.add_argument("--include-hundred", action="store_true", help="keep exact-100%% stations")
@@ -236,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_filters(p)
     _add_mc(p, default_iterations=200)
-    p.add_argument("--metric", default="both", choices=("turnout", "result", "both"))
+    p.add_argument("--metric", default="both", choices=(*METRICS, "both"))
 
     p = sub.add_parser("regions", help="attribute window peaks to regions and rank them")
     _add_common(p, multi_input=True)
@@ -458,10 +475,7 @@ def _prepare(args: argparse.Namespace, path: str):
 
 
 def _cmd_validate(args: argparse.Namespace) -> tuple[dict, list]:
-    reference = None
-    if args.reference:
-        with open(args.reference, "r", encoding="utf-8") as fh:
-            reference = json.load(fh)
+    reference = load_reference(args.reference) if args.reference else None
 
     results = []
     for path in args.input:
@@ -577,7 +591,7 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, list]:
 
 
 def _metrics(arg: str) -> tuple[str, ...]:
-    return ("turnout", "result") if arg == "both" else (arg,)
+    return METRICS if arg == "both" else (arg,)
 
 
 def _peak_shape_rows(hists, means, metric: str, bin_width: Fraction):
@@ -826,7 +840,7 @@ def _cmd_regions(args: argparse.Namespace) -> tuple[dict, list]:
     if excluded:
         files.append(("excluded_regions.txt", "\n".join(excluded) + "\n"))
         without = f"without_top_{len(excluded)}"
-        for metric in ("turnout", "result"):
+        for metric in METRICS:
             full = [build_histogram(d, metric) for d in datasets.values()]
             reduced = [
                 build_histogram(exclude_regions(d, excluded), metric)

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .mc import Reducer, run_simulation
-from .model import ElectionDataset, as_fraction
+from .model import METRICS, ElectionDataset, as_fraction
 from .sampling import METRIC_CODES, NullModel, make_sampler
 from .anomaly import DEFAULT_LEVELS, _band_indices
 
@@ -28,7 +28,6 @@ __all__ = [
     "build_histogram",
     "mc_histograms",
     "mc_histogram_matrices",
-    "histogram_envelope",
     "average_histograms",
     "peak_shape",
 ]
@@ -59,8 +58,8 @@ class WeightedHistogram:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.metric not in METRIC_CODES:
-            raise ValueError(f"metric must be one of {sorted(METRIC_CODES)}")
+        if self.metric not in METRICS:
+            raise ValueError(f"metric must be one of {sorted(METRICS)}")
         bw = as_fraction(self.bin_width)
         m = _bins_per_percent(bw)
         object.__setattr__(self, "bin_width", bw)
@@ -84,14 +83,6 @@ class WeightedHistogram:
             self.bin_width == other.bin_width
             and self.weights.size == other.weights.size
         )
-
-
-def _metric_arrays(dataset: ElectionDataset, metric: str):
-    if metric == "turnout":
-        return dataset.given, dataset.registered
-    if metric == "result":
-        return dataset.leader, dataset.cast
-    raise ValueError(f"metric must be one of {sorted(METRIC_CODES)}")
 
 
 def percent_bin(num: np.ndarray, den: np.ndarray, m: int) -> np.ndarray:
@@ -154,7 +145,7 @@ def build_histogram(
     (seed, metric) only.
     """
     m = _bins_per_percent(bin_width)
-    num, den = _metric_arrays(dataset, metric)
+    num, den = dataset.metric(metric)
     u = None
     if jitter:
         u = _jitter_uniforms((int(seed), _JITTER_STREAM_OFFSET + METRIC_CODES[metric]), len(dataset))
@@ -263,8 +254,6 @@ def mc_histogram_matrices(
     simulation completes (Reducer.finish), so with several jobs over
     several workers each matrix stays in the worker that made it.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
     if not jobs:
         raise ValueError("at least one (dataset, metric) job is required")
     m = _bins_per_percent(bin_width)
@@ -273,7 +262,7 @@ def mc_histogram_matrices(
     groups = []
     reducers = []
     for k, (dataset, metric) in enumerate(jobs):
-        num, den = _metric_arrays(dataset, metric)
+        num, den = dataset.metric(metric)
         groups.append(_sampler_builder(den, num, model, metric))
         reducers.append(
             _HistogramReducer(
@@ -322,28 +311,6 @@ def envelope_from_matrix(
         high=s[hi_idx].astype(np.float64),
         mean=matrix.mean(axis=0),
     )
-
-
-def histogram_envelope(
-    dataset: ElectionDataset,
-    metric: str,
-    model: NullModel | str,
-    iterations: int,
-    master_seed: int,
-    levels=DEFAULT_LEVELS,
-    bin_width=DEFAULT_BIN_WIDTH,
-    jitter: bool = False,
-    suppress_hundred: bool = True,
-    workers: int | None = None,
-) -> Envelope:
-    """MC percentile envelope of the metric's histogram."""
-    if iterations < 100:
-        raise ValueError("iterations must be >= 100 for meaningful percentiles")
-    matrix = mc_histograms(
-        dataset, metric, model, iterations, master_seed,
-        bin_width, jitter, suppress_hundred, workers,
-    )
-    return envelope_from_matrix(matrix, metric, bin_width, levels)
 
 
 def average_histograms(histograms: Sequence[WeightedHistogram]) -> WeightedHistogram:

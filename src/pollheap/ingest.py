@@ -32,6 +32,7 @@ __all__ = [
     "PROFILES",
     "CANONICAL_FIELDS",
     "load_dataset",
+    "load_reference",
     "verify_subtotals",
     "write_canonical_tsv",
 ]
@@ -212,17 +213,6 @@ class IngestReport:
         self.skipped += 1
         if len(self.errors) < MAX_RECORDED_ERRORS:
             self.errors.append(f"line {line_no}: {message}")
-
-    def to_json(self) -> str:
-        payload = {
-            "path": self.path,
-            "profile": self.profile,
-            "parsed": self.parsed,
-            "skipped": self.skipped,
-            "invalid": self.invalid,
-            "errors": self.errors,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _resolve_indices(
@@ -505,6 +495,37 @@ class Discrepancy:
     actual: int | None
 
 
+def load_reference(path: str | Path) -> dict[str, dict[str, int]]:
+    """Read a JSON file of per-region reference totals for verify_subtotals.
+
+    The file must hold an object mapping region codes to objects whose
+    keys are count fields and whose values are non-negative integers.
+    Anything else raises SchemaError, so a misspelled field or a
+    fractional, quoted or boolean total cannot pass unnoticed.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            reference = json.load(fh)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise SchemaError(f"{path}: not a JSON file: {exc}") from None
+    if not isinstance(reference, dict):
+        raise SchemaError(f"{path}: reference must be an object keyed by region code")
+    for code, totals in reference.items():
+        if not isinstance(totals, dict):
+            raise SchemaError(f"{path}: region {code!r} must be an object of count totals")
+        for name, value in totals.items():
+            if name not in COUNT_FIELDS:
+                raise SchemaError(
+                    f"{path}: region {code!r} has unknown count field {name!r}"
+                )
+            if type(value) is not int or value < 0:
+                raise SchemaError(
+                    f"{path}: region {code!r} {name} total {json.dumps(value)} "
+                    "is not a non-negative integer"
+                )
+    return reference
+
+
 def verify_subtotals(
     dataset: ElectionDataset,
     reference: Mapping[str, Mapping[str, int]],
@@ -512,8 +533,8 @@ def verify_subtotals(
     """Compare per-region count sums against published reference totals.
 
     reference maps region_code to {field: expected_sum} for any subset
-    of the four count fields. Returns one Discrepancy per disagreement;
-    an empty list means exact agreement.
+    of the four count fields, as load_reference reads it. Returns one
+    Discrepancy per disagreement; an empty list means exact agreement.
     """
     codes, idx = dataset.region_partition()
     sums: dict[str, dict[str, int]] = {}

@@ -63,8 +63,8 @@ class Reducer:
     """Per-iteration reduction of simulated counts.
 
     Subclasses set out_shape/dtype/mode and implement reduce(), which
-    receives the iteration index and a dict of simulated count arrays
-    keyed by metric tag ("turnout", "result") of the reducer's group.
+    receives the iteration index and a dict of simulated numerator
+    arrays of the reducer's group, keyed by metric name (model.METRICS).
     mode "stack" keeps one row per iteration; mode "sum" accumulates
     elementwise totals. reduce() must be pure and must not mutate
     shared state: the same instance runs concurrently in forked

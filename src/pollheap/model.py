@@ -2,10 +2,13 @@
 
 Each station carries four integer counts: registered voters, given
 ballots, cast ballots, and ballots for the leading candidate. A
-dataset holds them as four int64 columns. Percentages derived from
-those counts (turnout, leader's result) are decided on the columns in
-exact integer arithmetic, so decisions near boundaries such as 69.95%
-never depend on floating-point rounding.
+dataset holds them as four int64 columns. Every analysis reads the two
+METRICS, turnout (given / registered) and the leader's result
+(leader / cast), as (numerators, denominators) column pairs from
+ElectionDataset.metric, the one place that pairs a metric with its
+columns. Percentages are decided on the columns in exact integer
+arithmetic, so decisions near boundaries such as 69.95% never depend
+on floating-point rounding.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 __all__ = [
+    "METRICS",
     "ElectionDataset",
     "FilterPolicy",
     "apply_filters",
@@ -29,6 +33,10 @@ __all__ = [
     "REASON_OVER_RESULT",
     "REASON_UNDEFINED_RESULT",
 ]
+
+# The two percentages of every station, in the order of their sampling
+# stream tags (0, 1); ElectionDataset.metric gives each one's columns.
+METRICS = ("turnout", "result")
 
 # Exclusion reason tags, in precedence order. A station excluded for
 # several reasons is logged under the first one that applies.
@@ -57,7 +65,7 @@ MAX_COUNT = 10**9
 # the iterations of a run; a bin sum adds registered counts.
 #
 #   site                         largest product              bound
-#   apply_filters                100*G*bd, bn*V               1e17
+#   apply_filters                100*num*bd, bn*den           1e17
 #   _Evaluator.refilter_max      100*pd*num, pn*den           1e17
 #   _side_residues               100*num                      1e11
 #   _side_membership             hd*min(r, d-r), hd*|2r-d|    1e15
@@ -172,6 +180,17 @@ class ElectionDataset:
     def __len__(self) -> int:
         return len(self.station_ids)
 
+    def metric(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """(numerators, denominators) of one of METRICS.
+
+        turnout is given / registered and result is leader / cast.
+        """
+        if name == "turnout":
+            return self.given, self.registered
+        if name == "result":
+            return self.leader, self.cast
+        raise ValueError(f"metric must be one of {sorted(METRICS)}")
+
     def take(
         self,
         indices: np.ndarray,
@@ -263,7 +282,7 @@ def apply_filters(
     L = dataset.leader
 
     # a valid station's percentages never exceed 100, so a higher cap
-    # acts as 100; the clamp keeps bn * V inside int64 for any cap
+    # acts as 100; the clamp keeps bn * den inside int64 for any cap
     bound = min(policy.max_percentage, Fraction(100))
     bn, bd = bound.numerator, bound.denominator
 
@@ -275,18 +294,17 @@ def apply_filters(
         | (V == 0)
     )
     too_small = V < policy.min_registered
-    # turnout > bound  <=>  100*G*bd > bn*V, exact in int64 for any
-    # real-world census size because bd <= MAX_DENOMINATOR
-    over_turnout = 100 * G * bd > bn * V
-    over_result = (B > 0) & (100 * L * bd > bn * B)
+    # percent > bound  <=>  100*num*bd > bn*den, exact in int64 for any
+    # real-world census size because bd <= MAX_DENOMINATOR; with den = 0
+    # it holds only for num > 0, which invalid_counts has already taken
+    over = [100 * num * bd > bn * den for num, den in map(dataset.metric, METRICS)]
     undefined = (B == 0) & policy.exclude_undefined_result
 
     reasons = np.full(len(dataset), "", dtype=object)
     for mask, tag in (
         (invalid, REASON_INVALID),
         (too_small, REASON_TOO_SMALL),
-        (over_turnout, REASON_OVER_TURNOUT),
-        (over_result, REASON_OVER_RESULT),
+        *zip(over, (REASON_OVER_TURNOUT, REASON_OVER_RESULT)),
         (undefined, REASON_UNDEFINED_RESULT),
     ):
         fresh = mask & (reasons == "")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .histograms import percent_bin
 from .mc import Reducer, run_simulation
-from .model import ElectionDataset
+from .model import METRICS, ElectionDataset
 from .sampling import NullModel, make_sampler
 
 __all__ = [
@@ -41,8 +41,6 @@ _N_BINS = 100 * _BINS_PER_PERCENT + 1
 _INTEGER_CANDIDATES = tuple(Fraction(k) for k in range(70, 99))
 _HALF_CANDIDATES = tuple(Fraction(2 * k + 1, 2) for k in range(70, 100))
 
-_METRIC_ORDER = ("turnout", "result")
-
 
 def _candidate_list(center_kind: str) -> tuple[tuple[Fraction, str], ...]:
     """Ordered candidates: percent ascending, turnout before result."""
@@ -52,7 +50,7 @@ def _candidate_list(center_kind: str) -> tuple[tuple[Fraction, str], ...]:
         percents = _HALF_CANDIDATES
     else:
         raise ValueError("center_kind must be 'integer' or 'half_integer'")
-    return tuple((p, m) for p in percents for m in _METRIC_ORDER)
+    return tuple((p, m) for p in percents for m in METRICS)
 
 
 def _region_histograms(
@@ -112,17 +110,18 @@ class RegionPeakTable:
     def rows_for(self, region_code: str) -> list[RegionPeakRow]:
         return [r for r in self.rows if r.region_code == region_code]
 
-    def top(self, count: int) -> tuple[str, ...]:
-        return self.ranking[:count]
-
 
 def _sampler_builder(ds: ElectionDataset, model: NullModel):
-    # make_sampler is looked up when the group is built, which may be
-    # in a forked worker
-    return lambda: {
-        "turnout": make_sampler(ds.registered, ds.given, model, "turnout"),
-        "result": make_sampler(ds.cast, ds.leader, model, "result"),
-    }
+    def build():
+        # make_sampler is looked up when the group is built, which may
+        # be in a forked worker
+        samplers = {}
+        for metric in METRICS:
+            num, den = ds.metric(metric)
+            samplers[metric] = make_sampler(den, num, model, metric)
+        return samplers
+
+    return build
 
 
 def region_peaks(
@@ -144,15 +143,13 @@ def region_peaks(
     Regions are ranked by their maximum amplitude over datasets,
     descending, ties by code.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
     if not datasets:
         raise ValueError("at least one dataset is required")
     candidates = _candidate_list(center_kind)
     cand_bins = np.array(
         [int(p * _BINS_PER_PERCENT) for p, _ in candidates], dtype=np.int64
     )
-    cand_metric_is_result = np.array([m == "result" for _, m in candidates])
+    cand_metric = np.array([METRICS.index(m) for _, m in candidates], dtype=np.int64)
 
     if isinstance(model, str):
         model = NullModel.parse(model)
@@ -170,13 +167,12 @@ def region_peaks(
         groups.append(_sampler_builder(ds, model))
         reducers += [
             _RegionHistogramReducer(
-                "turnout", region_idx, len(codes), ds.registered, ds.registered, group=g
-            ),
-            _RegionHistogramReducer(
-                "result", region_idx, len(codes), ds.cast, ds.registered, group=g
-            ),
+                m, region_idx, len(codes), ds.metric(m)[1], ds.registered, group=g
+            )
+            for m in METRICS
         ]
-    sums = run_simulation(groups, reducers, iterations, master_seed, workers, progress)
+    # one simulated sum per (dataset, metric), in that order
+    sums = iter(run_simulation(groups, reducers, iterations, master_seed, workers, progress))
 
     rows: list[RegionPeakRow] = []
     best: dict[str, float] = {}
@@ -184,20 +180,17 @@ def region_peaks(
         ds = datasets[label]
         codes, region_idx = partitions[g]
         n_regions = len(codes)
-        mc_mean = {
-            "turnout": sums[2 * g] / iterations,
-            "result": sums[2 * g + 1] / iterations,
-        }
-        emp = {
-            "turnout": _region_histograms(region_idx, n_regions, ds.given, ds.registered, ds.registered),
-            "result": _region_histograms(region_idx, n_regions, ds.leader, ds.cast, ds.registered),
-        }
-        # (n_regions, n_candidates) excess, candidate order fixed above
-        excess = np.where(
-            cand_metric_is_result[None, :],
-            emp["result"][:, cand_bins] - mc_mean["result"][:, cand_bins],
-            emp["turnout"][:, cand_bins] - mc_mean["turnout"][:, cand_bins],
+        # (n_regions, metric, bin) excess of the data over the MC mean
+        diff = np.stack(
+            [
+                _region_histograms(region_idx, n_regions, *ds.metric(m), ds.registered)
+                - next(sums) / iterations
+                for m in METRICS
+            ],
+            axis=1,
         )
+        # (n_regions, n_candidates) excess, candidate order fixed above
+        excess = diff[:, cand_metric, cand_bins]
         present = {c: i for i, c in enumerate(codes)}
         for code in all_codes:
             if code not in present:
@@ -302,14 +295,17 @@ def fingerprint(
     """
     m = 2  # bins per percent at 0.5% width
     n_bins = 100 * m + 1
-    ok = np.flatnonzero((dataset.cast > 0) & (dataset.registered > 0))
+    t_num, t_den = dataset.metric("turnout")
+    r_num, r_den = dataset.metric("result")
+    ok = np.flatnonzero((r_den > 0) & (t_den > 0))
+    t_num, t_den, r_num, r_den = t_num[ok], t_den[ok], r_num[ok], r_den[ok]
     cells = np.zeros((n_bins, n_bins), dtype=np.int64)
-    ti = percent_bin(dataset.given[ok], dataset.registered[ok], m)
-    ri = percent_bin(dataset.leader[ok], dataset.cast[ok], m)
+    ti = percent_bin(t_num, t_den, m)
+    ri = percent_bin(r_num, r_den, m)
     np.add.at(cells, (ti, ri), dataset.registered[ok])
 
-    t_pct = 100.0 * dataset.given[ok] / dataset.registered[ok]
-    r_pct = 100.0 * dataset.leader[ok] / dataset.cast[ok]
+    t_pct = 100.0 * t_num / t_den
+    r_pct = 100.0 * r_num / r_den
     w = dataset.registered[ok].astype(np.float64) if weighted_correlation else None
     corr = _pearson(t_pct, r_pct, w)
     return Fingerprint2D(

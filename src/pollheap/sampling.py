@@ -28,6 +28,8 @@ from typing import Literal
 
 import numpy as np
 
+from .model import METRICS
+
 __all__ = [
     "NullModel",
     "DatasetSampler",
@@ -36,7 +38,8 @@ __all__ = [
     "make_sampler",
 ]
 
-METRIC_CODES = {"turnout": 0, "result": 1}
+# a metric's stream tag is its place in METRICS
+METRIC_CODES = {metric: code for code, metric in enumerate(METRICS)}
 
 # Support window for tabulated CDFs: mean +- _TAIL_SIGMAS stddevs plus
 # slack. Beyond-window draws are settled by the direct quantile.
@@ -383,8 +386,8 @@ def _empirical_p(den: np.ndarray, num: np.ndarray) -> np.ndarray:
 class DatasetSampler:
     """Vectorized per-iteration draws for one dataset + metric + model.
 
-    den holds the fixed denominators (registered voters for turnout,
-    cast ballots for the result), num the empirical numerators. This
+    den holds the metric's fixed denominators and num its empirical
+    numerators, as ElectionDataset.metric gives them. This
     object only caches derived tables; it is read-only after
     construction and safe to share across worker processes.
     """

@@ -168,6 +168,34 @@ class TestValidate:
         assert {"region_code": "A", "field": "given", "expected": 1201, "actual": 1200} in disc
         assert all(d["field"] != "leader" for d in disc)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"R00": {"registered": null}}',
+            "[1, 2]",
+            '{"R00": 5}',
+            '{"R00": {"given": 1.5}}',
+            '{"R00": {"given": "12"}}',
+            '{"R00": {"given": true}}',
+            '{"R00": {"gvien": 12}}',
+            '{"R00": {"cast": -1}}',
+            "{not json",
+        ],
+    )
+    def test_malformed_reference_is_a_usage_error(self, data_dir, tmp_path, capsys, text):
+        ref = tmp_path / "ref.json"
+        ref.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        rc, summary, err = run(
+            capsys,
+            ["validate", "--input", str(data_dir / "clean.tsv"), "--reference", str(ref),
+             "--out", str(out)],
+        )
+        assert rc == 2
+        assert summary is None
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert not out.exists()
+
     def test_oversized_count_is_one_invalid_row(self, tmp_path, capsys):
         # int64 cannot hold the first count; the second fits int64 but
         # not the exact products analyze forms
@@ -454,6 +482,14 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "--input", "x.tsv", "--window", "0.7"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["analyze", "histogram", "spectrum", "regions"])
+    @pytest.mark.parametrize("workers", ["0", "-4", "two"])
+    def test_workers_must_be_a_positive_integer(self, capsys, command, workers):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--input", "x.tsv", "--workers", workers])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

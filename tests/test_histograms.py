@@ -13,7 +13,6 @@ from pollheap.histograms import (
     average_histograms,
     build_histogram,
     envelope_from_matrix,
-    histogram_envelope,
     mc_histograms,
     peak_shape,
 )
@@ -160,12 +159,9 @@ class TestEnvelope:
             with pytest.raises(ValueError, match="levels must satisfy"):
                 envelope_from_matrix(matrix, "turnout", Fraction(1, 10), levels)
 
-    def test_iteration_floor(self, null_2k):
-        with pytest.raises(ValueError):
-            histogram_envelope(null_2k, "turnout", "binomial", 99, 1)
-
     def test_band_ordering_and_coverage(self, null_2k):
-        env = histogram_envelope(null_2k, "turnout", "binomial", 100, 7)
+        matrix = mc_histograms(null_2k, "turnout", "binomial", 100, 7)
+        env = envelope_from_matrix(matrix, "turnout", Fraction(1, 10))
         assert np.all(env.low <= env.high)
         emp = build_histogram(null_2k, "turnout").weights
         dense = env.mean >= 0.25 * env.mean.max()

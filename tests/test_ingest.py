@@ -335,5 +335,5 @@ def test_block_loader_matches_row_oracle_property(
         invalid=want["invalid"],
         errors=want["errors"],
     )
-    assert report.to_json() == expected.to_json()
+    assert report == expected
 

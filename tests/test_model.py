@@ -13,12 +13,14 @@ from pollheap.histograms import build_histogram
 from pollheap.model import (
     MAX_COUNT,
     MAX_DENOMINATOR,
+    METRICS,
     ElectionDataset,
     FilterPolicy,
     apply_filters,
     as_fraction,
 )
 from pollheap.regions import _region_histograms, fingerprint
+from pollheap.sampling import METRIC_CODES
 
 import oracles
 from helpers import make_dataset, random_counts
@@ -138,6 +140,18 @@ class TestElectionDataset:
         for idx in ([3, 3], [4, 2, 4], [-(n - 1), 1]):
             with pytest.raises(ValueError, match="not unique"):
                 null_multiregion.take(np.array(idx))
+
+    def test_metric_pairs_each_percentage_with_its_columns(self, null_2k):
+        num, den = null_2k.metric("turnout")
+        assert num is null_2k.given and den is null_2k.registered
+        num, den = null_2k.metric("result")
+        assert num is null_2k.leader and den is null_2k.cast
+        with pytest.raises(ValueError, match="metric must be one of"):
+            null_2k.metric("given")
+
+    def test_metric_order_fixes_the_sampling_stream_tags(self):
+        assert METRICS == ("turnout", "result")
+        assert METRIC_CODES == {"turnout": 0, "result": 1}
 
     def test_region_partition_covers_everything(self, null_multiregion):
         codes, idx = null_multiregion.region_partition()
