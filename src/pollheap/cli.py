@@ -135,14 +135,22 @@ def _levels_arg(text: str) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def _positive_int_arg(text: str) -> int:
+def _int_at_least(text: str, minimum: int, kind: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"{value} is not a {kind} integer")
     return value
+
+
+def _positive_int_arg(text: str) -> int:
+    return _int_at_least(text, 1, "positive")
+
+
+def _non_negative_int_arg(text: str) -> int:
+    return _int_at_least(text, 0, "non-negative")
 
 
 def _model_arg(text: str) -> NullModel:
@@ -201,7 +209,7 @@ def _add_filters(p: argparse.ArgumentParser) -> None:
 def _add_mc(p: argparse.ArgumentParser, default_iterations: int) -> None:
     p.add_argument("--model", type=_model_arg, default=NullModel("binomial"))
     p.add_argument("--iterations", type=int, default=default_iterations)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int_arg, default=0)
     p.add_argument(
         "--workers",
         type=_positive_int_arg,
@@ -276,14 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".", help="output directory for artifacts")
     p.add_argument("--stations", type=int, required=True)
     p.add_argument("--regions", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int_arg, default=0)
     p.add_argument("--fraud-mechanism", default=None, choices=MECHANISMS)
     p.add_argument("--fraud-fraction", type=float, default=0.0)
     p.add_argument("--fraud-side", default="just_above", choices=TARGET_SIDES)
     p.add_argument("--fraud-metric", default="either", choices=METRIC_CHOICES)
     p.add_argument("--fraud-regions", type=_codes_arg, default=None)
     p.add_argument("--fraud-window", type=_fraction_arg, default=Fraction(1, 20))
-    p.add_argument("--fraud-seed", type=int, default=None)
+    p.add_argument("--fraud-seed", type=_non_negative_int_arg, default=None)
     return parser
 
 

@@ -71,10 +71,12 @@ MAX_COUNT = 10**9
 #   _side_membership             hd*min(r, d-r), hd*|2r-d|    1e15
 #   percent_bin (m <= 1000)      200*m*num + den              2e14
 #   a histogram bin or cell      sum of registered            N*C
-#   regions sum over iterations  I bin sums                   I*N*C
+#   regions sum over iterations  I bin sums                   I*R
 #
-# Only the last two grow with the input, and both stay exact while
-# I*N < 9.2e9.
+# R is the largest region's registered total (at most N*C). Only the
+# last two grow with the input: a bin or cell is exact while N*C fits
+# int64, and region_peaks raises ValueError before simulating when
+# I*R would not.
 
 
 def as_fraction(value: int | float | str | Fraction) -> Fraction:

@@ -35,6 +35,7 @@ __all__ = [
 
 _BINS_PER_PERCENT = 10  # peak tables always use the 0.1% grid
 _N_BINS = 100 * _BINS_PER_PERCENT + 1
+_INT64_MAX = 2**63 - 1
 
 # Candidate centers. Integer mode: the 29 integers 70..98, i.e. 58
 # candidates over both metrics. Half-integer control: 70.5..99.5.
@@ -160,10 +161,14 @@ def region_peaks(
     groups = []
     reducers = []
     partitions = []
+    largest = 0  # registered total of the largest region
     for g, label in enumerate(labels):
         ds = datasets[label]
         codes, region_idx = ds.region_partition()
         partitions.append((codes, region_idx))
+        totals = np.zeros(len(codes), dtype=np.int64)
+        np.add.at(totals, region_idx, ds.registered)
+        largest = max(largest, int(totals.max(initial=0)))
         groups.append(_sampler_builder(ds, model))
         reducers += [
             _RegionHistogramReducer(
@@ -171,6 +176,12 @@ def region_peaks(
             )
             for m in METRICS
         ]
+    # a bin adds at most its region's total per iteration, summed in int64
+    if iterations * largest > _INT64_MAX:
+        raise ValueError(
+            f"{iterations} iterations would overflow the int64 region sums; "
+            f"at most {_INT64_MAX // largest} fit"
+        )
     # one simulated sum per (dataset, metric), in that order
     sums = iter(run_simulation(groups, reducers, iterations, master_seed, workers, progress))
 

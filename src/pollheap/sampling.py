@@ -9,16 +9,20 @@ result is bit-identical under any parallel schedule.
 
 Counts are produced from those uniforms by inverse-CDF transforms using
 the convention k = min{k : F(k) > u}, which maps a uniform on [0, 1)
-to the exact pmf. The hot path precomputes, per station, the binomial
-CDF over a central support window, rows laid out in order of width. A
-lookup starts each station at a Cornish-Fisher estimate from constants
-stored at build and walks the station's table row to the first entry
-above u (sequential search from a start, Devroye 1986, section III.2);
-rows are non-decreasing, so the start sets only how far it walks. Draws
-landing outside the window (probability ~1e-12 each) fall back to a
-direct quantile whose CDF authority is scipy's bdtr. scipy.special is
-imported inside the functions that call it, so a command that never
-draws or builds a table never loads scipy.
+to the exact pmf. The hot path computes, per station, the binomial CDF
+over a central support window, and stores only the central band of
+each row, rows laid out in order of window width. A lookup starts each
+station at a Cornish-Fisher estimate from constants stored at build and
+walks the station's band to the first entry above u (sequential search
+from a start, Devroye 1986, section III.2); rows are non-decreasing, so
+the start sets only how far it walks. A draw whose answer lies outside
+the band (about one in 10^5) is finished on its station's full window,
+rebuilt with the build's own arithmetic, and one outside the window
+(probability ~1e-12) falls back to a direct quantile whose CDF
+authority is scipy's bdtr; either way the draw is the one a table of
+whole windows gives. scipy.special is imported inside the functions
+that call it, so a command that never draws or builds a table never
+loads scipy.
 """
 
 from __future__ import annotations
@@ -46,9 +50,15 @@ METRIC_CODES = {metric: code for code, metric in enumerate(METRICS)}
 _TAIL_SIGMAS = 7.5
 _TAIL_PAD = 5
 
-# Above this many table entries (~1.2 GB as float64) skip tables and
-# invert per draw instead. This bounds the tables themselves; the
-# build's scratch space is bounded separately by _BUILD_CELLS.
+# Stored band of each row: mean +- _BAND_SIGMAS stddevs plus the same
+# slack, clipped to the window. A row stores about half its window.
+_BAND_SIGMAS = 4.0
+
+# Above this many computed window entries (~1.2 GB as float64) skip
+# tables and invert per draw instead. It counts the whole window, not
+# the band a table stores, so the table-or-direct choice (and with it
+# every draw) does not depend on the band; the build's scratch space is
+# bounded separately by _BUILD_CELLS.
 _MAX_TABLE_ENTRIES = 150_000_000
 
 # Cells (rows x widest row) per build chunk: about 0.5 MB per float64
@@ -193,25 +203,28 @@ def binom_quantile(u, n, p) -> np.ndarray:
 
 @dataclass
 class _QuantileTable:
-    """Per-station tabulated binomial CDFs over a central support window.
+    """Per-station tabulated binomial CDFs over a band of each window.
 
-    Station i's row F(lo[i]), F(lo[i] + 1), ... is cdf[starts[i]:
-    starts[i] + last[i] + 1]; rows lie in order of width, not of
+    Station i's stored row F(lo[i]), F(lo[i] + 1), ... is cdf[starts[i]:
+    starts[i] + last[i] + 1], the entries of its computed window's row
+    that lie in its band; rows lie in order of window width, not of
     station. shift, sig and skew are the per-station constants of the
     lookup's Cornish-Fisher start, so a draw evaluates only ndtri and a
-    few in-place operations.
+    few in-place operations. When full is set, every band is its whole
+    window.
     """
 
     n: np.ndarray  # int64 denominators
     p: np.ndarray  # float64 success probabilities
-    lo: np.ndarray  # int64 first tabulated outcome per station
+    lo: np.ndarray  # int64 first stored outcome (the band's) per station
     starts: np.ndarray  # int64 index of each station's row in cdf
-    last: np.ndarray  # int64 row width - 1
-    cdf: np.ndarray  # float64 flat: every row back to back
-    left_tail: np.ndarray  # float64 F(lo - 1) per station
+    last: np.ndarray  # int64 stored row width - 1
+    cdf: np.ndarray  # float64 flat: every stored row back to back
+    left_tail: np.ndarray  # float64 band tail F(lo - 1) per station
     shift: np.ndarray  # float64 mu + 0.5 - lo
     sig: np.ndarray  # float64 sqrt(n p q)
     skew: np.ndarray  # float64 (q - p) / 6
+    full: bool  # each band is its whole window: strays go to binom_quantile
 
     def lookup(self, u: np.ndarray) -> np.ndarray:
         """Map one uniform per station to a count.
@@ -220,7 +233,11 @@ class _QuantileTable:
         clipped into its row, and walks up while cdf <= u and down while
         the entry below is > u. A row is a running sum of non-negative
         terms, so the walk ends at the row's first entry above u from any
-        start; the start only sets how far it walks.
+        start; the start only sets how far it walks. That entry is the
+        answer the whole window gives exactly when u is at or above the
+        band's tail and the walk stops inside the band; every other
+        station is a stray, and all of one call's strays are finished
+        together on a table of their full windows.
         """
         from scipy.special import ndtri
 
@@ -253,29 +270,39 @@ class _QuantileTable:
             down = down[i[down] > starts[down]]
             down = down[self.cdf[i[down] - 1] > u[down]]
         k = self.lo + (i - starts)
-        # outside the tabulated window: settle exactly; rare by design
+        # outside the stored band: finish on the full window, and outside
+        # that settle exactly; rare by design
         stray = (i == ends) | (u < self.left_tail)
         if stray.any():
             s = np.flatnonzero(stray)
-            k[s] = binom_quantile(u[s], self.n[s], self.p[s])
+            if self.full:
+                k[s] = binom_quantile(u[s], self.n[s], self.p[s])
+            else:
+                k[s] = _build_table(self.n[s], self.p[s], _TAIL_SIGMAS).lookup(u[s])
         return k
 
 
-def _build_table(den: np.ndarray, p: np.ndarray) -> _QuantileTable:
-    """Tabulate per-station binomial CDFs.
+def _build_table(
+    den: np.ndarray, p: np.ndarray, band_sigmas: float | None = None
+) -> _QuantileTable:
+    """Tabulate per-station binomial CDFs, storing each row's band.
 
     Degenerate stations (den = 0, p = 0, p = 1) get single-entry
     tables holding their certain outcome. The pmf is anchored at the
     window's left edge via log-gamma and extended by the ratio
-    recurrence; every operation is row-independent, so a one-station
-    build is bit-identical to the same station inside a batch.
+    recurrence over the whole window; every operation is
+    row-independent, so a one-station build is bit-identical to the
+    same station inside a batch. The band is mean +- band_sigmas
+    stddevs plus _TAIL_PAD (default _BAND_SIGMAS), clipped to the
+    window; _TAIL_SIGMAS stores whole windows.
 
-    Stations are taken in order of row width (a stable sort), and each
-    chunk is a run of near-equal rows holding at most _BUILD_CELLS cells
-    once padded to its widest row, or one row if that is wider; so each
-    scratch array holds at most max(_BUILD_CELLS, widest row) cells
-    whatever the station count. A chunk's rows are copied into one
-    contiguous stretch of cdf.
+    Stations are taken in order of window width, then of band width
+    and offset (a stable sort), and each chunk is a run of near-equal
+    rows holding at most _BUILD_CELLS cells once padded to its widest
+    row, or one row if that is wider; so each scratch array holds at
+    most max(_BUILD_CELLS, widest row) cells whatever the station
+    count. A chunk's band cells are copied into one contiguous stretch
+    of cdf, one block per run of rows of equal shape.
     """
     from scipy.special import bdtr, gammaln
 
@@ -292,12 +319,20 @@ def _build_table(den: np.ndarray, p: np.ndarray) -> _QuantileTable:
     certain = np.where(p >= 1.0, den, 0)
     lo = np.where(degenerate, np.maximum(certain, 0), lo)
     hi = np.where(degenerate, lo, hi)
+    if band_sigmas is None:
+        band_sigmas = _BAND_SIGMAS
+    band = np.ceil(band_sigmas * sig).astype(np.int64) + _TAIL_PAD
+    band_lo = np.clip(np.floor(mu).astype(np.int64) - band, lo, hi)
+    band_hi = np.clip(np.ceil(mu).astype(np.int64) + band, lo, hi)
 
     width = hi - lo + 1
-    order = np.argsort(width, kind="stable")
+    # rows of one shape (width, band width, band offset) lie together
+    order = np.lexsort((band_lo - lo, band_hi - band_lo, width))
     w = width[order]
+    stored = (band_hi - band_lo + 1)[order]
+    first = (band_lo - lo)[order]  # the band's offset in its row
     bounds = np.zeros(n_st + 1, dtype=np.int64)
-    np.cumsum(w, out=bounds[1:])
+    np.cumsum(stored, out=bounds[1:])
     starts = np.empty(n_st, dtype=np.int64)
     starts[order] = bounds[:-1]
     cdf = np.empty(int(bounds[-1]), dtype=np.float64)
@@ -318,6 +353,8 @@ def _build_table(den: np.ndarray, p: np.ndarray) -> _QuantileTable:
     t = np.flatnonzero((lo > 0) & ~degenerate)
     left_tail[t] = bdtr(lo[t] - 1.0, den[t], p[t])
     tail = left_tail[order]
+    # where a row's shape differs from the row before it
+    reshaped = (w[1:] != w[:-1]) | (stored[1:] != stored[:-1]) | (first[1:] != first[:-1])
 
     widest = int(w[-1]) if n_st else 1
     steps = np.arange(widest, dtype=np.float64)
@@ -348,12 +385,15 @@ def _build_table(den: np.ndarray, p: np.ndarray) -> _QuantileTable:
                 ratio *= rows[:, :1]
             np.cumsum(rows, axis=1, out=rows)
         # the tail is added on the way into cdf, one block per run of
-        # equal widths
-        cuts = [s, *(s + 1 + np.flatnonzero(w[s + 1:e] != w[s:e - 1])).tolist(), e]
+        # equal shape; the band's tail F(band_lo - 1) is the row's entry
+        # before the band, or the window's tail where the band starts it
+        cuts = [s, *(s + 1 + np.flatnonzero(reshaped[s:e - 1])).tolist(), e]
         for a, b in zip(cuts[:-1], cuts[1:]):
-            k = int(w[a])
+            f, k = int(first[a]), int(stored[a])
             out = cdf[bounds[a]:bounds[b]].reshape(b - a, k)
-            np.add(rows[a - s:b - s, :k], tail[a:b, None], out=out)
+            np.add(rows[a - s:b - s, f:f + k], tail[a:b, None], out=out)
+            if f:
+                left_tail[order[a:b]] = rows[a - s:b - s, f - 1] + tail[a:b]
         s = e
     cdf[starts[degenerate]] = 1.0
 
@@ -361,14 +401,15 @@ def _build_table(den: np.ndarray, p: np.ndarray) -> _QuantileTable:
     return _QuantileTable(
         n=den,
         p=p,
-        lo=lo,
+        lo=band_lo,
         starts=starts,
-        last=width - 1,
+        last=band_hi - band_lo,
         cdf=cdf,
         left_tail=left_tail,
-        shift=mu + 0.5 - lo,
+        shift=mu + 0.5 - band_lo,
         sig=sig,
         skew=(q - p) / 6.0,
+        full=band_sigmas >= _TAIL_SIGMAS,
     )
 
 

@@ -19,6 +19,7 @@ import pollheap.anomaly as anomaly
 import pollheap.cli as cli
 import pollheap.histograms as histograms
 import pollheap.regions as regions
+import pollheap.sampling as sampling
 from pollheap.cli import _cell, main
 from pollheap.ingest import load_dataset
 from pollheap.model import apply_filters
@@ -491,6 +492,19 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "histogram", "spectrum", "regions", "simulate"])
+    @pytest.mark.parametrize("seed", ["-1", "-5"])
+    def test_seed_must_be_non_negative(self, capsys, command, seed):
+        # a usage error named by argparse before any input is read, not
+        # numpy's seeding error at exit 1
+        first = ["--stations", "10"] if command == "simulate" else ["--input", "x.tsv"]
+        flags = ["--seed", "--fraud-seed"] if command == "simulate" else ["--seed"]
+        for flag in flags:
+            with pytest.raises(SystemExit) as exc:
+                main([command, *first, flag, seed])
+            assert exc.value.code == 2
+            assert flag in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -946,3 +960,20 @@ def test_golden_session_is_byte_stable(tmp_path, monkeypatch):
         if path.is_file() and path.parts[len(tmp_path.parts)] != "in":
             got[path.relative_to(tmp_path).as_posix()] = _sha(path.read_bytes())
     assert got == GOLDEN
+
+
+def test_golden_session_keeps_its_bytes_when_every_draw_leaves_the_band(tmp_path, monkeypatch):
+    """A 0-sigma band sends almost every table draw through the rebuild
+    of its full row; the session's bytes must not move."""
+    build = sampling._build_table
+    rebuilt = []
+
+    def spy(den, p, band_sigmas=None):
+        if band_sigmas is not None:
+            rebuilt.append(den.size)
+        return build(den, p, band_sigmas)
+
+    monkeypatch.setattr(sampling, "_BAND_SIGMAS", 0.0)
+    monkeypatch.setattr(sampling, "_build_table", spy)
+    test_golden_session_is_byte_stable(tmp_path, monkeypatch)
+    assert sum(rebuilt) > 100 * 300

@@ -5,6 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import pollheap.regions as regions_module
+from pollheap.model import MAX_COUNT
 from pollheap.regions import (
     _candidate_list,
     exclude_regions,
@@ -95,6 +97,26 @@ class TestRegionPeaks:
             region_peaks({"x": planted_dataset()}, "binomial", 0, 1)
         with pytest.raises(ValueError):
             region_peaks({}, "binomial", 100, 1)
+
+    def test_iterations_times_largest_region_total_must_fit_int64(self, monkeypatch):
+        # a bin sums a region's registered counts once per iteration, so
+        # I * (largest region total) must fit int64; checked before any draw
+        big = make_dataset([MAX_COUNT, MAX_COUNT, 7], [MAX_COUNT // 2, 3, 5],
+                           [MAX_COUNT // 2, 3, 5], [9, 1, 2], regions=["A", "A", "B"])
+        datasets = {"planted": planted_dataset(), "big": big}
+        limit = (2**63 - 1) // (2 * MAX_COUNT)
+
+        class Reached(Exception):
+            pass
+
+        def simulate(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(regions_module, "run_simulation", simulate)
+        with pytest.raises(Reached):
+            region_peaks(datasets, "binomial", limit, 1)
+        with pytest.raises(ValueError, match="int64"):
+            region_peaks(datasets, "binomial", limit + 1, 1)
 
     def test_worker_count_does_not_change_table(self):
         ds = planted_dataset()

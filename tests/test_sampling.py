@@ -58,6 +58,16 @@ def _binary_search_lookup(table, u):
     return k
 
 
+def _full_window():
+    """Have make_sampler store every row's whole computed window.
+
+    Band sigmas equal to the window's make _build_table the builder the
+    stray rebuild uses, so the oracle properties below compare every
+    entry of every full row.
+    """
+    return mock.patch.object(sampling, "_BAND_SIGMAS", sampling._TAIL_SIGMAS)
+
+
 def _repeat_sampler(den, num, model, n_copies, metric="turnout"):
     d = np.full(n_copies, den, dtype=np.int64)
     g = np.full(n_copies, num, dtype=np.int64)
@@ -327,7 +337,8 @@ def _assert_lookup_matches_binary_search(table, data):
         picks = row[np.unique(np.linspace(0, row.size - 1, min(row.size, 24)).astype(int))]
         u = np.concatenate([picks, np.nextafter(picks, 0.0), np.nextafter(picks, 1.0)])
         u = np.clip(u, 0.0, _LAST_UNIFORM)
-        copies = _build_table(np.full(u.size, table.n[i]), np.full(u.size, table.p[i]))
+        copies = _build_table(np.full(u.size, table.n[i]), np.full(u.size, table.p[i]),
+                              sampling._TAIL_SIGMAS)
         assert np.array_equal(copies.lookup(u), _binary_search_lookup(copies, u))
 
 
@@ -340,7 +351,7 @@ def _assert_lookup_matches_binary_search(table, data):
 def test_binomial_table_lookup_matches_binary_search_property(dens, ps, data):
     den = np.array(dens, dtype=np.int64)
     p = np.array(ps[: den.size])
-    _assert_lookup_matches_binary_search(_build_table(den, p), data)
+    _assert_lookup_matches_binary_search(_build_table(den, p, sampling._TAIL_SIGMAS), data)
 
 
 @settings(max_examples=60, deadline=None)
@@ -355,7 +366,8 @@ def test_clustered_table_lookup_matches_binary_search_property(c, quots, rems, f
     # the remainder table's rows have n in {0, 1, 2}: degenerate and tiny
     den = np.array([c * q + r for q, r in zip(quots, rems)], dtype=np.int64)
     num = np.array([int(f * d) for f, d in zip(fracs, den)], dtype=np.int64)
-    sampler = make_sampler(den, num, NullModel("clustered", c), "turnout")
+    with _full_window():
+        sampler = make_sampler(den, num, NullModel("clustered", c), "turnout")
     for table in (sampler._quot_table, sampler._rem_table):
         _assert_lookup_matches_binary_search(table, data)
 
@@ -406,10 +418,11 @@ def test_build_table_is_chunk_invariant_property(stations, cells, model):
     # every build operation is row-independent, so how stations fall
     # into chunks cannot change a byte of any station's row or constants
     den, num = _stations_to_counts(stations)
-    singles = [make_sampler(den[i:i + 1], num[i:i + 1], model, "turnout")
-               for i in range(den.size)]
-    with mock.patch.object(sampling, "_BUILD_CELLS", cells):
-        batch = make_sampler(den, num, model, "turnout")
+    with _full_window():
+        singles = [make_sampler(den[i:i + 1], num[i:i + 1], model, "turnout")
+                   for i in range(den.size)]
+        with mock.patch.object(sampling, "_BUILD_CELLS", cells):
+            batch = make_sampler(den, num, model, "turnout")
     for name in _table_names(model):
         got = getattr(batch, name)
         for i, single in enumerate(singles):
@@ -430,7 +443,7 @@ def test_build_table_matches_station_order_oracle_property(stations, cells, mode
     # the width-ordered build must give every station the bytes the
     # station-ordered build gave it, and its rows must tile cdf exactly
     den, num = _stations_to_counts(stations)
-    with mock.patch.object(sampling, "_BUILD_CELLS", cells):
+    with _full_window(), mock.patch.object(sampling, "_BUILD_CELLS", cells):
         sampler = make_sampler(den, num, model, "turnout")
     p = np.where(den > 0, num / np.maximum(den, 1), 0.0)
     c = 1 if model == "binomial" else NullModel.parse(model).cluster_size
@@ -458,11 +471,133 @@ def test_build_table_matches_station_order_oracle_property(stations, cells, mode
 def test_lookup_answer_does_not_depend_on_its_start_property(dens, ps, data):
     # stored constants that start every station at its row's first
     # entry, then at its last, change how far the walk goes, not where
-    # it ends: a row never decreases
-    table = _build_table(np.array(dens, dtype=np.int64), np.array(ps[: len(dens)]))
+    # it ends: a row never decreases; nor, for a banded table, whether
+    # the walk from there leaves the band
+    den, p = np.array(dens, dtype=np.int64), np.array(ps[: len(dens)])
+    table = _build_table(den, p, sampling._TAIL_SIGMAS)
     u = _boundary_uniforms(table, data)
     want = _binary_search_lookup(table, u)
     still = np.zeros(table.lo.size)
-    for shift in (still, table.last.astype(np.float64)):
-        pinned = dataclasses.replace(table, shift=shift, sig=still, skew=still)
-        assert np.array_equal(pinned.lookup(u), want)
+    for built in (table, _build_table(den, p)):
+        for shift in (still, built.last.astype(np.float64)):
+            pinned = dataclasses.replace(built, shift=shift, sig=still, skew=still)
+            assert np.array_equal(pinned.lookup(u), want)
+
+
+def _assert_band_is_a_slice(banded, full):
+    """Each stored row is its full row's band; its tail is the entry before."""
+    assert np.all(banded.lo >= full.lo)
+    assert np.all(banded.lo + banded.last <= full.lo + full.last)
+    for i in range(full.lo.size):
+        first = int(banded.lo[i] - full.lo[i])
+        row = _row(full, i)
+        assert _row(banded, i).tobytes() == row[first:first + banded.last[i] + 1].tobytes(), i
+        tail = row[first - 1] if first else full.left_tail[i]
+        assert banded.left_tail[i:i + 1].tobytes() == np.float64(tail).tobytes(), i
+    first = np.sort(banded.starts)
+    widths = (banded.last + 1)[np.argsort(banded.starts)]
+    assert first[0] == 0 and banded.cdf.size == widths.sum()
+    assert np.array_equal(first[1:], first[:-1] + widths[:-1])
+
+
+def _band_uniforms(banded, full, data):
+    """One u per station at the edges of its band and of its window:
+    stored entries, the band's tail and just below it, the band's last
+    entry (answers past the band), the window's tail and below it."""
+    us = []
+    for i in range(full.lo.size):
+        row = _row(full, i)
+        first = int(banded.lo[i] - full.lo[i])
+        end = first + int(banded.last[i]) + 1
+        band_tail = float(banded.left_tail[i])
+        window_tail = float(full.left_tail[i])
+        candidates = [0.0, _LAST_UNIFORM, band_tail, np.nextafter(band_tail, 0.0),
+                      window_tail, np.nextafter(window_tail, 0.0),
+                      float(row[data.draw(st.integers(first, end - 1))]), float(row[end - 1]),
+                      float(row[data.draw(st.integers(0, row.size - 1))]), float(row[-1])]
+        u = data.draw(st.one_of(st.sampled_from(candidates), st.floats(0.0, 1.0)))
+        u = data.draw(st.sampled_from([u, float(np.nextafter(u, 0.0)),
+                                       float(np.nextafter(u, 1.0))]))
+        us.append(min(max(u, 0.0), _LAST_UNIFORM))
+    return np.array(us, dtype=np.float64)
+
+
+@settings(max_examples=40, deadline=None)
+@hgiven(
+    stations=st.lists(_station, min_size=1, max_size=8),
+    model=st.sampled_from(["binomial", "clustered:3", "clustered:7"]),
+    data=st.data(),
+)
+def test_banded_lookup_matches_full_window_lookup_property(stations, model, data):
+    # a draw inside the band reads the full row's own entries; one
+    # outside it is finished on the rebuilt full row, so every draw keeps
+    # its bytes
+    den, num = _stations_to_counts(stations)
+    banded = make_sampler(den, num, model, "turnout")
+    with _full_window():
+        full = make_sampler(den, num, model, "turnout")
+    for name in _table_names(model):
+        b, f = getattr(banded, name), getattr(full, name)
+        _assert_band_is_a_slice(b, f)
+        u = _band_uniforms(b, f, data)
+        assert np.array_equal(b.lookup(u), f.lookup(u)), name
+        assert np.array_equal(b.lookup(u), _binary_search_lookup(f, u)), name
+    # one uniform column per table, as the sampler hands them out
+    u = np.stack([_band_uniforms(getattr(banded, n), getattr(full, n), data)
+                  for n in _table_names(model)], axis=1)
+    assert np.array_equal(banded.draw_from_uniforms(u), full.draw_from_uniforms(u))
+
+
+def test_band_strays_are_settled_on_the_rebuilt_full_row():
+    # a 0-sigma band keeps at most 12 entries of a row hundreds wide, so most
+    # draws leave it; each lookup rebuilds its strays in one full build
+    rng = np.random.default_rng(11)
+    den = rng.integers(2000, 200_000, size=300)
+    num = rng.binomial(den, 0.55)
+    u = iteration_uniforms(4, 0, "turnout", den.size, 1)
+    with _full_window():
+        want = make_sampler(den, num, "binomial", "turnout").draw_from_uniforms(u)
+    build = sampling._build_table
+    calls = []
+
+    def spy(den, p, band_sigmas=None):
+        calls.append((den.size, band_sigmas))
+        return build(den, p, band_sigmas)
+
+    with mock.patch.object(sampling, "_BAND_SIGMAS", 0.0):
+        sampler = make_sampler(den, num, "binomial", "turnout")
+        assert sampler._table.cdf.size <= 12 * den.size
+        with mock.patch.object(sampling, "_build_table", spy):
+            got = sampler.draw_from_uniforms(u)
+    assert np.array_equal(got, want)
+    assert len(calls) == 1 and calls[0][1] == sampling._TAIL_SIGMAS
+    assert den.size // 2 < calls[0][0] <= den.size
+
+
+@pytest.fixture(scope="module")
+def null_5k():
+    from pollheap.synth import GeneratorConfig, generate
+
+    return generate(GeneratorConfig(n_stations=5000), seed=12).dataset
+
+
+def test_tables_store_at_most_three_fifths_of_the_window(null_5k):
+    ds = null_5k
+    for metric in ("turnout", "result"):
+        num, den = ds.metric(metric)
+        table = make_sampler(den, num, "binomial", metric)._table
+        projected = sampling._projected_entries(den, sampling._empirical_p(den, num))
+        assert table.cdf.size <= 0.6 * projected, metric
+
+
+@pytest.mark.parametrize("model", ["binomial", "clustered:4"])
+def test_table_or_direct_counts_the_full_window(model, null_5k):
+    # the cap compares the projected window, not the stored band: a
+    # sampler at the cap keeps its tables, one entry past it inverts per draw
+    num, den = null_5k.metric("turnout")
+    c = NullModel.parse(model).cluster_size
+    projected = sampling._projected_entries(den // c, sampling._empirical_p(den, num))
+    for cap, direct in ((projected, False), (projected - 1, True)):
+        with mock.patch.object(sampling, "_MAX_TABLE_ENTRIES", cap):
+            sampler = make_sampler(den, num, model, "turnout")
+        assert sampler._direct is direct, cap
