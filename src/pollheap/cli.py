@@ -118,11 +118,10 @@ def _window_arg(text: str) -> tuple[Fraction, ...]:
     parts = [p for p in text.split(",") if p.strip()]
     if not parts:
         raise argparse.ArgumentTypeError("empty window list")
-    widths = tuple(_fraction_arg(p) for p in parts)
-    for w in widths:
-        if not 0 < w <= Fraction(1, 2):
-            raise argparse.ArgumentTypeError(f"half width {w} outside (0, 1/2]")
-    return widths
+    try:
+        return tuple(WindowSpec(half_width=_fraction_arg(p)).half_width for p in parts)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _levels_arg(text: str) -> tuple[Fraction, Fraction]:
@@ -426,6 +425,13 @@ def _write(out: str, files: list, cfg: dict, digest: str) -> list[str]:
     return [str(root / name) for name in names]
 
 
+def _check_unique(names: list[str]) -> None:
+    """Reject a run whose artifacts would share a file name."""
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"two artifacts would share a name: {', '.join(repeated)}")
+
+
 def _run(args: argparse.Namespace) -> dict:
     """Run one subcommand and write its artifacts; returns the summary.
 
@@ -434,10 +440,7 @@ def _run(args: argparse.Namespace) -> dict:
     puts them on disk happens here.
     """
     summary, files = _COMMANDS[args.command](args)
-    names = [name for name, _ in files]
-    repeated = sorted({name for name in names if names.count(name) > 1})
-    if repeated:
-        raise ValueError(f"two artifacts would share a name: {', '.join(repeated)}")
+    _check_unique([name for name, _ in files])
     cfg = _run_config(args)
     reference = [args.reference] if getattr(args, "reference", None) else []
     digest = _digest(cfg, _inputs(args) + reference)
@@ -614,13 +617,8 @@ def _peak_shape_rows(hists, means, metric: str, bin_width: Fraction):
     yield from zip(shape.offsets, shape.mean_excess)
 
 
-def _simulated_mean(k: int, matrix: np.ndarray) -> np.ndarray:
-    return matrix.mean(axis=0)
-
-
-def _job_envelope(job_metrics: list, bin_width, levels, k: int, matrix: np.ndarray):
-    """Job k's envelope, computed where its simulation completes."""
-    return envelope_from_matrix(matrix, job_metrics[k], bin_width, levels)
+def _hist_stem(metric: str, label: str, n_inputs: int) -> str:
+    return f"hist_{metric}_{label}" if n_inputs > 1 else f"hist_{metric}"
 
 
 def _hist_rows(centers, weights, env):
@@ -645,20 +643,26 @@ def _cmd_histogram(args: argparse.Namespace) -> tuple[dict, list]:
         raise ValueError("--average needs at least two inputs")
 
     metrics = _metrics(args.metric)
+    if not args.average:
+        _check_unique([
+            f"{_hist_stem(metric, label, len(labels))}.{ext}"
+            for metric in metrics for label in labels for ext in ("csv", "svg")
+        ])
     # one simulation for every (metric, input), in that order; each job's
     # matrix is reduced to its mean or envelope where it is simulated
-    job_metrics = [metric for metric in metrics for _ in datasets]
+    jobs = [(ds, metric) for metric in metrics for ds in datasets]
     simulated = []
     if args.iterations:
         simulated = mc_histogram_matrices(
-            [(ds, metric) for metric in metrics for ds in datasets],
-            model=args.model, iterations=args.iterations, master_seed=args.seed,
+            jobs, model=args.model, iterations=args.iterations, master_seed=args.seed,
             bin_width=args.bins, jitter=args.jitter, suppress_hundred=suppress,
             workers=args.workers, progress=_progress("histogram"),
-            finish=(
-                _simulated_mean if args.average
-                else partial(_job_envelope, job_metrics, args.bins, args.levels)
-            ),
+            finish=[
+                partial(np.mean, axis=0) if args.average
+                else partial(envelope_from_matrix, metric=metric, bin_width=args.bins,
+                             levels=args.levels)
+                for _, metric in jobs
+            ],
         )
 
     files = []
@@ -708,7 +712,7 @@ def _cmd_histogram(args: argparse.Namespace) -> tuple[dict, list]:
             per_metric = []
             for i, (hist, label) in enumerate(zip(hists, labels)):
                 centers = hist.bin_centers
-                stem = f"hist_{metric}_{label}" if len(labels) > 1 else f"hist_{metric}"
+                stem = _hist_stem(metric, label, len(labels))
                 title = f"{metric} histogram: {label}"
                 header = ["bin_center", "weight"]
                 env = finished[i] if finished else None
@@ -742,14 +746,14 @@ def _grid_rows(labels, grid: np.ndarray):
         yield [label] + row.tolist()
 
 
-def _spectrogram_ratio(hists: list, k: int, matrix: np.ndarray):
-    """Job k's spectrogram, less the raw and mc_mean grids nothing writes.
+def _spectrogram_ratio(hist: WeightedHistogram, matrix: np.ndarray):
+    """hist's spectrogram, less the raw and mc_mean grids nothing writes.
 
-    Runs where job k's simulation completes, often a worker; it calls
+    Runs where its job's simulation completes, often a worker; it calls
     spectrogram through this module's global, the name
     perfbench/tracing.py wraps.
     """
-    return replace(spectrogram(hists[k], matrix), raw=None, mc_mean=None)
+    return replace(spectrogram(hist, matrix), raw=None, mc_mean=None)
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> tuple[dict, list]:
@@ -763,7 +767,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> tuple[dict, list]:
         [(dataset, metric) for metric in metrics],
         model=args.model, iterations=args.iterations, master_seed=args.seed,
         workers=args.workers, progress=_progress("spectrum"),
-        finish=partial(_spectrogram_ratio, hists),
+        finish=[partial(_spectrogram_ratio, hist) for hist in hists],
     )
 
     files = []
@@ -848,12 +852,10 @@ def _cmd_regions(args: argparse.Namespace) -> tuple[dict, list]:
     if excluded:
         files.append(("excluded_regions.txt", "\n".join(excluded) + "\n"))
         without = f"without_top_{len(excluded)}"
+        kept = [exclude_regions(d, excluded) for d in datasets.values()]
         for metric in METRICS:
             full = [build_histogram(d, metric) for d in datasets.values()]
-            reduced = [
-                build_histogram(exclude_regions(d, excluded), metric)
-                for d in datasets.values()
-            ]
+            reduced = [build_histogram(d, metric) for d in kept]
             centers = full[0].bin_centers
             avg_full = np.asarray(average_histograms(full).weights, dtype=np.float64)
             avg_reduced = np.asarray(average_histograms(reduced).weights, dtype=np.float64)
@@ -916,17 +918,13 @@ def _cmd_fingerprint(args: argparse.Namespace) -> tuple[dict, list]:
 def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, list]:
     if args.stations < 1:
         raise ValueError("--stations must be >= 1")
+    spec = None  # checked in full before any station is generated
     if args.fraud_mechanism is None:
         if args.fraud_fraction:
             raise UsageError("--fraud-fraction needs --fraud-mechanism")
-    elif not 0 <= args.fraud_fraction <= 1:
-        raise ValueError("--fraud-fraction must be in [0, 1]")
-    config = GeneratorConfig(n_stations=args.stations, n_regions=args.regions)
-    election = generate(config, seed=args.seed)
-    dataset = election.dataset
-
-    log_payload: dict = {"requested": 0, "modified": 0, "skipped": [], "records": []}
-    if args.fraud_mechanism is not None:
+    else:
+        if not 0 <= args.fraud_fraction <= 1:
+            raise ValueError("--fraud-fraction must be in [0, 1]")
         spec = FraudSpec(
             mechanism=args.fraud_mechanism,
             affected_fraction=args.fraud_fraction,
@@ -937,6 +935,12 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, list]:
             metric_choice=args.fraud_metric,
             window_half_width=args.fraud_window,
         )
+    config = GeneratorConfig(n_stations=args.stations, n_regions=args.regions)
+    election = generate(config, seed=args.seed)
+    dataset = election.dataset
+
+    log_payload: dict = {"requested": 0, "modified": 0, "skipped": [], "records": []}
+    if spec is not None:
         fraud_seed = args.seed + 1 if args.fraud_seed is None else args.fraud_seed
         dataset, log = inject_fraud(dataset, spec, seed=fraud_seed)
         log_payload = {

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -249,26 +248,30 @@ def mc_histogram_matrices(
     Entry k equals mc_histograms(*jobs[k], model, ...) bit for bit:
     each job is its own station-set group, so its draws do not depend
     on the other jobs. Each job's sampler table is built by whichever
-    process simulates it (see mc.run_simulation). With finish given,
-    entry k is finish(k, matrix) instead, computed where the job's
-    simulation completes (Reducer.finish), so with several jobs over
-    several workers each matrix stays in the worker that made it.
+    process simulates it (see mc.run_simulation). finish, if given, is
+    one one-argument callable per job, and entry k is then
+    finish[k](matrix) instead, computed where job k's simulation
+    completes (Reducer.finish), so with several jobs over several
+    workers each matrix stays in the worker that made it.
     """
     if not jobs:
         raise ValueError("at least one (dataset, metric) job is required")
+    if finish is None:
+        finish = [None] * len(jobs)
+    elif len(finish) != len(jobs):
+        raise ValueError("finish needs one callable per job")
     m = _bins_per_percent(bin_width)
     if isinstance(model, str):
         model = NullModel.parse(model)
     groups = []
     reducers = []
-    for k, (dataset, metric) in enumerate(jobs):
+    for k, ((dataset, metric), fin) in enumerate(zip(jobs, finish)):
         num, den = dataset.metric(metric)
         groups.append(_sampler_builder(den, num, model, metric))
         reducers.append(
             _HistogramReducer(
                 metric, den, dataset.registered, m, suppress_hundred, jitter,
-                master_seed, group=k,
-                finish=None if finish is None else partial(finish, k),
+                master_seed, group=k, finish=fin,
             )
         )
     return run_simulation(groups, reducers, iterations, master_seed, workers, progress)
@@ -285,11 +288,6 @@ class Envelope:
     low: np.ndarray
     high: np.ndarray
     mean: np.ndarray
-
-    @property
-    def bin_centers(self) -> np.ndarray:
-        m = int(Fraction(1) / self.bin_width)
-        return np.arange(self.low.size) * (1.0 / m)
 
 
 def envelope_from_matrix(

@@ -229,12 +229,13 @@ def region_peaks(
     return RegionPeakTable(center_kind=center_kind, rows=tuple(rows), ranking=ranking)
 
 
-def _region_mask(dataset: ElectionDataset, region_codes) -> tuple[np.ndarray, list[str]]:
+def _region_mask(dataset: ElectionDataset, region_codes) -> np.ndarray:
+    """Which stations lie in the named regions; warns of unknown codes."""
     wanted = {str(c) for c in region_codes}
-    present = set(dataset.region_codes)
-    unknown = sorted(wanted - present)
-    mask = np.array([c in wanted for c in dataset.region_codes], dtype=bool)
-    return mask, unknown
+    unknown = sorted(wanted - set(dataset.region_codes))
+    if unknown:
+        warnings.warn(f"region codes not present in {dataset.label!r}: {', '.join(unknown)}")
+    return np.array([c in wanted for c in dataset.region_codes], dtype=bool)
 
 
 def exclude_regions(dataset: ElectionDataset, region_codes) -> ElectionDataset:
@@ -244,18 +245,12 @@ def exclude_regions(dataset: ElectionDataset, region_codes) -> ElectionDataset:
     exclusion list can be applied across years where some regions do
     not appear.
     """
-    mask, unknown = _region_mask(dataset, region_codes)
-    if unknown:
-        warnings.warn(f"region codes not present in {dataset.label!r}: {', '.join(unknown)}")
-    return dataset.take(~mask, label=dataset.label)
+    return dataset.take(~_region_mask(dataset, region_codes), label=dataset.label)
 
 
 def restrict_regions(dataset: ElectionDataset, region_codes) -> ElectionDataset:
     """The complement of exclude_regions: only the named regions."""
-    mask, unknown = _region_mask(dataset, region_codes)
-    if unknown:
-        warnings.warn(f"region codes not present in {dataset.label!r}: {', '.join(unknown)}")
-    return dataset.take(mask, label=dataset.label)
+    return dataset.take(_region_mask(dataset, region_codes), label=dataset.label)
 
 
 @dataclass(frozen=True)

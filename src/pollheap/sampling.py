@@ -428,8 +428,11 @@ class DatasetSampler:
     """Vectorized per-iteration draws for one dataset + metric + model.
 
     den holds the metric's fixed denominators and num its empirical
-    numerators, as ElectionDataset.metric gives them. This
-    object only caches derived tables; it is read-only after
+    numerators, as ElectionDataset.metric gives them. The binomial and
+    clustered:c models draw c*K + R with p = num/den (c = 1, R = 0 for
+    binomial): _table tabulates K ~ Binom(den // c, p), _rem_table
+    R ~ Binom(den % c, p) for clustered:c, and a sampler without tables
+    inverts each draw with binom_quantile. It is read-only after
     construction and safe to share across worker processes.
     """
 
@@ -438,9 +441,7 @@ class DatasetSampler:
     den: np.ndarray
     num: np.ndarray
     _table: _QuantileTable | None = None
-    _quot_table: _QuantileTable | None = None
     _rem_table: _QuantileTable | None = None
-    _direct: bool = False
 
     @property
     def n_stations(self) -> int:
@@ -461,10 +462,6 @@ class DatasetSampler:
         if u.shape != (self.n_stations, self.model.words_per_station):
             raise ValueError("uniform block shape does not match the sampler")
         kind = self.model.kind
-        if kind == "binomial":
-            if self._direct:
-                return binom_quantile(u[:, 0], self.den, _empirical_p(self.den, self.num))
-            return self._table.lookup(u[:, 0])
         if kind == "beta_binomial":
             from scipy.special import betaincinv
 
@@ -473,20 +470,25 @@ class DatasetSampler:
             p_draw = betaincinv(a, b, u[:, 0])
             return binom_quantile(u[:, 1], self.den, p_draw)
         c = self.model.cluster_size
-        if self._direct:
+        clustered = kind == "clustered"
+        if self._table is not None:
+            quot = self._table.lookup(u[:, 0])
+            rem = self._rem_table.lookup(u[:, 1]) if clustered else None
+        else:
             p = _empirical_p(self.den, self.num)
             quot = binom_quantile(u[:, 0], self.den // c, p)
-            rem = binom_quantile(u[:, 1], self.den % c, p)
-        else:
-            quot = self._quot_table.lookup(u[:, 0])
-            rem = self._rem_table.lookup(u[:, 1])
-        return c * quot + rem
+            rem = binom_quantile(u[:, 1], self.den % c, p) if clustered else None
+        return c * quot + rem if clustered else quot
 
 
 def make_sampler(
     den: np.ndarray, num: np.ndarray, model: NullModel | str, metric: str
 ) -> DatasetSampler:
-    """Build a DatasetSampler, precomputing CDF tables where they pay off."""
+    """Build a DatasetSampler, making its one table-or-direct decision.
+
+    Binomial and clustered samplers get tables (see DatasetSampler)
+    unless their projected windows pass _MAX_TABLE_ENTRIES entries.
+    """
     if isinstance(model, str):
         model = NullModel.parse(model)
     den = np.ascontiguousarray(den, dtype=np.int64)
@@ -498,19 +500,16 @@ def make_sampler(
     if metric not in METRIC_CODES:
         raise ValueError(f"metric must be one of {sorted(METRIC_CODES)}")
     sampler = DatasetSampler(metric=metric, model=model, den=den, num=num)
+    if model.kind == "beta_binomial":
+        return sampler
     p = _empirical_p(den, num)
-    if model.kind == "binomial":
-        if _projected_entries(den, p) > _MAX_TABLE_ENTRIES:
-            sampler._direct = True
-        else:
-            sampler._table = _build_table(den, p)
-    elif model.kind == "clustered":
-        c = model.cluster_size
-        if _projected_entries(den // c, p) > _MAX_TABLE_ENTRIES:
-            sampler._direct = True
-        else:
-            # both parts reuse the station's empirical p = num/den
-            sampler._quot_table = _build_table(den // c, p)
+    c = model.cluster_size
+    # binomial tabulates den itself, not a copy of den // 1
+    quot = den // c if model.kind == "clustered" else den
+    if _projected_entries(quot, p) <= _MAX_TABLE_ENTRIES:
+        # both parts reuse the station's empirical p = num/den
+        sampler._table = _build_table(quot, p)
+        if model.kind == "clustered":
             sampler._rem_table = _build_table(den % c, p)
     return sampler
 

@@ -105,6 +105,22 @@ class TestSimulateArguments:
         assert not out.exists()
 
 
+    def test_fraud_spec_checked_before_generating(self, tmp_path, capsys, monkeypatch):
+        def generate(*args, **kwargs):
+            raise AssertionError("generate ran before the fraud spec was checked")
+
+        monkeypatch.setattr(cli, "generate", generate)
+        out = tmp_path / "out"
+        rc, _, err = run(
+            capsys,
+            ["simulate", "--out", str(out), "--stations", "2000000",
+             "--fraud-mechanism", "integer_rounding", "--fraud-fraction", "0.1",
+             "--fraud-window", "0.7"],
+        )
+        assert rc == 1
+        assert "window_half_width must lie in (0, 0.5]" in err
+        assert not out.exists()
+
     def test_fraud_fraction_needs_a_mechanism(self, tmp_path, capsys):
         out = tmp_path / "out"
         rc, _, err = run(
@@ -484,6 +500,16 @@ class TestExitCodes:
             main(["analyze", "--input", "x.tsv", "--window", "0.7"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("window", ["0.0000001", "0.05,0.0000001"])
+    def test_over_precise_window_is_a_usage_error(self, capsys, window):
+        # WindowSpec's precision bound is checked at parse time, before
+        # any input is read, like its range
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--input", "x.tsv", "--window", window])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--window" in err and "precision" in err
+
     @pytest.mark.parametrize("command", ["analyze", "histogram", "spectrum", "regions"])
     @pytest.mark.parametrize("workers", ["0", "-4", "two"])
     def test_workers_must_be_a_positive_integer(self, capsys, command, workers):
@@ -589,6 +615,24 @@ class TestExitCodes:
         )
         assert rc == 1
         assert "hist_turnout_election.csv" in err
+        assert not out.exists()
+
+    def test_duplicate_names_rejected_before_simulating(
+        self, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        def run_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the artifact names were checked")
+
+        monkeypatch.setattr(histograms, "run_simulation", run_simulation)
+        out = tmp_path / "out"
+        rc, _, err = run(
+            capsys,
+            ["histogram", "--input", str(data_dir / "clean" / "election.tsv"),
+             str(data_dir / "fraud" / "election.tsv"), "--out", str(out),
+             "--iterations", "100"],
+        )
+        assert rc == 1
+        assert "hist_turnout_election.csv" in err and "progress" not in err
         assert not out.exists()
 
     def test_validate_has_no_format_flag(self, data_dir, tmp_path):
@@ -753,6 +797,30 @@ def test_traced_run_keeps_the_benchmark_trace_contract(data_dir, tmp_path):
     assert [s["name"] for s in spans].count("mc.run") == 1
     assert len(grams) == 2  # turnout and result
     assert parent.isdisjoint(s["pid"] for s in grams)
+
+
+@pytest.mark.parametrize("model", ["binomial", "clustered:3"])
+def test_traced_analyze_keeps_the_table_size_contract(data_dir, tmp_path, model):
+    # sampling.table_mb counts the tables built in a process before its
+    # mc.run: analyze builds every sampler in the parent, ahead of its
+    # one simulation pass
+    sys.path.insert(0, str(Path(pollheap.__file__).resolve().parents[2] / "perfbench"))
+    try:
+        import tracing
+    finally:
+        sys.path.pop(0)
+    spans = _traced_spans(
+        ["analyze", "--input", str(data_dir / "fraud.tsv"), "--out", str(tmp_path / "out"),
+         "--iterations", "100", "--seed", "4", "--workers", "1", "--model", model],
+        tmp_path / "trace",
+    )
+    parent = {s["pid"] for s in spans if s["name"] == "cli.main"}
+    (run,) = [s for s in spans if s["name"] == "mc.run"]
+    builds = [s for s in spans if s["name"] == "sampling.build"]
+    assert len(builds) == 2  # turnout and result
+    assert {s["pid"] for s in builds} == parent == {run["pid"]}
+    assert all(s["end_ns"] <= run["start_ns"] for s in builds)
+    assert tracing.layer_metrics(spans)["sampling.table_mb"] > 0
 
 
 def _sha(data: bytes) -> str:

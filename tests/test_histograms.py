@@ -13,9 +13,11 @@ from pollheap.histograms import (
     average_histograms,
     build_histogram,
     envelope_from_matrix,
+    mc_histogram_matrices,
     mc_histograms,
     peak_shape,
 )
+import pollheap.histograms as histograms
 
 from helpers import make_dataset, random_counts
 
@@ -189,6 +191,33 @@ class TestMCHistograms:
             null_2k, "turnout", "binomial", 4, 11, suppress_hundred=False
         )
         assert np.all(mat.sum(axis=1) == null_2k.registered.sum())
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_each_job_gets_its_own_finisher(self, null_2k, null_multiregion, workers):
+        # three jobs over two datasets and both metrics: entry k is
+        # finish[k] of job k's own matrix, wherever the job ran
+        jobs = [(null_2k, "turnout"), (null_multiregion, "result"), (null_2k, "result")]
+        finish = [
+            lambda m: ("sum", m.sum(axis=0)),
+            lambda m: ("last", m[-1].copy()),
+            lambda m: ("mean", m.mean(axis=0)),
+        ]
+        got = mc_histogram_matrices(jobs, "binomial", 8, 11, workers=workers, finish=finish)
+        for k, (dataset, metric) in enumerate(jobs):
+            want = finish[k](mc_histograms(dataset, metric, "binomial", 8, 11, workers=1))
+            assert got[k][0] == want[0]
+            assert got[k][1].tobytes() == want[1].tobytes()
+            assert got[k][1].dtype == want[1].dtype
+
+    @pytest.mark.parametrize("n_finish", [1, 3])
+    def test_finish_needs_one_callable_per_job(self, null_2k, monkeypatch, n_finish):
+        def run_simulation(*args, **kwargs):
+            raise AssertionError("simulated before finish was checked")
+
+        monkeypatch.setattr(histograms, "run_simulation", run_simulation)
+        jobs = [(null_2k, "turnout"), (null_2k, "result")]
+        with pytest.raises(ValueError, match="one callable per job"):
+            mc_histogram_matrices(jobs, "binomial", 8, 11, finish=[np.sum] * n_finish)
 
 
 class TestAveraging:

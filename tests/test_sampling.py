@@ -368,7 +368,7 @@ def test_clustered_table_lookup_matches_binary_search_property(c, quots, rems, f
     num = np.array([int(f * d) for f, d in zip(fracs, den)], dtype=np.int64)
     with _full_window():
         sampler = make_sampler(den, num, NullModel("clustered", c), "turnout")
-    for table in (sampler._quot_table, sampler._rem_table):
+    for table in (sampler._table, sampler._rem_table):
         _assert_lookup_matches_binary_search(table, data)
 
 
@@ -399,7 +399,7 @@ _PER_STATION = ("lo", "last", "left_tail", "shift", "sig", "skew")
 
 
 def _table_names(model):
-    return ("_table",) if model == "binomial" else ("_quot_table", "_rem_table")
+    return ("_table",) if model == "binomial" else ("_table", "_rem_table")
 
 
 def _stations_to_counts(stations):
@@ -447,7 +447,7 @@ def test_build_table_matches_station_order_oracle_property(stations, cells, mode
         sampler = make_sampler(den, num, model, "turnout")
     p = np.where(den > 0, num / np.maximum(den, 1), 0.0)
     c = 1 if model == "binomial" else NullModel.parse(model).cluster_size
-    parts = {"_table": den, "_quot_table": den // c, "_rem_table": den % c}
+    parts = {"_table": den // c, "_rem_table": den % c}
     for name in _table_names(model):
         got = getattr(sampler, name)
         want = oracles.station_order_table(parts[name], p)
@@ -600,4 +600,4 @@ def test_table_or_direct_counts_the_full_window(model, null_5k):
     for cap, direct in ((projected, False), (projected - 1, True)):
         with mock.patch.object(sampling, "_MAX_TABLE_ENTRIES", cap):
             sampler = make_sampler(den, num, model, "turnout")
-        assert sampler._direct is direct, cap
+        assert (sampler._table is None) is direct, cap
