@@ -39,10 +39,8 @@ start method, the run uses one worker and says so on stderr.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
@@ -229,13 +227,18 @@ def run_simulation(
     # it, so a worker beyond the group count would idle; only a lone
     # group is split into its blocks
     workers = max(1, min(int(workers), n_groups if n_groups > 1 else n_blocks))
-    if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
-        print(
-            "note: the 'fork' start method is not available here; running with one worker",
-            file=sys.stderr,
-            flush=True,
-        )
-        workers = 1
+    if workers > 1:
+        # only a pool needs these, so a one-worker run never loads them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            print(
+                "note: the 'fork' start method is not available here; running with one worker",
+                file=sys.stderr,
+                flush=True,
+            )
+            workers = 1
     step = iterations if workers > 1 and n_groups > 1 else CHUNK_ITERATIONS
     tasks = [
         (g, s, min(s + step, iterations))

@@ -10,19 +10,21 @@ result is bit-identical under any parallel schedule.
 Counts are produced from those uniforms by inverse-CDF transforms using
 the convention k = min{k : F(k) > u}, which maps a uniform on [0, 1)
 to the exact pmf. The hot path computes, per station, the binomial CDF
-over a central support window, and stores only the central band of
-each row, rows laid out in order of window width. A lookup starts each
-station at a Cornish-Fisher estimate from constants stored at build and
-walks the station's band to the first entry above u (sequential search
-from a start, Devroye 1986, section III.2); rows are non-decreasing, so
-the start sets only how far it walks. A draw whose answer lies outside
-the band (about one in 10^5) is finished on its station's full window,
-rebuilt with the build's own arithmetic, and one outside the window
-(probability ~1e-12) falls back to a direct quantile whose CDF
-authority is scipy's bdtr; either way the draw is the one a table of
-whole windows gives. scipy.special is imported inside the functions
-that call it, so a command that never draws or builds a table never
-loads scipy.
+over a central support window in float64, and stores only the central
+band of each row, as 32-bit fixed point rounded down, rows laid out in
+order of window width. A lookup starts each station at a
+Cornish-Fisher estimate from constants stored at build and walks the
+station's band to the first entry above u's fixed-point key
+(sequential search from a start, Devroye 1986, section III.2); rows
+are non-decreasing, so the start sets only how far it walks. A draw
+whose answer lies outside the band (about one in 10^5), or whose key
+ties with the entry below its answer (a few in 10^8), is finished
+on its station's full window, rebuilt in float64 with the build's own
+arithmetic, and one outside the window (probability ~1e-12) falls back
+to a direct quantile whose CDF authority is scipy's bdtr; either way
+the draw is the one a float64 table of whole windows gives.
+scipy.special is imported inside the functions that call it, so a
+command that never draws or builds a table never loads scipy.
 """
 
 from __future__ import annotations
@@ -54,12 +56,21 @@ _TAIL_PAD = 5
 # slack, clipped to the window. A row stores about half its window.
 _BAND_SIGMAS = 4.0
 
-# Above this many computed window entries (~1.2 GB as float64) skip
-# tables and invert per draw instead. It counts the whole window, not
-# the band a table stores, so the table-or-direct choice (and with it
-# every draw) does not depend on the band; the build's scratch space is
-# bounded separately by _BUILD_CELLS.
+# Above this many computed window entries (~1.2 GB were they all
+# stored as float64) skip tables and invert per draw instead. It counts
+# the float64 entries a build computes over the whole window, not the
+# bytes of the band a table stores, so the table-or-direct choice (and
+# with it every draw) depends neither on the band nor on how it is
+# stored; the build's scratch space is bounded separately by
+# _BUILD_CELLS.
 _MAX_TABLE_ENTRIES = 150_000_000
+
+# A banded table stores each CDF entry F as the 32-bit fixed-point
+# q = min(floor(F * _FIXED_ONE), _FIXED_MAX). A format constant: the
+# scale sets only how often a lookup ties (see _QuantileTable), never a
+# draw.
+_FIXED_ONE = 2.0**32
+_FIXED_MAX = 2**32 - 1
 
 # Cells (rows x widest row) per build chunk: about 0.5 MB per float64
 # temporary, so a chunk's scratch stays in cache whatever the input.
@@ -211,7 +222,16 @@ class _QuantileTable:
     station. shift, sig and skew are the per-station constants of the
     lookup's Cornish-Fisher start, so a draw evaluates only ndtri and a
     few in-place operations. When full is set, every band is its whole
-    window.
+    window and cdf holds the float64 entries themselves: the exact
+    reference a stray is settled on.
+
+    A banded cdf holds each entry F as q = min(floor(F * 2^32), 2^32 - 1)
+    in uint32, and a lookup compares it with key = floor(u * 2^32) <=
+    2^32 - 1. As floor is monotone:
+      q > key gives floor(F * 2^32) >= q > floor(u * 2^32), so F > u;
+      q < key leaves q unclipped, floor(F * 2^32) < floor(u * 2^32), so F < u.
+    Only q == key leaves F against u open, so the walk's answer is exact
+    unless the entry below it equals key; such a tie is a stray.
     """
 
     n: np.ndarray  # int64 denominators
@@ -219,7 +239,7 @@ class _QuantileTable:
     lo: np.ndarray  # int64 first stored outcome (the band's) per station
     starts: np.ndarray  # int64 index of each station's row in cdf
     last: np.ndarray  # int64 stored row width - 1
-    cdf: np.ndarray  # float64 flat: every stored row back to back
+    cdf: np.ndarray  # flat, every stored row back to back: uint32 fixed point, float64 if full
     left_tail: np.ndarray  # float64 band tail F(lo - 1) per station
     shift: np.ndarray  # float64 mu + 0.5 - lo
     sig: np.ndarray  # float64 sqrt(n p q)
@@ -230,14 +250,17 @@ class _QuantileTable:
         """Map one uniform per station to a count.
 
         Each station starts at the Cornish-Fisher estimate of its answer,
-        clipped into its row, and walks up while cdf <= u and down while
-        the entry below is > u. A row is a running sum of non-negative
-        terms, so the walk ends at the row's first entry above u from any
-        start; the start only sets how far it walks. That entry is the
-        answer the whole window gives exactly when u is at or above the
-        band's tail and the walk stops inside the band; every other
-        station is a stray, and all of one call's strays are finished
-        together on a table of their full windows.
+        clipped into its row, and walks up while cdf <= v and down while
+        the entry below is > v, where v is u for a full table and u's
+        fixed-point key for a banded one. A row is a running sum of
+        non-negative terms, and rounding down to fixed point keeps it
+        non-decreasing, so the walk ends at the row's first entry above v
+        from any start; the start only sets how far it walks. That entry
+        is the answer the whole window gives exactly when u is at or
+        above the band's tail, the walk stops inside the band and the
+        entry below it does not tie with the key; every other station is
+        a stray, and all of one call's strays are finished together on a
+        table of their full windows.
         """
         from scipy.special import ndtri
 
@@ -256,23 +279,30 @@ class _QuantileTable:
         np.clip(x, 0.0, self.last, out=x)
         i = x.astype(np.int64)
         i += starts
-        above = self.cdf[i] > u
+        # u * 2^32 is exact and below 2^32, so truncation is the floor
+        v = u if self.full else (u * _FIXED_ONE).astype(np.uint32)
+        above = self.cdf[i] > v
         up = np.flatnonzero(~above)
         while up.size:
             i[up] += 1
             up = up[i[up] < ends[up]]
-            up = up[self.cdf[i[up]] <= u[up]]
+            up = up[self.cdf[i[up]] <= v[up]]
         # i - 1 leaves a station's row only where i == starts, and those
         # stations are masked out
-        down = np.flatnonzero(above & (self.cdf[i - 1] > u) & (i > starts))
+        below = self.cdf[i - 1]
+        walks = np.flatnonzero(above & (below > v) & (i > starts))
+        down = walks
         while down.size:
             i[down] -= 1
             down = down[i[down] > starts[down]]
-            down = down[self.cdf[i[down] - 1] > u[down]]
+            down = down[self.cdf[i[down] - 1] > v[down]]
         k = self.lo + (i - starts)
-        # outside the stored band: finish on the full window, and outside
-        # that settle exactly; rare by design
+        # outside the stored band, or tied with the key: finish on the
+        # full window, and outside that settle exactly; rare by design
         stray = (i == ends) | (u < self.left_tail)
+        if not self.full:
+            below[walks] = self.cdf[i[walks] - 1]  # only these moved after it was read
+            stray |= (i > starts) & (below == v)
         if stray.any():
             s = np.flatnonzero(stray)
             if self.full:
@@ -302,7 +332,9 @@ def _build_table(
     row, or one row if that is wider; so each scratch array holds at
     most max(_BUILD_CELLS, widest row) cells whatever the station
     count. A chunk's band cells are copied into one contiguous stretch
-    of cdf, one block per run of rows of equal shape.
+    of cdf, one block per run of rows of equal shape; a banded table
+    turns them into fixed point (see _QuantileTable) in the chunk's
+    scratch on the way.
     """
     from scipy.special import bdtr, gammaln
 
@@ -335,7 +367,8 @@ def _build_table(
     np.cumsum(stored, out=bounds[1:])
     starts = np.empty(n_st, dtype=np.int64)
     starts[order] = bounds[:-1]
-    cdf = np.empty(int(bounds[-1]), dtype=np.float64)
+    full = band_sigmas >= _TAIL_SIGMAS
+    cdf = np.empty(int(bounds[-1]), dtype=np.float64 if full else np.uint32)
 
     # per-station terms, in row order
     nn = den[order].astype(np.float64)
@@ -391,11 +424,18 @@ def _build_table(
         for a, b in zip(cuts[:-1], cuts[1:]):
             f, k = int(first[a]), int(stored[a])
             out = cdf[bounds[a]:bounds[b]].reshape(b - a, k)
-            np.add(rows[a - s:b - s, f:f + k], tail[a:b, None], out=out)
+            if full:
+                np.add(rows[a - s:b - s, f:f + k], tail[a:b, None], out=out)
+            else:
+                # to fixed point through the ratio grid's scratch, free by now
+                band = grid_buf[:(b - a) * k].reshape(b - a, k)
+                np.add(rows[a - s:b - s, f:f + k], tail[a:b, None], out=band)
+                band *= _FIXED_ONE
+                np.minimum(band, _FIXED_MAX, out=out, casting="unsafe")
             if f:
                 left_tail[order[a:b]] = rows[a - s:b - s, f - 1] + tail[a:b]
         s = e
-    cdf[starts[degenerate]] = 1.0
+    cdf[starts[degenerate]] = 1.0 if full else _FIXED_MAX
 
     q = 1.0 - p
     return _QuantileTable(
@@ -409,7 +449,7 @@ def _build_table(
         shift=mu + 0.5 - band_lo,
         sig=sig,
         skew=(q - p) / 6.0,
-        full=band_sigmas >= _TAIL_SIGMAS,
+        full=full,
     )
 
 

@@ -723,12 +723,14 @@ class TestWorkerCounts:
 
 
 def test_commands_that_do_not_simulate_never_import_scipy(data_dir, tmp_path):
+    # nor the pool's modules, which only a run with several workers loads
     src_dir = Path(pollheap.__file__).resolve().parent.parent
     clean = str(data_dir / "clean.tsv")
     script = f"""
 import sys
 import pollheap.cli
-assert "scipy" not in sys.modules, "import"
+unloaded = ("scipy", "multiprocessing", "concurrent.futures")
+assert not set(unloaded) & set(sys.modules), "import"
 for argv in (
     ["simulate", "--out", {str(tmp_path / "sim")!r}, "--stations", "50"],
     ["validate", "--input", {clean!r}, "--out", {str(tmp_path / "val")!r}],
@@ -736,7 +738,7 @@ for argv in (
     ["histogram", "--input", {clean!r}, "--out", {str(tmp_path / "hist")!r}, "--iterations", "0"],
 ):
     assert pollheap.cli.main(argv) == 0, argv
-    assert "scipy" not in sys.modules, argv[0]
+    assert not set(unloaded) & set(sys.modules), argv[0]
 """
     env = dict(os.environ, PYTHONPATH=str(src_dir))
     proc = subprocess.run(

@@ -1,5 +1,7 @@
 """The Monte Carlo driver: groups, schedules and worker-count invariance."""
 
+import concurrent.futures
+import multiprocessing
 import os
 import tracemalloc
 import weakref
@@ -264,8 +266,8 @@ def test_without_fork_runs_one_worker_and_says_so(monkeypatch, capsys):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(mc.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     got = run_simulation([_builder(c) for c in sets], reducers, ITERATIONS, 8, workers=3)
     assert _bits(got) == _bits(ref)
     err = capsys.readouterr().err

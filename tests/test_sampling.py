@@ -484,14 +484,22 @@ def test_lookup_answer_does_not_depend_on_its_start_property(dens, ps, data):
             assert np.array_equal(pinned.lookup(u), want)
 
 
+def _fixed_point(entries):
+    """CDF entries as a banded table stores them: floor(F * 2^32) in uint32."""
+    return np.minimum(np.floor(entries * 2.0**32), 2.0**32 - 1).astype(np.uint32)
+
+
 def _assert_band_is_a_slice(banded, full):
-    """Each stored row is its full row's band; its tail is the entry before."""
+    """Each stored row is its full row's band in fixed point; its tail is
+    the float64 entry before."""
+    assert banded.cdf.dtype == np.uint32 and full.cdf.dtype == np.float64
     assert np.all(banded.lo >= full.lo)
     assert np.all(banded.lo + banded.last <= full.lo + full.last)
     for i in range(full.lo.size):
         first = int(banded.lo[i] - full.lo[i])
         row = _row(full, i)
-        assert _row(banded, i).tobytes() == row[first:first + banded.last[i] + 1].tobytes(), i
+        want = _fixed_point(row[first:first + banded.last[i] + 1])
+        assert _row(banded, i).tobytes() == want.tobytes(), i
         tail = row[first - 1] if first else full.left_tail[i]
         assert banded.left_tail[i:i + 1].tobytes() == np.float64(tail).tobytes(), i
     first = np.sort(banded.starts)
@@ -503,7 +511,8 @@ def _assert_band_is_a_slice(banded, full):
 def _band_uniforms(banded, full, data):
     """One u per station at the edges of its band and of its window:
     stored entries, the band's tail and just below it, the band's last
-    entry (answers past the band), the window's tail and below it."""
+    entry (answers past the band), the window's tail and below it, and
+    the edges of a band entry's fixed-point cell (keys that tie)."""
     us = []
     for i in range(full.lo.size):
         row = _row(full, i)
@@ -511,9 +520,12 @@ def _band_uniforms(banded, full, data):
         end = first + int(banded.last[i]) + 1
         band_tail = float(banded.left_tail[i])
         window_tail = float(full.left_tail[i])
+        entry = float(row[data.draw(st.integers(first, end - 1))])
+        q = np.floor(entry * 2.0**32)
         candidates = [0.0, _LAST_UNIFORM, band_tail, np.nextafter(band_tail, 0.0),
                       window_tail, np.nextafter(window_tail, 0.0),
-                      float(row[data.draw(st.integers(first, end - 1))]), float(row[end - 1]),
+                      entry, q / 2.0**32, np.nextafter((q + 1.0) / 2.0**32, 0.0),
+                      float(row[end - 1]),
                       float(row[data.draw(st.integers(0, row.size - 1))]), float(row[-1])]
         u = data.draw(st.one_of(st.sampled_from(candidates), st.floats(0.0, 1.0)))
         u = data.draw(st.sampled_from([u, float(np.nextafter(u, 0.0)),
@@ -572,6 +584,44 @@ def test_band_strays_are_settled_on_the_rebuilt_full_row():
     assert np.array_equal(got, want)
     assert len(calls) == 1 and calls[0][1] == sampling._TAIL_SIGMAS
     assert den.size // 2 < calls[0][0] <= den.size
+
+
+def test_a_key_tied_with_the_entry_below_is_settled_on_the_rebuilt_full_row():
+    # u on the lower edge of entry j's fixed-point cell lies below F(j), so
+    # the answer is j, but its key equals entry j's stored value and the
+    # fixed-point walk stops one past it: the tie must go to the full row
+    den = np.array([3000, 5000, 800], dtype=np.int64)
+    num = np.array([1500, 2750, 120], dtype=np.int64)
+    sampler = make_sampler(den, num, "binomial", "turnout")
+    table = sampler._table
+    with _full_window():
+        full = make_sampler(den, num, "binomial", "turnout")
+    j = int(table.last[1]) // 2
+    stored = table.cdf[table.starts[1] + j]
+    u = np.full((den.size, 1), 0.5)
+    u[1, 0] = float(stored) / 2.0**32
+    entry = _row(full._table, 1)[int(table.lo[1] - full._table.lo[1]) + j]
+    assert u[1, 0] < entry and int(u[1, 0] * 2.0**32) == stored
+    assert table.cdf[table.starts[1] + j + 1] > stored
+    build = sampling._build_table
+    calls = []
+
+    def spy(den, p, band_sigmas=None):
+        calls.append((den.size, band_sigmas))
+        return build(den, p, band_sigmas)
+
+    with mock.patch.object(sampling, "_build_table", spy):
+        got = sampler.draw_from_uniforms(u)
+        assert calls == [(1, sampling._TAIL_SIGMAS)]
+        # started at its row's first entry the walk goes up to the tie,
+        # started at its last it comes down to it
+        still = np.zeros(den.size)
+        for shift in (still, table.last.astype(np.float64)):
+            pinned = dataclasses.replace(table, shift=shift, sig=still, skew=still)
+            assert np.array_equal(pinned.lookup(u[:, 0]), got)
+    assert calls == [(1, sampling._TAIL_SIGMAS)] * 3
+    assert got[1] == table.lo[1] + j
+    assert np.array_equal(got, full.draw_from_uniforms(u))
 
 
 @pytest.fixture(scope="module")
