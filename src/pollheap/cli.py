@@ -51,6 +51,7 @@ from .anomaly import (
 )
 from .histograms import (
     WeightedHistogram,
+    _bins_per_percent,
     average_histograms,
     build_histogram,
     envelope_from_matrix,
@@ -66,7 +67,7 @@ from .ingest import (
     verify_subtotals,
     write_canonical_tsv,
 )
-from .model import METRICS, FilterPolicy, apply_filters, as_fraction
+from .model import METRICS, ElectionDataset, FilterPolicy, apply_filters, as_fraction
 from .regions import exclude_regions, fingerprint, region_peaks, restrict_regions
 from .render import (
     render_box_plot,
@@ -122,6 +123,15 @@ def _window_arg(text: str) -> tuple[Fraction, ...]:
         return tuple(WindowSpec(half_width=_fraction_arg(p)).half_width for p in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+
+
+def _bins_arg(text: str) -> Fraction:
+    width = _fraction_arg(text)
+    try:
+        _bins_per_percent(width)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return width
 
 
 def _levels_arg(text: str) -> tuple[Fraction, Fraction]:
@@ -246,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_filters(p)
     _add_mc(p, default_iterations=0)
     p.add_argument("--metric", default="both", choices=(*METRICS, "both"))
-    p.add_argument("--bins", type=_fraction_arg, default=Fraction(1, 10), help="bin width in percent")
+    p.add_argument("--bins", type=_bins_arg, default=Fraction(1, 10), help="bin width in percent")
     p.add_argument("--jitter", action="store_true", help="de-heap by jittering numerators")
     p.add_argument("--include-hundred", action="store_true", help="keep exact-100%% stations")
     p.add_argument("--levels", type=_levels_arg, default=DEFAULT_LEVELS)
@@ -457,28 +467,28 @@ def _progress(label: str):
     return cb
 
 
-def _policy(args: argparse.Namespace) -> FilterPolicy | None:
-    if args.no_filter:
-        return None
-    return FilterPolicy(
-        min_registered=args.min_registered,
-        max_percentage=args.max_percent,
-        exclude_undefined_result=not args.keep_undefined_result,
-    )
+def _prepare(args: argparse.Namespace, path: str) -> ElectionDataset:
+    """One input, loaded and filtered as every command but validate needs it.
 
-
-def _prepare(args: argparse.Namespace, path: str):
-    """Load one input and apply filtering plus region selection."""
-    dataset, report = load_dataset(path, args.profile, label=Path(path).stem)
+    The file is read with --profile and labelled by its stem, filtered
+    by the station filters unless --no-filter is set, then cut by
+    --exclude-regions and --restrict-regions; no station left is an
+    error.
+    """
+    dataset, _ = load_dataset(path, args.profile)
     if not args.no_filter:
-        dataset = apply_filters(dataset, _policy(args))
+        dataset = apply_filters(dataset, FilterPolicy(
+            min_registered=args.min_registered,
+            max_percentage=args.max_percent,
+            exclude_undefined_result=not args.keep_undefined_result,
+        ))
     if args.exclude_regions:
         dataset = exclude_regions(dataset, args.exclude_regions)
     if args.restrict_regions:
         dataset = restrict_regions(dataset, args.restrict_regions)
     if len(dataset) == 0:
         raise ValueError(f"no stations left after filtering: {path}")
-    return dataset, report
+    return dataset
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +500,7 @@ def _cmd_validate(args: argparse.Namespace) -> tuple[dict, list]:
 
     results = []
     for path in args.input:
-        dataset, report = load_dataset(path, args.profile, label=Path(path).stem)
+        dataset, report = load_dataset(path, args.profile)
         entry = {
             "input": Path(path).name,
             "stations": len(dataset),
@@ -509,7 +519,7 @@ def _cmd_validate(args: argparse.Namespace) -> tuple[dict, list]:
 def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, list]:
     if args.iterations < 100:
         raise ValueError("analyze needs --iterations >= 100")
-    dataset, _ = _prepare(args, args.input)
+    dataset = _prepare(args, args.input)
 
     named = [
         (name, stat, WindowSpec(center_kind=kind, half_width=args.window[0]))
@@ -605,14 +615,11 @@ def _metrics(arg: str) -> tuple[str, ...]:
     return METRICS if arg == "both" else (arg,)
 
 
-def _peak_shape_rows(hists, means, metric: str, bin_width: Fraction):
+def _peak_shape_rows(hists, mc_hists):
     """Rows of peak_shape_<metric>.csv.
 
     A generator, so peak_shape runs only when the CSV is written.
     """
-    mc_hists = [
-        WeightedHistogram(metric=metric, bin_width=bin_width, weights=m) for m in means
-    ]
     shape = peak_shape(hists, mc_hists)
     yield from zip(shape.offsets, shape.mean_excess)
 
@@ -636,11 +643,13 @@ def _cmd_histogram(args: argparse.Namespace) -> tuple[dict, list]:
         raise ValueError("envelopes need --iterations >= 100 (or 0 to skip)")
     suppress = not args.include_hundred
 
-    loaded = [_prepare(args, path) for path in args.input]
-    datasets = [d for d, _ in loaded]
-    labels = [d.label for d in datasets]
-    if args.average and len(datasets) < 2:
+    if args.average and len(args.input) < 2:
         raise ValueError("--average needs at least two inputs")
+    if (args.average and args.iterations and "csv" in args.format
+            and _bins_per_percent(args.bins) % 2):
+        raise UsageError("peak_shape CSVs need --bins to align half-percent window edges")
+    datasets = [_prepare(args, path) for path in args.input]
+    labels = [d.label for d in datasets]
 
     metrics = _metrics(args.metric)
     if not args.average:
@@ -680,25 +689,20 @@ def _cmd_histogram(args: argparse.Namespace) -> tuple[dict, list]:
         if args.average:
             avg = average_histograms(hists)
             centers = avg.bin_centers
-            emp = np.asarray(avg.weights, dtype=np.float64)
             header = ["bin_center", "average_weight"]
-            cols = [emp]
-            series = [("average empirical", centers, emp)]
-            means = finished
-            if means:
-                mc_avg = np.zeros_like(means[0])
-                for m in means:
-                    mc_avg += m
-                mc_avg /= len(means)
+            cols = [avg.weights]
+            series = [("average empirical", centers, avg.weights)]
+            mc_hists = [WeightedHistogram(metric, args.bins, mean) for mean in finished]
+            if mc_hists:
+                mc_avg = average_histograms(mc_hists).weights
                 header.append("mc_mean")
                 cols.append(mc_avg)
                 series.append(("average simulated mean", centers, mc_avg))
             files.append((f"hist_{metric}_avg.csv", (header, zip(centers, *cols))))
-            if means:
+            if mc_hists:
                 files.append((
                     f"peak_shape_{metric}.csv",
-                    (["offset", "mean_excess"],
-                     _peak_shape_rows(hists, means, metric, args.bins)),
+                    (["offset", "mean_excess"], _peak_shape_rows(hists, mc_hists)),
                 ))
             files.append((
                 f"hist_{metric}_avg.svg",
@@ -759,7 +763,7 @@ def _spectrogram_ratio(hist: WeightedHistogram, matrix: np.ndarray):
 def _cmd_spectrum(args: argparse.Namespace) -> tuple[dict, list]:
     if args.iterations < 100:
         raise ValueError("spectrum needs --iterations >= 100 for the simulated baseline")
-    dataset, _ = _prepare(args, args.input)
+    dataset = _prepare(args, args.input)
 
     metrics = _metrics(args.metric)
     hists = [build_histogram(dataset, metric) for metric in metrics]
@@ -818,9 +822,9 @@ def _cmd_regions(args: argparse.Namespace) -> tuple[dict, list]:
         raise ValueError("regions needs --iterations >= 100")
     if args.exclude_top < 0:
         raise ValueError("--exclude-top must be >= 0")
-    loaded = [_prepare(args, path) for path in args.input]
-    datasets = {d.label: d for d, _ in loaded}
-    if len(datasets) != len(loaded):
+    prepared = [_prepare(args, path) for path in args.input]
+    datasets = {d.label: d for d in prepared}
+    if len(datasets) != len(prepared):
         raise ValueError("input files must have distinct names")
 
     table = region_peaks(
@@ -882,7 +886,7 @@ def _cmd_regions(args: argparse.Namespace) -> tuple[dict, list]:
 
 
 def _cmd_fingerprint(args: argparse.Namespace) -> tuple[dict, list]:
-    dataset, _ = _prepare(args, args.input)
+    dataset = _prepare(args, args.input)
     fp = fingerprint(dataset, weighted_correlation=args.weighted)
 
     edges = [i * 0.5 for i in range(fp.cells.shape[0])]

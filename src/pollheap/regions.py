@@ -245,12 +245,12 @@ def exclude_regions(dataset: ElectionDataset, region_codes) -> ElectionDataset:
     exclusion list can be applied across years where some regions do
     not appear.
     """
-    return dataset.take(~_region_mask(dataset, region_codes), label=dataset.label)
+    return dataset.take(~_region_mask(dataset, region_codes))
 
 
 def restrict_regions(dataset: ElectionDataset, region_codes) -> ElectionDataset:
     """The complement of exclude_regions: only the named regions."""
-    return dataset.take(_region_mask(dataset, region_codes), label=dataset.label)
+    return dataset.take(_region_mask(dataset, region_codes))
 
 
 @dataclass(frozen=True)

@@ -340,29 +340,19 @@ def inject_fraud(
             target = int(rng.choice(percents, p=weights))
             changed = False
             for metric in sides:
-                if metric == "turnout":
-                    num = _rounding_numerator(
-                        int(V[i]), target, spec.window_half_width, spec.target_side
-                    )
-                    if num is None:
-                        skipped.append((sid, f"no turnout numerator lands at {target}%"))
-                        continue
-                    if num < B[i]:
-                        skipped.append((sid, f"turnout target {target}% falls below cast count"))
-                        continue
-                    given[i] = num
-                    changed = True
+                den, counts = (V, given) if metric == "turnout" else (B, leader)
+                if metric == "result" and den[i] < 1:
+                    skipped.append((sid, "result undefined (no cast ballots)"))
+                    continue
+                num = _rounding_numerator(
+                    int(den[i]), target, spec.window_half_width, spec.target_side
+                )
+                if num is None:
+                    skipped.append((sid, f"no {metric} numerator lands at {target}%"))
+                elif metric == "turnout" and num < B[i]:
+                    skipped.append((sid, f"turnout target {target}% falls below cast count"))
                 else:
-                    if B[i] < 1:
-                        skipped.append((sid, "result undefined (no cast ballots)"))
-                        continue
-                    num = _rounding_numerator(
-                        int(B[i]), target, spec.window_half_width, spec.target_side
-                    )
-                    if num is None:
-                        skipped.append((sid, f"no result numerator lands at {target}%"))
-                        continue
-                    leader[i] = num
+                    counts[i] = num
                     changed = True
         elif spec.mechanism == "ballot_stuffing":
             s = rng.uniform(0.1, 0.5)

@@ -4,10 +4,11 @@ Everything here is deliberately slow and literal: exact rational
 arithmetic for the probability mass functions, O(N^2) direct sums for
 the discrete Fourier transform, one csv record at a time for ingest,
 fresh arrays for every spectrogram row, the heatmap colour ramp over a
-whole image at once, binomial CDF tables built in
-station order, one station's uniforms read alone from its Philox
-stream. None of it imports the package under test, so agreement
-between the two is meaningful evidence.
+whole image at once, binomial CDF tables built in station order, one
+station's uniforms read alone from its Philox stream, the null mean
+and spread of q summed station by station from scipy's marginal pmfs.
+None of it imports the package under test, so agreement between the
+two is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -335,3 +336,70 @@ def station_order_table(den, p, cells=2**16, tail_sigmas=7.5, tail_pad=5):
         cdf[offsets[s]:offsets[e]] = rows[valid]
 
     return {"lo": lo, "offsets": offsets, "cdf": cdf, "left_tail": left_tail}
+
+
+def _window_outcomes(den: int, hn: int, hd: int, center_kind: str) -> np.ndarray:
+    """Outcomes k in 0..den whose 100 * k / den lies in some window.
+
+    Each center c (an integer 0..100, or k + 1/2 for k in 0..99) covers
+    the k with |100 * k / den - c| <= hn / hd, found as one integer
+    interval per center by exact floor and ceiling division.
+    """
+    inside = np.zeros(den + 1, dtype=bool)
+    # each center as cn / 2: j = 2j / 2, j + 1/2 = (2j + 1) / 2
+    if center_kind == "integer":
+        centers = [(2 * j, 2) for j in range(101)]
+    else:
+        centers = [(2 * j + 1, 2) for j in range(100)]
+    for cn, cd in centers:
+        # |100 k / den - cn/cd| <= hn/hd  <=>  lo_num <= 100 * cd * hd * k <= hi_num
+        lo_num = den * (cn * hd - hn * cd)
+        hi_num = den * (cn * hd + hn * cd)
+        scale = 100 * cd * hd
+        lo = max(-((-lo_num) // scale), 0)
+        hi = min(hi_num // scale, den)
+        if lo <= hi:
+            inside[lo : hi + 1] = True
+    return np.flatnonzero(inside)
+
+
+def _marginal_pmf(ks: np.ndarray, num: int, den: int, model: str) -> np.ndarray:
+    """One station's null pmf at outcomes ks, for den > 0."""
+    from scipy import stats
+
+    p = num / den
+    if model == "binomial":
+        return stats.binom.pmf(ks, den, p)
+    if model == "beta-binomial":
+        return stats.betabinom.pmf(ks, den, num + 1, den - num + 1)
+    c = int(model.split(":")[1])
+    # c * K + R with R < c: outcome k is K = k // c and R = k % c
+    return stats.binom.pmf(ks // c, den // c, p) * stats.binom.pmf(ks % c, den % c, p)
+
+
+def q_moments(sides, weights, model: str, half_width, center_kind="integer",
+              zero_exclusion=False) -> tuple[float, float]:
+    """Exact null mean and standard deviation of the window statistic q.
+
+    sides holds one (num, den) pair of count arrays per metric in
+    scope, weights each station's weight. Stations are independent,
+    and so are a station's metrics, so q is a sum of independent
+    w * Bernoulli(P) terms: P = 1 - prod(1 - a) over the station's
+    metrics, a being the marginal probability that the metric lands in
+    a window (and, with zero_exclusion, that neither the outcome nor
+    den ends in digit 0). A metric with den = 0 is never in a window.
+    model is "binomial", "beta-binomial" or "clustered:c".
+    """
+    hw = Fraction(half_width)
+    miss = np.ones(len(weights))
+    for num, den in sides:
+        for i, (n_i, d_i) in enumerate(zip(np.asarray(num).tolist(), np.asarray(den).tolist())):
+            if d_i == 0 or (zero_exclusion and d_i % 10 == 0):
+                continue
+            ks = _window_outcomes(d_i, hw.numerator, hw.denominator, center_kind)
+            if zero_exclusion:
+                ks = ks[ks % 10 != 0]
+            miss[i] *= 1.0 - float(_marginal_pmf(ks, n_i, d_i, model).sum())
+    prob = 1.0 - miss
+    w = np.asarray(weights, dtype=np.float64)
+    return float(np.sum(w * prob)), float(np.sqrt(np.sum(w * w * prob * (1.0 - prob))))

@@ -9,8 +9,10 @@ from hypothesis import given as hgiven
 from hypothesis import settings
 from hypothesis import strategies as st
 
+import pollheap.cli as cli
 from pollheap.anomaly import (
     CENTER_KINDS,
+    METRIC_SCOPES,
     StatisticDef,
     WindowSpec,
     _side_membership,
@@ -22,6 +24,7 @@ from pollheap.anomaly import (
     run_nulls,
     window_sweep,
 )
+from pollheap.synth import GeneratorConfig, generate
 
 import oracles
 from helpers import make_dataset, random_counts
@@ -213,6 +216,32 @@ class TestRunNull:
         # simulated side may lose stations
         assert on.empirical == off.empirical
         assert on.mc_mean <= off.mc_mean
+
+
+@pytest.mark.parametrize("model", ["binomial", "beta-binomial", "clustered:3"])
+def test_mc_moments_match_the_exact_null_law(model):
+    # q sums independent weighted Bernoulli terms, so its null mean and
+    # sd are exact; station 0 has no cast ballots, so its result is
+    # never in a window
+    counts = generate(GeneratorConfig(n_stations=300), seed=23).dataset
+    cast, leader = counts.cast.copy(), counts.leader.copy()
+    cast[0] = leader[0] = 0
+    dataset = make_dataset(counts.registered, counts.given, cast, leader)
+    defs = [
+        (stat, WindowSpec(center_kind=kind)) for _, stat, kind in cli._ANALYZE_DEFS
+    ]
+    iterations = 400
+    reports = run_nulls(dataset, defs, model, iterations, master_seed=5, workers=1)
+    for (stat, window), rep in zip(defs, reports):
+        weights = np.ones(len(dataset))
+        if stat.weighting == "registered_voters":
+            weights = dataset.registered
+        mean, sd = oracles.q_moments(
+            [dataset.metric(m) for m in METRIC_SCOPES[stat.metric_scope]], weights,
+            model, window.half_width, window.center_kind, stat.zero_exclusion,
+        )
+        assert abs(rep.mc_mean - mean) <= 5 * sd / np.sqrt(iterations), (stat, window)
+        assert abs(rep.mc_sd - sd) <= 0.2 * sd, (stat, window)
 
 
 class TestWindowSweep:

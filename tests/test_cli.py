@@ -635,6 +635,58 @@ class TestExitCodes:
         assert "hist_turnout_election.csv" in err and "progress" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bins", ["0.3", "0", "0.0001"])
+    def test_bad_bin_width_is_a_usage_error(self, tmp_path, capsys, bins):
+        # the bin grid is checked at parse time, before any input is read
+        with pytest.raises(SystemExit) as exc:
+            main(["histogram", "--input", str(tmp_path / "absent.tsv"), "--bins", bins])
+        assert exc.value.code == 2
+        assert "--bins" in capsys.readouterr().err
+
+    def test_odd_grid_average_rejected_before_simulating(
+        self, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        # peak_shape needs an even number of bins per percent
+        def run_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the bin grid was checked")
+
+        monkeypatch.setattr(histograms, "run_simulation", run_simulation)
+        out = tmp_path / "out"
+        rc, _, err = run(
+            capsys,
+            ["histogram", "--input", str(data_dir / "clean.tsv"), str(data_dir / "fraud.tsv"),
+             "--average", "--iterations", "100", "--bins", "1", "--out", str(out)],
+        )
+        assert rc == 2
+        assert "--bins" in err and "progress" not in err
+        assert not out.exists()
+
+    def test_odd_grid_average_without_csv_still_runs(self, data_dir, tmp_path, capsys):
+        # no peak_shape CSV is written, so no grid rule applies
+        rc, _, _ = run(
+            capsys,
+            ["histogram", "--input", str(data_dir / "clean.tsv"), str(data_dir / "fraud.tsv"),
+             "--metric", "turnout", "--average", "--iterations", "100", "--bins", "1",
+             "--format", "json,svg", "--out", str(tmp_path)],
+        )
+        assert rc == 0
+        assert os.listdir(tmp_path) == ["hist_turnout_avg.svg"]
+
+    def test_average_input_count_checked_before_loading(
+        self, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        def load_dataset(*args, **kwargs):
+            raise AssertionError("loaded an input before counting them")
+
+        monkeypatch.setattr(cli, "load_dataset", load_dataset)
+        rc, _, err = run(
+            capsys,
+            ["histogram", "--input", str(data_dir / "clean.tsv"),
+             "--out", str(tmp_path), "--average"],
+        )
+        assert rc == 1
+        assert "at least two inputs" in err
+
     def test_validate_has_no_format_flag(self, data_dir, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["validate", "--input", str(data_dir / "clean.tsv"),

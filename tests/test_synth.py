@@ -291,6 +291,93 @@ class TestInjectFraud:
         assert out.given[0] == 1501  # 75.05%, non-round count preferred
         assert out.leader[0] == 750  # 75% exactly, the only candidate
 
+    # (station, metric, target, given_before, leader_before, given_after,
+    # leader_after) per record, then (station, reason) per skip, in order
+    _PINNED_LOGS = {
+        ("just_above", "turnout"): (
+            [(0, "turnout", 70.0, 0, 0, 0, 0), (1, "turnout", 70.0, 10, 0, 350, 0),
+             (4, "turnout", 70.0, 1500, 500, 1401, 500)],
+            [(2, "turnout target 83% falls below cast count"),
+             (3, "no turnout numerator lands at 83%")],
+        ),
+        ("just_above", "result"): (
+            [(4, "result", 70.0, 1500, 500, 1500, 700)],
+            [(0, "result undefined (no cast ballots)"),
+             (1, "result undefined (no cast ballots)"),
+             (2, "no result numerator lands at 83%"),
+             (3, "no result numerator lands at 83%")],
+        ),
+        ("just_above", "both"): (
+            [(0, "both", 70.0, 0, 0, 0, 0), (1, "both", 70.0, 10, 0, 350, 0),
+             (4, "both", 70.0, 1500, 500, 1401, 700)],
+            [(0, "result undefined (no cast ballots)"),
+             (1, "result undefined (no cast ballots)"),
+             (2, "turnout target 83% falls below cast count"),
+             (2, "no result numerator lands at 83%"),
+             (3, "no turnout numerator lands at 83%"),
+             (3, "no result numerator lands at 83%")],
+        ),
+        ("just_above", "either"): (
+            [(0, "turnout", 70.0, 0, 0, 0, 0), (4, "result", 83.0, 1500, 500, 1500, 830)],
+            [(1, "result undefined (no cast ballots)"),
+             (2, "turnout target 83% falls below cast count"),
+             (3, "no turnout numerator lands at 83%")],
+        ),
+        ("nearest", "turnout"): (
+            [(0, "turnout", 70.0, 0, 0, 0, 0), (1, "turnout", 70.0, 10, 0, 350, 0),
+             (4, "turnout", 70.0, 1500, 500, 1399, 500)],
+            [(2, "turnout target 83% falls below cast count"),
+             (3, "no turnout numerator lands at 83%")],
+        ),
+        ("nearest", "result"): (
+            [(2, "result", 83.0, 950, 500, 950, 780), (4, "result", 70.0, 1500, 500, 1500, 700)],
+            [(0, "result undefined (no cast ballots)"),
+             (1, "result undefined (no cast ballots)"),
+             (3, "no result numerator lands at 83%")],
+        ),
+        ("nearest", "both"): (
+            [(0, "both", 70.0, 0, 0, 0, 0), (1, "both", 70.0, 10, 0, 350, 0),
+             (2, "both", 83.0, 950, 500, 950, 780), (4, "both", 70.0, 1500, 500, 1399, 700)],
+            [(0, "result undefined (no cast ballots)"),
+             (1, "result undefined (no cast ballots)"),
+             (2, "turnout target 83% falls below cast count"),
+             (3, "no turnout numerator lands at 83%"),
+             (3, "no result numerator lands at 83%")],
+        ),
+        ("nearest", "either"): (
+            [(0, "turnout", 70.0, 0, 0, 0, 0), (4, "result", 83.0, 1500, 500, 1500, 830)],
+            [(1, "result undefined (no cast ballots)"),
+             (2, "turnout target 83% falls below cast count"),
+             (3, "no turnout numerator lands at 83%")],
+        ),
+    }
+
+    @pytest.mark.parametrize("side,choice", sorted(_PINNED_LOGS))
+    def test_rounding_log_is_pinned(self, side, choice):
+        # every station gets a rounding target: an empty roll, a roll
+        # with no cast ballots, one whose cast count exceeds the turnout
+        # target, one too small for any numerator to land, and a plain
+        # one; the whole log, skip reasons in order, is fixed
+        ds = make_dataset(
+            [0, 500, 1000, 7, 2000], [0, 10, 950, 5, 1500],
+            [0, 0, 940, 4, 1000], [0, 0, 500, 2, 500],
+        )
+        spec = self._spec(
+            affected_fraction=1.0, target_side=side, metric_choice=choice,
+            targets=((70, 1), (83, 1)),
+        )
+        _, log = inject_fraud(ds, spec, 1)
+        index = {sid: i for i, sid in enumerate(ds.station_ids)}
+        records = [
+            (index[r.station_id], r.metric, r.target_percent, r.given_before,
+             r.leader_before, r.given_after, r.leader_after)
+            for r in log.records
+        ]
+        skipped = [(index[sid], why) for sid, why in log.skipped]
+        assert (records, skipped) == self._PINNED_LOGS[side, choice]
+        assert {r.mechanism for r in log.records} == {"integer_rounding"}
+        assert log.requested == 5
+
     def test_ballot_stuffing_only_raises_counts(self, null_2k):
         out, log = inject_fraud(
             null_2k, self._spec(mechanism="ballot_stuffing"), 6
