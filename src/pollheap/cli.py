@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--centers", default="integer", choices=("integer", "half_integer"))
     p.add_argument(
         "--exclude-top",
-        type=int,
+        type=_non_negative_int_arg,
         default=0,
         help="also emit averaged histograms with the top N ranked regions removed",
     )
@@ -291,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate synthetic data, optionally with injected fraud")
     p.add_argument("--out", default=".", help="output directory for artifacts")
-    p.add_argument("--stations", type=int, required=True)
-    p.add_argument("--regions", type=int, default=1)
+    p.add_argument("--stations", type=_positive_int_arg, required=True)
+    p.add_argument("--regions", type=_positive_int_arg, default=1)
     p.add_argument("--seed", type=_non_negative_int_arg, default=0)
     p.add_argument("--fraud-mechanism", default=None, choices=MECHANISMS)
     p.add_argument("--fraud-fraction", type=float, default=0.0)
@@ -309,12 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _jsonable(value):
+    """value as plain JSON data; a NaN or infinite float becomes None (null)."""
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, (np.integer,)):
         return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value) if np.isfinite(value) else None
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, (tuple, list)):
@@ -377,7 +378,7 @@ def _csv_lines(cfg: dict, digest: str, header: list[str], rows):
 def _json_doc(cfg: dict, digest: str, payload: dict) -> str:
     doc = {"run": dict(cfg, digest=digest)}
     doc.update(_jsonable(payload))
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _svg_meta(cfg: dict, digest: str) -> str:
@@ -544,7 +545,6 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, list]:
     by_name = {name: rep for (name, _, _), rep in zip(named, reports)}
     sweep_reports = reports[len(named):]
 
-    names = list(by_name)
     files = [
         (
             "analysis.json",
@@ -556,11 +556,8 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, list]:
         (
             "samples.csv",
             (
-                ["iteration"] + names,
-                [
-                    [it] + [int(by_name[n].mc_samples[it]) for n in names]
-                    for it in range(args.iterations)
-                ],
+                ["iteration", *by_name],
+                zip(range(args.iterations), *(rep.mc_samples for rep in by_name.values())),
             ),
         ),
     ]
@@ -628,14 +625,23 @@ def _hist_stem(metric: str, label: str, n_inputs: int) -> str:
     return f"hist_{metric}_{label}" if n_inputs > 1 else f"hist_{metric}"
 
 
-def _hist_rows(centers, weights, env):
-    """Rows of a per-input histogram CSV, made as the CSV is written."""
-    if env is None:
-        for c, w in zip(centers, weights):
-            yield [c, int(w)]
-    else:
-        for c, w, m, lo, hi in zip(centers, weights, env.mean, env.low, env.high):
-            yield [c, int(w), m, int(lo), int(hi)]
+def _averaged(stem: str, title: str, columns):
+    """Averaged histograms as <stem>.csv and <stem>.svg.
+
+    columns holds (CSV header, plot legend, histograms) per column; each
+    column is the average_histograms mean of its histograms. Returns
+    the means, the CSV (bin_center, then one column each) and the SVG
+    (one line each), so a caller can place other files between the two.
+    """
+    means = [average_histograms(hists).weights for _, _, hists in columns]
+    centers = columns[0][2][0].bin_centers
+    header = ["bin_center", *(name for name, _, _ in columns)]
+    series = [(legend, centers, mean) for (_, legend, _), mean in zip(columns, means)]
+    return (
+        means,
+        (f"{stem}.csv", (header, zip(centers, *means))),
+        (f"{stem}.svg", partial(render_line_plot, series, title, "percent", "stations per bin")),
+    )
 
 
 def _cmd_histogram(args: argparse.Namespace) -> tuple[dict, list]:
@@ -687,31 +693,21 @@ def _cmd_histogram(args: argparse.Namespace) -> tuple[dict, list]:
         finished = simulated[k * len(datasets) : (k + 1) * len(datasets)]
 
         if args.average:
-            avg = average_histograms(hists)
-            centers = avg.bin_centers
-            header = ["bin_center", "average_weight"]
-            cols = [avg.weights]
-            series = [("average empirical", centers, avg.weights)]
+            columns = [("average_weight", "average empirical", hists)]
             mc_hists = [WeightedHistogram(metric, args.bins, mean) for mean in finished]
             if mc_hists:
-                mc_avg = average_histograms(mc_hists).weights
-                header.append("mc_mean")
-                cols.append(mc_avg)
-                series.append(("average simulated mean", centers, mc_avg))
-            files.append((f"hist_{metric}_avg.csv", (header, zip(centers, *cols))))
+                columns.append(("mc_mean", "average simulated mean", mc_hists))
+            means, csv, svg = _averaged(
+                f"hist_{metric}_avg", f"{metric} histogram (averaged)", columns
+            )
+            files.append(csv)
             if mc_hists:
                 files.append((
                     f"peak_shape_{metric}.csv",
                     (["offset", "mean_excess"], _peak_shape_rows(hists, mc_hists)),
                 ))
-            files.append((
-                f"hist_{metric}_avg.svg",
-                partial(
-                    render_line_plot, series, f"{metric} histogram (averaged)",
-                    "percent", "stations per bin",
-                ),
-            ))
-            summary["metrics"][metric] = {"total_weight": float(avg.weights.sum())}
+            files.append(svg)
+            summary["metrics"][metric] = {"total_weight": float(means[0].sum())}
         else:
             per_metric = []
             for i, (hist, label) in enumerate(zip(hists, labels)):
@@ -719,13 +715,15 @@ def _cmd_histogram(args: argparse.Namespace) -> tuple[dict, list]:
                 stem = _hist_stem(metric, label, len(labels))
                 title = f"{metric} histogram: {label}"
                 header = ["bin_center", "weight"]
-                env = finished[i] if finished else None
-                if env is not None:
+                columns = [hist.weights]
+                if finished:
+                    env = finished[i]
                     header += ["mc_mean", "low", "high"]
+                    # low and high are integer-valued float64 from an int64 matrix
+                    columns += [env.mean, env.low.astype(np.int64), env.high.astype(np.int64)]
                     svg = partial(
                         render_envelope_plot, centers, hist.weights.astype(float),
-                        env.mean, env.low.astype(float), env.high.astype(float),
-                        title, "percent", "stations per bin",
+                        env.mean, env.low, env.high, title, "percent", "stations per bin",
                     )
                 else:
                     svg = partial(
@@ -733,21 +731,24 @@ def _cmd_histogram(args: argparse.Namespace) -> tuple[dict, list]:
                         [("empirical", centers, hist.weights.astype(float))],
                         title, "percent", "stations per bin",
                     )
-                rows = _hist_rows(centers, hist.weights, env)
-                files += [(f"{stem}.csv", (header, rows)), (f"{stem}.svg", svg)]
+                files += [
+                    (f"{stem}.csv", (header, zip(centers, *columns))),
+                    (f"{stem}.svg", svg),
+                ]
                 per_metric.append({"input": label, "total_weight": int(hist.weights.sum())})
             summary["metrics"][metric] = per_metric
     return summary, files
 
 
-def _grid_rows(labels, grid: np.ndarray):
-    """Rows of a matrix CSV, each its label and then its grid row.
+def _matrix_csv(corner: str, row_labels, col_labels, grid: np.ndarray):
+    """A matrix CSV's (header, rows): corner and col_labels across, then
+    each grid row after its label from the row_labels array.
 
-    Made a row at a time as the CSV is written, so the grid never
-    exists as Python numbers all at once.
+    The rows are made one at a time as the CSV is written, so the grid
+    never exists as Python numbers all at once.
     """
-    for label, row in zip(np.asarray(labels).tolist(), grid):
-        yield [label] + row.tolist()
+    header = [corner, *map(_cell, col_labels)]
+    return header, ([label, *row.tolist()] for label, row in zip(row_labels.tolist(), grid))
 
 
 def _spectrogram_ratio(hist: WeightedHistogram, matrix: np.ndarray):
@@ -780,17 +781,18 @@ def _cmd_spectrum(args: argparse.Namespace) -> tuple[dict, list]:
         spec = amplitude_spectrum(hist)
         profile = harmonic_profile(gram, frequency=1.0)
 
-        gram_header = ["center"] + [_cell(f) for f in gram.frequencies]
-        gram_rows = _grid_rows(gram.centers, gram.ratio)
         files += [
             (
                 f"spectrum_{metric}.csv",
-                (["frequency", "amplitude"], list(zip(spec.frequencies, spec.amplitudes))),
+                (["frequency", "amplitude"], zip(spec.frequencies, spec.amplitudes)),
             ),
-            (f"spectrogram_{metric}.csv", (gram_header, gram_rows)),
+            (
+                f"spectrogram_{metric}.csv",
+                _matrix_csv("center", gram.centers, gram.frequencies, gram.ratio),
+            ),
             (
                 f"harmonic_{metric}.csv",
-                (["center", "ratio"], list(zip(profile.centers, profile.values))),
+                (["center", "ratio"], zip(profile.centers, profile.values)),
             ),
             (
                 f"spectrum_{metric}.svg",
@@ -820,12 +822,10 @@ def _cmd_spectrum(args: argparse.Namespace) -> tuple[dict, list]:
 def _cmd_regions(args: argparse.Namespace) -> tuple[dict, list]:
     if args.iterations < 100:
         raise ValueError("regions needs --iterations >= 100")
-    if args.exclude_top < 0:
-        raise ValueError("--exclude-top must be >= 0")
-    prepared = [_prepare(args, path) for path in args.input]
-    datasets = {d.label: d for d in prepared}
-    if len(datasets) != len(prepared):
+    # each input is labelled by its file stem, as _prepare loads it
+    if len({Path(path).stem for path in args.input}) != len(args.input):
         raise ValueError("input files must have distinct names")
+    datasets = {d.label: d for d in (_prepare(args, path) for path in args.input)}
 
     table = region_peaks(
         datasets,
@@ -855,33 +855,19 @@ def _cmd_regions(args: argparse.Namespace) -> tuple[dict, list]:
     excluded = list(table.ranking[: args.exclude_top])
     if excluded:
         files.append(("excluded_regions.txt", "\n".join(excluded) + "\n"))
-        without = f"without_top_{len(excluded)}"
         kept = [exclude_regions(d, excluded) for d in datasets.values()]
         for metric in METRICS:
-            full = [build_histogram(d, metric) for d in datasets.values()]
-            reduced = [build_histogram(d, metric) for d in kept]
-            centers = full[0].bin_centers
-            avg_full = np.asarray(average_histograms(full).weights, dtype=np.float64)
-            avg_reduced = np.asarray(average_histograms(reduced).weights, dtype=np.float64)
-            rows = [[c, avg_full[i], avg_reduced[i]] for i, c in enumerate(centers)]
-            files += [
-                (
-                    f"hist_{metric}_excluded.csv",
-                    (["bin_center", "all_regions", without], rows),
-                ),
-                (
-                    f"hist_{metric}_excluded.svg",
-                    partial(
-                        render_line_plot,
-                        [
-                            ("all regions", centers, avg_full),
-                            (f"without top {len(excluded)}", centers, avg_reduced),
-                        ],
-                        f"{metric} histogram after excluding ranked regions",
-                        "percent", "stations per bin",
-                    ),
-                ),
-            ]
+            _, csv, svg = _averaged(
+                f"hist_{metric}_excluded",
+                f"{metric} histogram after excluding ranked regions",
+                [
+                    ("all_regions", "all regions",
+                     [build_histogram(d, metric) for d in datasets.values()]),
+                    (f"without_top_{len(excluded)}", f"without top {len(excluded)}",
+                     [build_histogram(d, metric) for d in kept]),
+                ],
+            )
+            files += [csv, svg]
     return {"ranking": list(table.ranking), "excluded": excluded}, files
 
 
@@ -889,9 +875,6 @@ def _cmd_fingerprint(args: argparse.Namespace) -> tuple[dict, list]:
     dataset = _prepare(args, args.input)
     fp = fingerprint(dataset, weighted_correlation=args.weighted)
 
-    edges = [i * 0.5 for i in range(fp.cells.shape[0])]
-    header = ["turnout_percent"] + [_cell(e) for e in edges]
-    rows = _grid_rows(edges, fp.cells)
     corr = "n/a" if fp.correlation is None else f"{fp.correlation:.3f}"
     files = [
         (
@@ -903,7 +886,10 @@ def _cmd_fingerprint(args: argparse.Namespace) -> tuple[dict, list]:
                 "bin_width": fp.bin_width,
             },
         ),
-        ("fingerprint.csv", (header, rows)),
+        (
+            "fingerprint.csv",
+            _matrix_csv("turnout_percent", fp.bin_centers, fp.bin_centers, fp.cells),
+        ),
         (
             "fingerprint.svg",
             partial(
@@ -920,8 +906,6 @@ def _cmd_fingerprint(args: argparse.Namespace) -> tuple[dict, list]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, list]:
-    if args.stations < 1:
-        raise ValueError("--stations must be >= 1")
     spec = None  # checked in full before any station is generated
     if args.fraud_mechanism is None:
         if args.fraud_fraction:
@@ -991,7 +975,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps(_jsonable(summary), sort_keys=True))
+    print(json.dumps(_jsonable(summary), sort_keys=True, allow_nan=False))
     return 0
 
 

@@ -378,28 +378,45 @@ def _marginal_pmf(ks: np.ndarray, num: int, den: int, model: str) -> np.ndarray:
 
 
 def q_moments(sides, weights, model: str, half_width, center_kind="integer",
-              zero_exclusion=False) -> tuple[float, float]:
+              zero_exclusion=False, cap=None, other_sides=()) -> tuple[float, float]:
     """Exact null mean and standard deviation of the window statistic q.
 
     sides holds one (num, den) pair of count arrays per metric in
     scope, weights each station's weight. Stations are independent,
     and so are a station's metrics, so q is a sum of independent
-    w * Bernoulli(P) terms: P = 1 - prod(1 - a) over the station's
-    metrics, a being the marginal probability that the metric lands in
-    a window (and, with zero_exclusion, that neither the outcome nor
-    den ends in digit 0). A metric with den = 0 is never in a window.
+    w * Bernoulli(P) terms. Per station and metric, j is the marginal
+    probability that the metric lands in a window (and, with
+    zero_exclusion, that neither the outcome nor den ends in digit 0).
+    A metric with den = 0 is never in a window.
+
+    cap (run_nulls' refilter_max_percent) also asks every metric, in
+    scope (sides) or not (other_sides), to stay at or below cap
+    percent: c is that probability (1 where den = 0), j is taken with
+    it, and P = prod(c) - prod_scope(c - j) * prod_other(c). Without a
+    cap, c = 1 and P = 1 - prod(1 - j).
     model is "binomial", "beta-binomial" or "clustered:c".
     """
     hw = Fraction(half_width)
+    kept = np.ones(len(weights))
     miss = np.ones(len(weights))
-    for num, den in sides:
+    metrics = [(side, True) for side in sides] + [(side, False) for side in other_sides]
+    for (num, den), in_scope in metrics:
         for i, (n_i, d_i) in enumerate(zip(np.asarray(num).tolist(), np.asarray(den).tolist())):
-            if d_i == 0 or (zero_exclusion and d_i % 10 == 0):
+            if d_i == 0:
                 continue
-            ks = _window_outcomes(d_i, hw.numerator, hw.denominator, center_kind)
-            if zero_exclusion:
-                ks = ks[ks % 10 != 0]
-            miss[i] *= 1.0 - float(_marginal_pmf(ks, n_i, d_i, model).sum())
-    prob = 1.0 - miss
+            # outcomes k with 100 * k / d_i <= cap
+            top = d_i if cap is None else min(d_i, Fraction(cap) * d_i // 100)
+            c = 1.0
+            if top < d_i:
+                c = float(_marginal_pmf(np.arange(top + 1), n_i, d_i, model).sum())
+            j = 0.0
+            if in_scope and not (zero_exclusion and d_i % 10 == 0):
+                ks = _window_outcomes(d_i, hw.numerator, hw.denominator, center_kind)
+                if zero_exclusion:
+                    ks = ks[ks % 10 != 0]
+                j = float(_marginal_pmf(ks[ks <= top], n_i, d_i, model).sum())
+            kept[i] *= c
+            miss[i] *= c - j
+    prob = kept - miss
     w = np.asarray(weights, dtype=np.float64)
     return float(np.sum(w * prob)), float(np.sqrt(np.sum(w * w * prob * (1.0 - prob))))

@@ -10,6 +10,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 import pollheap.cli as cli
+import pollheap.sampling as sampling
 from pollheap.anomaly import (
     CENTER_KINDS,
     METRIC_SCOPES,
@@ -24,6 +25,7 @@ from pollheap.anomaly import (
     run_nulls,
     window_sweep,
 )
+from pollheap.model import METRICS
 from pollheap.synth import GeneratorConfig, generate
 
 import oracles
@@ -218,8 +220,7 @@ class TestRunNull:
         assert on.mc_mean <= off.mc_mean
 
 
-@pytest.mark.parametrize("model", ["binomial", "beta-binomial", "clustered:3"])
-def test_mc_moments_match_the_exact_null_law(model):
+def _check_exact_null_moments(model, cap=None):
     # q sums independent weighted Bernoulli terms, so its null mean and
     # sd are exact; station 0 has no cast ballots, so its result is
     # never in a window
@@ -231,17 +232,40 @@ def test_mc_moments_match_the_exact_null_law(model):
         (stat, WindowSpec(center_kind=kind)) for _, stat, kind in cli._ANALYZE_DEFS
     ]
     iterations = 400
-    reports = run_nulls(dataset, defs, model, iterations, master_seed=5, workers=1)
+    reports = run_nulls(
+        dataset, defs, model, iterations, master_seed=5, workers=1, refilter_max_percent=cap
+    )
     for (stat, window), rep in zip(defs, reports):
         weights = np.ones(len(dataset))
         if stat.weighting == "registered_voters":
             weights = dataset.registered
+        scope = METRIC_SCOPES[stat.metric_scope]
         mean, sd = oracles.q_moments(
-            [dataset.metric(m) for m in METRIC_SCOPES[stat.metric_scope]], weights,
+            [dataset.metric(m) for m in scope], weights,
             model, window.half_width, window.center_kind, stat.zero_exclusion,
+            cap=cap, other_sides=[dataset.metric(m) for m in METRICS if m not in scope],
         )
         assert abs(rep.mc_mean - mean) <= 5 * sd / np.sqrt(iterations), (stat, window)
         assert abs(rep.mc_sd - sd) <= 0.2 * sd, (stat, window)
+
+
+@pytest.mark.parametrize("model", ["binomial", "beta-binomial", "clustered:3"])
+def test_mc_moments_match_the_exact_null_law(model):
+    _check_exact_null_moments(model)
+
+
+@pytest.mark.parametrize("model", ["binomial", "clustered:3"])
+def test_mc_moments_match_the_exact_null_law_under_the_refilter_cap(model):
+    # an 80% cap drops a sizeable share of simulated stations; the cap
+    # is applied after the draws, so no model reaches it another way
+    _check_exact_null_moments(model, cap=Fraction(80))
+
+
+@pytest.mark.parametrize("model", ["binomial", "clustered:3"])
+def test_mc_moments_match_the_exact_null_law_without_tables(model, monkeypatch):
+    # no table fits, so every draw takes the direct binom_quantile walk
+    monkeypatch.setattr(sampling, "_MAX_TABLE_ENTRIES", 0)
+    _check_exact_null_moments(model)
 
 
 class TestWindowSweep:

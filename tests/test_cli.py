@@ -20,8 +20,9 @@ import pollheap.cli as cli
 import pollheap.histograms as histograms
 import pollheap.regions as regions
 import pollheap.sampling as sampling
+from helpers import make_dataset
 from pollheap.cli import _cell, main
-from pollheap.ingest import load_dataset
+from pollheap.ingest import load_dataset, write_canonical_tsv
 from pollheap.model import apply_filters
 
 
@@ -413,6 +414,27 @@ class TestSpectrum:
         assert harm[2] == "center,ratio"
         assert "final_window_value" in summary["metrics"]["turnout"]
 
+    def test_empty_top_window_is_null_in_strict_json(self, tmp_path, capsys):
+        # turnout near 55% and leader share near 40% leave the window
+        # centred on 92.5% without simulated mass, so its ratio is NaN
+        rng = np.random.default_rng(4)
+        registered = rng.integers(800, 1200, size=3000)
+        given = rng.binomial(registered, 0.55)
+        leader = rng.binomial(given, 0.4)
+        write_canonical_tsv(
+            make_dataset(registered, given, given, leader), tmp_path / "flat.tsv"
+        )
+        rc = main(["spectrum", "--input", str(tmp_path / "flat.tsv"),
+                   "--out", str(tmp_path / "out"), "--iterations", "100"])
+        assert rc == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        summary = json.loads(capsys.readouterr().out, parse_constant=reject)
+        for metric in ("turnout", "result"):
+            assert summary["metrics"][metric]["final_window_value"] is None
+
 
 class TestRegions:
     def test_ranking_and_exclusion(self, data_dir, tmp_path, capsys):
@@ -439,6 +461,22 @@ class TestRegions:
             capsys,
             ["regions", "--input", str(data_dir / "clean.tsv"),
              str(data_dir / "clean.tsv"), "--out", str(tmp_path),
+             "--iterations", "100"],
+        )
+        assert rc == 1
+        assert "distinct" in err
+
+    def test_duplicate_labels_rejected_before_loading(
+        self, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        def load_dataset(*args, **kwargs):
+            raise AssertionError("loaded an input before checking the names")
+
+        monkeypatch.setattr(cli, "load_dataset", load_dataset)
+        rc, _, err = run(
+            capsys,
+            ["regions", "--input", str(data_dir / "clean" / "election.tsv"),
+             str(data_dir / "fraud" / "election.tsv"), "--out", str(tmp_path),
              "--iterations", "100"],
         )
         assert rc == 1
@@ -530,6 +568,20 @@ class TestExitCodes:
                 main([command, *first, flag, seed])
             assert exc.value.code == 2
             assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["simulate", "--stations", "0"], "--stations"),
+            (["simulate", "--stations", "10", "--regions", "0"], "--regions"),
+            (["regions", "--input", "x.tsv", "--exclude-top", "-1"], "--exclude-top"),
+        ],
+    )
+    def test_count_flags_out_of_range_are_usage_errors(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
