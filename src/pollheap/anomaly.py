@@ -128,61 +128,51 @@ def _side_membership(residues: _Residues, size: int, window: WindowSpec) -> np.n
     return member
 
 
-@dataclass(frozen=True)
-class _Evaluator:
-    """Evaluates one (StatisticDef, WindowSpec) pair on numerator arrays.
+def _scores(
+    dataset: ElectionDataset,
+    defs: Sequence[tuple[StatisticDef, WindowSpec]],
+    nums: Mapping[str, np.ndarray],
+    refilter_max: Fraction | None = None,
+) -> list[int]:
+    """q of each (StatisticDef, WindowSpec) in defs on one set of numerators.
 
-    Denominators and weights come from the dataset; the same instance
-    scores the empirical numerators and every simulated iteration,
-    guaranteeing both sides use identical station sets and identical
-    membership arithmetic.
+    nums holds one numerator array per metric; denominators and weights
+    come from the dataset. The reported counts and every simulated
+    iteration are scored by this one call, so both sides use identical
+    station sets and identical membership arithmetic. Each metric's
+    residues are computed once, its membership once per distinct
+    window, and the refilter_max mask once. refilter_max is the
+    sensitivity toggle of run_nulls: it drops stations whose percentage
+    exceeds the cap on either metric.
     """
-
-    stat: StatisticDef
-    window: WindowSpec
-    dataset: ElectionDataset
-    # sensitivity toggle: drop stations whose evaluated percentages
-    # exceed this cap (checked by run_nulls). Off by default, so
-    # simulated iterations score the exact station set the empirical
-    # statistic used.
-    refilter_max: Fraction | None = None
-
-    def __call__(self, nums: Mapping[str, np.ndarray], memo: dict | None = None) -> int:
-        """Score one set of numerators, keyed by metric.
-
-        Evaluators built on one dataset that share a memo over the same
-        numerators compute each metric's residues once (key: metric,
-        None) and each metric's membership in a window once (key:
-        metric, window). Memo entries are never modified in place.
-        """
-        memo = {} if memo is None else memo
-        member = None
-        for metric in METRIC_SCOPES[self.stat.metric_scope]:
-            num = nums[metric]
-            den = self.dataset.metric(metric)[1]
-            key = (metric, self.window)
-            if key not in memo:
-                if (metric, None) not in memo:
-                    memo[(metric, None)] = _side_residues(num, den)
-                memo[key] = _side_membership(memo[(metric, None)], den.size, self.window)
-            m = memo[key]
-            if self.stat.zero_exclusion:
-                m = m & (num % 10 != 0) & (den % 10 != 0)
-            member = m if member is None else member | m
-        if self.refilter_max is not None:
-            pn, pd = self.refilter_max.numerator, self.refilter_max.denominator
-            for metric in METRICS:
-                num, den = nums[metric], self.dataset.metric(metric)[1]
-                # make_sampler rejected num > den, so den == 0 means
-                # num == 0, which the cap keeps anyway
-                member = member & ((den == 0) | (100 * pd * num <= pn * den))
-        if self.stat.weighting == "registered_voters":
-            return int(self.dataset.registered[member].sum())
-        return int(np.count_nonzero(member))
-
-    def empirical(self, memo: dict | None = None) -> int:
-        """The score of the dataset's own numerators."""
-        return self({m: self.dataset.metric(m)[0] for m in METRICS}, memo)
+    dens = {m: dataset.metric(m)[1] for m in METRICS}
+    sides = dict.fromkeys((m, w) for stat, w in defs for m in METRIC_SCOPES[stat.metric_scope])
+    residues = {m: _side_residues(nums[m], dens[m]) for m in dict.fromkeys(m for m, _ in sides)}
+    member = {(m, w): _side_membership(residues[m], len(dataset), w) for m, w in sides}
+    capped = None
+    if refilter_max is not None:
+        pn, pd = refilter_max.numerator, refilter_max.denominator
+        # make_sampler rejected num > den, so den == 0 means num == 0,
+        # which the cap keeps anyway
+        capped = np.logical_and.reduce(
+            [(dens[m] == 0) | (100 * pd * nums[m] <= pn * dens[m]) for m in METRICS]
+        )
+    scores = []
+    for stat, window in defs:
+        hits = []
+        for m in METRIC_SCOPES[stat.metric_scope]:
+            hit = member[(m, window)]
+            if stat.zero_exclusion:
+                hit = hit & (nums[m] % 10 != 0) & (dens[m] % 10 != 0)
+            hits.append(hit)
+        hit = np.logical_or.reduce(hits)
+        if capped is not None:
+            hit &= capped
+        if stat.weighting == "registered_voters":
+            scores.append(int(dataset.registered[hit].sum()))
+        else:
+            scores.append(int(np.count_nonzero(hit)))
+    return scores
 
 
 def empirical_statistic(
@@ -195,7 +185,8 @@ def empirical_statistic(
     or registered count ends in digit 0, and the result side those
     whose leader or cast count ends in 0.
     """
-    return _Evaluator(stat, window, dataset).empirical()
+    reported = {m: dataset.metric(m)[0] for m in METRICS}
+    return _scores(dataset, [(stat, window)], reported)[0]
 
 
 class _QReducer(Reducer):
@@ -204,13 +195,16 @@ class _QReducer(Reducer):
     mode = "stack"
     dtype = np.dtype(np.int64)
 
-    def __init__(self, evaluators: Sequence[_Evaluator]):
-        self.evaluators = list(evaluators)
-        self.out_shape = (len(self.evaluators),)
+    def __init__(self, dataset, defs, refilter_max):
+        self.dataset = dataset
+        self.defs = list(defs)
+        self.refilter_max = refilter_max
+        self.out_shape = (len(self.defs),)
 
     def reduce(self, iteration_index: int, counts: Mapping[str, np.ndarray]):
-        memo: dict = {}
-        return np.array([ev(counts, memo) for ev in self.evaluators], dtype=np.int64)
+        return np.array(
+            _scores(self.dataset, self.defs, counts, self.refilter_max), dtype=np.int64
+        )
 
 
 def _band_indices(n: int, levels) -> tuple[int, int]:
@@ -366,27 +360,23 @@ def run_nulls(
         model = NullModel.parse(model)
     # built before run_simulation, not by a group builder, so building
     # the tables is not part of the simulation pass
-    samplers = {}
+    samplers, reported = {}, {}
     for metric in METRICS:
         num, den = dataset.metric(metric)
+        reported[metric] = num
         samplers[metric] = make_sampler(den, num, model, metric)
-    evaluators = [
-        _Evaluator(stat, window, dataset, refilter_max) for stat, window in defs
-    ]
     (samples_matrix,) = run_simulation(
-        [samplers], [_QReducer(evaluators)], iterations, master_seed, workers, progress
+        [samplers], [_QReducer(dataset, defs, refilter_max)], iterations, master_seed,
+        workers, progress,
     )
-    memo: dict = {}
-    reports = []
-    for j, (stat, window) in enumerate(defs):
-        emp = evaluators[j].empirical(memo)
-        reports.append(
-            _build_report(
-                stat, window, model, iterations, master_seed, levels,
-                emp, samples_matrix[:, j].copy(),
-            )
+    empirical = _scores(dataset, defs, reported, refilter_max)
+    return [
+        _build_report(
+            stat, window, model, iterations, master_seed, levels,
+            emp, samples_matrix[:, j].copy(),
         )
-    return reports
+        for j, ((stat, window), emp) in enumerate(zip(defs, empirical))
+    ]
 
 
 def run_null(

@@ -33,9 +33,16 @@ __all__ = [
 
 DEFAULT_BIN_WIDTH = Fraction(1, 10)
 
-# Offset that keeps the jitter uniform streams disjoint from the
-# count-sampling streams, which use the raw metric codes 0 and 1.
+# Jitter noise streams. A key is (seed, iteration, tag), the shape of
+# the count-sampling keys, whose tags are the metric codes 0 and 1; the
+# tag keeps the streams apart. Simulated iteration i jitters metric
+# code c under tag 16 + c, and the reported counts, which belong to no
+# iteration, under iteration 0 and tag 32 + c. Dropping the iteration
+# from a key would not do: SeedSequence zero-pads a key shorter than
+# its 4-word pool, so (seed, 16) draws what (seed, 16, 0) draws, which
+# is count sampling's turnout at iteration 16.
 _JITTER_STREAM_OFFSET = 16
+_EMPIRICAL_JITTER_OFFSET = 32
 
 
 def _bins_per_percent(bin_width) -> int:
@@ -141,13 +148,14 @@ def build_histogram(
     suppress_hundred is set. With jitter on, uniform(-0.5, 0.5) noise
     is added to the numerator before division, de-quantizing the
     small-denominator division artifacts; the noise stream is keyed by
-    (seed, metric) only.
+    (seed, metric) only, apart from every simulated iteration's streams.
     """
     m = _bins_per_percent(bin_width)
     num, den = dataset.metric(metric)
     u = None
     if jitter:
-        u = _jitter_uniforms((int(seed), _JITTER_STREAM_OFFSET + METRIC_CODES[metric]), len(dataset))
+        key = (int(seed), 0, _EMPIRICAL_JITTER_OFFSET + METRIC_CODES[metric])
+        u = _jitter_uniforms(key, len(dataset))
     weights = _bin_histogram(num, den, dataset.registered, m, suppress_hundred, u)
     return WeightedHistogram(metric=metric, bin_width=as_fraction(bin_width), weights=weights)
 

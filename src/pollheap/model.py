@@ -66,7 +66,7 @@ MAX_COUNT = 10**9
 #
 #   site                         largest product              bound
 #   apply_filters                100*num*bd, bn*den           1e17
-#   _Evaluator.refilter_max      100*pd*num, pn*den           1e17
+#   _scores refilter_max         100*pd*num, pn*den           1e17
 #   _side_residues               100*num                      1e11
 #   _side_membership             hd*min(r, d-r), hd*|2r-d|    1e15
 #   percent_bin (m <= 1000)      200*m*num + den              2e14

@@ -4,6 +4,8 @@ The national integer anomaly is decomposed by region: for every region
 and every election, the excess of the empirical voter-weighted
 histogram over its MC mean is evaluated at a fixed set of candidate
 percentages, and the largest excess is the region's peak amplitude.
+Only the candidate cells of the histograms are ever summed, for the
+reported counts and for every simulated iteration alike.
 Ranking regions by that amplitude across elections shows where the
 anomalous mass lives; excluding the top of the ranking and re-running
 any analysis shows how much of the national signal they carry.
@@ -34,7 +36,6 @@ __all__ = [
 ]
 
 _BINS_PER_PERCENT = 10  # peak tables always use the 0.1% grid
-_N_BINS = 100 * _BINS_PER_PERCENT + 1
 _INT64_MAX = 2**63 - 1
 
 # Candidate centers. Integer mode: the 29 integers 70..98, i.e. 58
@@ -54,40 +55,48 @@ def _candidate_list(center_kind: str) -> tuple[tuple[Fraction, str], ...]:
     return tuple((p, m) for p in percents for m in METRICS)
 
 
-def _region_histograms(
+def _candidate_cells(
+    cells: np.ndarray,
     region_idx: np.ndarray,
     n_regions: int,
-    num: np.ndarray,
-    den: np.ndarray,
-    weight: np.ndarray,
+    nums: Mapping[str, np.ndarray],
+    dataset: ElectionDataset,
 ) -> np.ndarray:
-    """(n_regions, bins) voter-weight sums at 0.1% bins, exact ints."""
-    out = np.zeros((n_regions, _N_BINS), dtype=np.int64)
-    ok = np.flatnonzero(den > 0)
-    if ok.size:
-        bins = percent_bin(num[ok], den[ok], _BINS_PER_PERCENT)
-        np.add.at(out, (region_idx[ok], bins), weight[ok])
+    """(n_regions, candidates) registered-voter sums, exact ints.
+
+    cells[k, b] is the candidate column of metric k's 0.1% bin b, or -1
+    where no candidate sits. Each station with den > 0 adds its
+    registered count to its region's column of every metric whose bin
+    under nums is a candidate; no other bin is summed.
+    """
+    out = np.zeros((n_regions, int(cells.max()) + 1), dtype=np.int64)
+    for k, metric in enumerate(METRICS):
+        den = dataset.metric(metric)[1]
+        ok = np.flatnonzero(den > 0)
+        col = cells[k, percent_bin(nums[metric][ok], den[ok], _BINS_PER_PERCENT)]
+        hit = col >= 0
+        at = ok[hit]
+        np.add.at(out, (region_idx[at], col[hit]), dataset.registered[at])
     return out
 
 
-class _RegionHistogramReducer(Reducer):
-    """Accumulates per-region simulated histograms for one metric."""
+class _CandidateReducer(Reducer):
+    """Accumulates one input's simulated _candidate_cells."""
 
     mode = "sum"
     dtype = np.dtype(np.int64)
 
-    def __init__(self, metric, region_idx, n_regions, den, weight, group=0):
-        self.metric = metric
+    def __init__(self, cells, region_idx, n_regions, dataset, group):
+        self.cells = cells
         self.region_idx = region_idx
         self.n_regions = n_regions
-        self.den = den
-        self.weight = weight
-        self.out_shape = (n_regions, _N_BINS)
+        self.dataset = dataset
+        self.out_shape = (n_regions, int(cells.max()) + 1)
         self.group = group
 
     def reduce(self, iteration_index, counts):
-        return _region_histograms(
-            self.region_idx, self.n_regions, counts[self.metric], self.den, self.weight
+        return _candidate_cells(
+            self.cells, self.region_idx, self.n_regions, counts, self.dataset
         )
 
 
@@ -147,10 +156,9 @@ def region_peaks(
     if not datasets:
         raise ValueError("at least one dataset is required")
     candidates = _candidate_list(center_kind)
-    cand_bins = np.array(
-        [int(p * _BINS_PER_PERCENT) for p, _ in candidates], dtype=np.int64
-    )
-    cand_metric = np.array([METRICS.index(m) for _, m in candidates], dtype=np.int64)
+    cells = np.full((len(METRICS), 100 * _BINS_PER_PERCENT + 1), -1, dtype=np.int64)
+    for j, (p, m) in enumerate(candidates):
+        cells[METRICS.index(m), int(p * _BINS_PER_PERCENT)] = j
 
     if isinstance(model, str):
         model = NullModel.parse(model)
@@ -160,48 +168,32 @@ def region_peaks(
     # one simulation: each dataset is a group, built where it is simulated
     groups = []
     reducers = []
-    partitions = []
+    reported = []  # (region codes, reported candidate cells) per dataset
     largest = 0  # registered total of the largest region
     for g, label in enumerate(labels):
         ds = datasets[label]
         codes, region_idx = ds.region_partition()
-        partitions.append((codes, region_idx))
+        nums = {m: ds.metric(m)[0] for m in METRICS}
+        reported.append((codes, _candidate_cells(cells, region_idx, len(codes), nums, ds)))
         totals = np.zeros(len(codes), dtype=np.int64)
         np.add.at(totals, region_idx, ds.registered)
         largest = max(largest, int(totals.max(initial=0)))
         groups.append(_sampler_builder(ds, model))
-        reducers += [
-            _RegionHistogramReducer(
-                m, region_idx, len(codes), ds.metric(m)[1], ds.registered, group=g
-            )
-            for m in METRICS
-        ]
-    # a bin adds at most its region's total per iteration, summed in int64
+        reducers.append(_CandidateReducer(cells, region_idx, len(codes), ds, group=g))
+    # a cell adds at most its region's total per iteration, summed in int64
     if iterations * largest > _INT64_MAX:
         raise ValueError(
             f"{iterations} iterations would overflow the int64 region sums; "
             f"at most {_INT64_MAX // largest} fit"
         )
-    # one simulated sum per (dataset, metric), in that order
-    sums = iter(run_simulation(groups, reducers, iterations, master_seed, workers, progress))
+    # one simulated sum per dataset, in label order
+    sums = run_simulation(groups, reducers, iterations, master_seed, workers, progress)
 
     rows: list[RegionPeakRow] = []
     best: dict[str, float] = {}
-    for g, label in enumerate(labels):
-        ds = datasets[label]
-        codes, region_idx = partitions[g]
-        n_regions = len(codes)
-        # (n_regions, metric, bin) excess of the data over the MC mean
-        diff = np.stack(
-            [
-                _region_histograms(region_idx, n_regions, *ds.metric(m), ds.registered)
-                - next(sums) / iterations
-                for m in METRICS
-            ],
-            axis=1,
-        )
-        # (n_regions, n_candidates) excess, candidate order fixed above
-        excess = diff[:, cand_metric, cand_bins]
+    for label, (codes, emp), simulated in zip(labels, reported, sums):
+        # (n_regions, n_candidates) excess of the data over the MC mean
+        excess = emp - simulated / iterations
         present = {c: i for i, c in enumerate(codes)}
         for code in all_codes:
             if code not in present:

@@ -6,7 +6,8 @@ the discrete Fourier transform, one csv record at a time for ingest,
 fresh arrays for every spectrogram row, the heatmap colour ramp over a
 whole image at once, binomial CDF tables built in station order, one
 station's uniforms read alone from its Philox stream, the null mean
-and spread of q summed station by station from scipy's marginal pmfs.
+and spread of q summed station by station from scipy's marginal pmfs,
+region peak tables summed station by station as Python ints.
 None of it imports the package under test, so agreement between the
 two is meaningful evidence.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 import cmath
 import csv
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, floor
 
 import numpy as np
@@ -377,6 +379,27 @@ def _marginal_pmf(ks: np.ndarray, num: int, den: int, model: str) -> np.ndarray:
     return stats.binom.pmf(ks // c, den // c, p) * stats.binom.pmf(ks % c, den % c, p)
 
 
+# q_moments asks for the same station terms under many definitions;
+# both are pure, so they are computed once per argument tuple
+
+
+@lru_cache(maxsize=None)
+def _capped_mass(num: int, den: int, model: str, top: int) -> float:
+    """P(outcome <= top) for one station's metric (den > 0)."""
+    if top == den:
+        return 1.0
+    return float(_marginal_pmf(np.arange(top + 1), num, den, model).sum())
+
+
+@lru_cache(maxsize=None)
+def _window_mass(num, den, model, top, half_width, center_kind, zero_exclusion) -> float:
+    """P(outcome <= top and in a window), zero_exclusion applied (den > 0)."""
+    ks = _window_outcomes(den, half_width.numerator, half_width.denominator, center_kind)
+    if zero_exclusion:
+        ks = ks[ks % 10 != 0]
+    return float(_marginal_pmf(ks[ks <= top], num, den, model).sum())
+
+
 def q_moments(sides, weights, model: str, half_width, center_kind="integer",
               zero_exclusion=False, cap=None, other_sides=()) -> tuple[float, float]:
     """Exact null mean and standard deviation of the window statistic q.
@@ -406,17 +429,71 @@ def q_moments(sides, weights, model: str, half_width, center_kind="integer",
                 continue
             # outcomes k with 100 * k / d_i <= cap
             top = d_i if cap is None else min(d_i, Fraction(cap) * d_i // 100)
-            c = 1.0
-            if top < d_i:
-                c = float(_marginal_pmf(np.arange(top + 1), n_i, d_i, model).sum())
+            c = _capped_mass(n_i, d_i, model, top)
             j = 0.0
             if in_scope and not (zero_exclusion and d_i % 10 == 0):
-                ks = _window_outcomes(d_i, hw.numerator, hw.denominator, center_kind)
-                if zero_exclusion:
-                    ks = ks[ks % 10 != 0]
-                j = float(_marginal_pmf(ks[ks <= top], n_i, d_i, model).sum())
+                j = _window_mass(n_i, d_i, model, top, hw, center_kind, zero_exclusion)
             kept[i] *= c
             miss[i] *= c - j
     prob = kept - miss
     w = np.asarray(weights, dtype=np.float64)
     return float(np.sum(w * prob)), float(np.sqrt(np.sum(w * w * prob * (1.0 - prob))))
+
+
+def region_peak_table(inputs, center_kind: str):
+    """Rows and ranking of a region peak table, from given draws.
+
+    inputs maps a label to (region_codes, registered, sides, draws):
+    sides holds the reported (num, den) of turnout, then result, and
+    draws one [turnout num, result num] per simulated iteration. A
+    station adds its registered count to its region's 0.1% bin of a
+    metric (den > 0 only); a region's excess at candidate (percent,
+    metric) is reported sum - simulated sum / iterations. Candidates
+    are 70..98, or 70.5..99.5 for half-integer centres, turnout before
+    result at each percent; the first maximal excess in that order is
+    the row's peak. Regions rank by their largest peak over inputs,
+    descending, ties by code, and a region absent from an input gets a
+    row of Nones there.
+    """
+    if center_kind == "integer":
+        percents = [Fraction(k) for k in range(70, 99)]
+    else:
+        percents = [Fraction(2 * k + 1, 2) for k in range(70, 100)]
+    candidates = [(p, side) for p in percents for side in (0, 1)]
+    names = ("turnout", "result")
+    all_codes = sorted({c for codes, *_ in inputs.values() for c in codes})
+
+    def cell_sums(codes, registered, dens, nums):
+        sums = {}
+        for i, code in enumerate(codes):
+            for side in (0, 1):
+                d = int(dens[side][i])
+                if d > 0:
+                    key = (code, side, nearest_bin(int(nums[side][i]), d, 10))
+                    sums[key] = sums.get(key, 0) + int(registered[i])
+        return sums
+
+    rows, best = [], {}
+    for label in sorted(inputs):
+        codes, registered, sides, draws = inputs[label]
+        dens = [den for _, den in sides]
+        reported = cell_sums(codes, registered, dens, [num for num, _ in sides])
+        simulated = {}
+        for nums in draws:
+            for key, v in cell_sums(codes, registered, dens, nums).items():
+                simulated[key] = simulated.get(key, 0) + v
+        for code in all_codes:
+            if code not in codes:
+                rows.append((code, label, None, None, None))
+                continue
+            peak = None
+            for p, side in candidates:
+                key = (code, side, int(p * 10))
+                amp = reported.get(key, 0) - simulated.get(key, 0) / len(draws)
+                if peak is None or amp > peak[0]:
+                    peak = (amp, names[side], float(p))
+            rows.append((code, label) + peak)
+            if code not in best or peak[0] > best[code]:
+                best[code] = peak[0]
+    ranking = sorted(best, key=lambda c: (-best[c], c))
+    return rows, ranking + sorted(c for c in all_codes if c not in best)

@@ -268,6 +268,47 @@ def test_mc_moments_match_the_exact_null_law_without_tables(model, monkeypatch):
     _check_exact_null_moments(model)
 
 
+# a station's four counts, sorted so registered >= given >= cast >= leader
+_STATION = st.lists(
+    st.one_of(st.just(0), st.integers(1, 100), st.integers(0, 10**5)), min_size=4, max_size=4
+)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@hgiven(
+    stations=st.lists(_STATION, min_size=20, max_size=40),
+    model=st.sampled_from(["binomial", "beta-binomial", "clustered:2", "clustered:4"]),
+    cap=st.sampled_from([None, Fraction(80), Fraction(95)]),
+    seed=st.integers(0, 2**16),
+)
+def test_mc_moments_match_the_exact_null_law_property(stations, model, cap, seed):
+    columns = [list(c) for c in zip(*(sorted(s, reverse=True) for s in stations))]
+    dataset = make_dataset(*columns)
+    defs = [
+        (stat, WindowSpec(kind, hw))
+        for _, stat, kind in cli._ANALYZE_DEFS
+        for hw in (Fraction(1, 20), Fraction(1, 10), Fraction(1, 4))
+    ]
+    iterations = 200
+    reports = run_nulls(
+        dataset, defs, model, iterations, master_seed=seed, workers=1, refilter_max_percent=cap
+    )
+    for (stat, window), rep in zip(defs, reports):
+        weights = np.ones(len(dataset))
+        if stat.weighting == "registered_voters":
+            weights = dataset.registered
+        scope = METRIC_SCOPES[stat.metric_scope]
+        mean, sd = oracles.q_moments(
+            [dataset.metric(m) for m in scope], weights,
+            model, window.half_width, window.center_kind, stat.zero_exclusion,
+            cap=cap, other_sides=[dataset.metric(m) for m in METRICS if m not in scope],
+        )
+        # the second term keeps a definition that hits a few times in
+        # the whole run from failing on the hits alone
+        bound = 5 * sd / np.sqrt(iterations) + 5 * max(weights) / iterations
+        assert abs(rep.mc_mean - mean) <= bound, (stat, window)
+
+
 class TestWindowSweep:
     def test_sweep_shares_draws_and_orders_widths(self, null_2k):
         reps = window_sweep(

@@ -984,13 +984,13 @@ GOLDEN = {
     "all/fingerprint/stdout":
         "802bfd1b5bcd8f7801c2443b1e0b5dfd3b64ed49714e720d7308907a35d7f666",
     "all/histogram/hist_turnout_clean.csv":
-        "4a72fedd8df9a350222619b35e15b672969496a520845243fac01795d6f17a56",
+        "82bfe1d6e01f569c35b7d281a151f2d58a2420a89f29a4a4923fc76c71b5893c",
     "all/histogram/hist_turnout_clean.svg":
-        "3b50f7d9a8009fac9a9e398c81de4881fdafafc4fb41ed0b6595f62a4f9b5757",
+        "8b977cd7070374524e5184a118f9bc4197db0cf57be23658e8cfdd571905bd38",
     "all/histogram/hist_turnout_fraud.csv":
-        "9dcb0d175111122048411c31db5f96ff010c1f068d81c02e835ec18239ebb0d2",
+        "5037a55b13b681f7e3004ce71e518732b3865a0598f6f9ed5222da919da7785e",
     "all/histogram/hist_turnout_fraud.svg":
-        "2f969b03fcf1e6c0d0335b5b3b3a22d8747f3eba6835c35a1da5b0e304563922",
+        "086076a7a7ba6410ad5134aa62a350743f37e3d169e56c5898b253b699155cb8",
     "all/histogram/stdout":
         "4dbff9dcf5c256c43b18199813ef42966e6a69b5431dfc4b85a1aedf5a174ca1",
     "all/histogram_avg/hist_result_avg.csv":
@@ -1056,9 +1056,9 @@ GOLDEN = {
     "default/fingerprint/stdout":
         "18c2a386010e149cfd244ea13aa65fa96923e57a53953c3c20b44e61ac850031",
     "default/histogram/hist_turnout_clean.csv":
-        "4a72fedd8df9a350222619b35e15b672969496a520845243fac01795d6f17a56",
+        "82bfe1d6e01f569c35b7d281a151f2d58a2420a89f29a4a4923fc76c71b5893c",
     "default/histogram/hist_turnout_fraud.csv":
-        "9dcb0d175111122048411c31db5f96ff010c1f068d81c02e835ec18239ebb0d2",
+        "5037a55b13b681f7e3004ce71e518732b3865a0598f6f9ed5222da919da7785e",
     "default/histogram/stdout":
         "2b66f323d9819fd498badb2531ef6bd5c7362effb41602f5c5e8761bb2fc957f",
     "default/histogram_avg/hist_result_avg.csv":

@@ -18,6 +18,7 @@ from pollheap.histograms import (
     peak_shape,
 )
 import pollheap.histograms as histograms
+from pollheap.sampling import _stream_entropy
 
 from helpers import make_dataset, random_counts
 
@@ -139,6 +140,35 @@ class TestJitter:
             jit = build_histogram(ds, "turnout", jitter=True, seed=trial, suppress_hundred=False)
             got = int(np.flatnonzero(jit.weights)[0])
             assert abs(got - exact) <= 1
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**32 + 5])
+    def test_empirical_noise_is_no_simulated_stream(self, monkeypatch, seed):
+        # SeedSequence zero-pads a key to its 4-word pool, so two keys
+        # draw alike when their padded words agree; compare the states
+        keys = []
+        monkeypatch.setattr(
+            histograms, "_jitter_uniforms", lambda key, n: keys.append(key) or np.zeros(n)
+        )
+        ds = one_station(1000, 700)
+        for metric in ("turnout", "result"):
+            build_histogram(ds, metric, jitter=True, seed=seed)
+        empirical, keys[:] = list(keys), []
+        for metric in ("turnout", "result"):
+            reducer = histograms._HistogramReducer(
+                metric, ds.metric(metric)[1], ds.registered, 10, True, True, seed
+            )
+            for i in range(1024):
+                reducer.reduce(i, {metric: ds.metric(metric)[0]})
+        simulated = keys + [
+            _stream_entropy(seed, i, metric) for i in range(1024) for metric in ("turnout", "result")
+        ]
+
+        def state(key):
+            return tuple(np.random.SeedSequence(key).generate_state(4))
+
+        taken = {state(k) for k in simulated}
+        assert len(empirical) == 2 and len({state(k) for k in empirical}) == 2
+        assert not taken & {state(k) for k in empirical}
 
 
 class TestEnvelope:

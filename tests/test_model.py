@@ -19,7 +19,7 @@ from pollheap.model import (
     apply_filters,
     as_fraction,
 )
-from pollheap.regions import _region_histograms, fingerprint
+from pollheap.regions import _candidate_cells, fingerprint
 from pollheap.sampling import METRIC_CODES
 
 import oracles
@@ -285,7 +285,10 @@ def test_exact_arithmetic_at_the_count_bound_property(stations, m, center_kind, 
         hist = build_histogram(ds, metric, Fraction(1, m))
         assert np.array_equal(hist.weights, bins)
         one_region = np.zeros(len(ds), dtype=np.int64)
-        assert np.array_equal(_region_histograms(one_region, 1, num, den, ds.registered), region)
+        every_bin = np.full((len(METRICS), 1001), -1, dtype=np.int64)  # of this metric
+        every_bin[METRICS.index(metric)] = np.arange(1001)
+        reported = {m: ds.metric(m)[0] for m in METRICS}
+        assert np.array_equal(_candidate_cells(every_bin, one_region, 1, reported, ds), region)
 
         member = _side_membership(_side_residues(num, den), len(ds), window)
         expected = [

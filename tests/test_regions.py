@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import pollheap.regions as regions_module
-from pollheap.model import MAX_COUNT
+from pollheap.model import MAX_COUNT, METRICS
 from pollheap.regions import (
     _candidate_list,
     exclude_regions,
@@ -14,7 +14,9 @@ from pollheap.regions import (
     region_peaks,
     restrict_regions,
 )
+from pollheap.sampling import make_sampler
 
+import oracles
 from helpers import make_dataset, random_counts
 
 
@@ -123,6 +125,42 @@ class TestRegionPeaks:
         a = region_peaks({"planted": ds}, "binomial", 96, 5, workers=1)
         b = region_peaks({"planted": ds}, "binomial", 96, 5, workers=3)
         assert a == b
+
+    @pytest.mark.parametrize("model", ["binomial", "clustered:3"])
+    @pytest.mark.parametrize("center_kind", ["integer", "half_integer"])
+    def test_matches_the_brute_force_table(self, model, center_kind):
+        rng = np.random.default_rng(23)
+        datasets = {}
+        for label, codes in (("a", "PQRS"), ("b", "PQS")):  # R is absent from b
+            v, g, b, l = random_counts(rng, 60, max_registered=400)
+            # half the stations near 70-99% turnout, so candidate cells fill
+            g[:30] = rng.binomial(v[:30], rng.uniform(0.7, 0.99, size=30))
+            b[:30] = np.minimum(b[:30], g[:30])
+            l[:30] = np.minimum(l[:30], b[:30])
+            regions = [codes[i % len(codes)] for i in range(60)]
+            datasets[label] = make_dataset(v, g, b, l, regions=regions, label=label)
+        iterations, seed = 100, 8
+        table = region_peaks(datasets, model, iterations, seed, center_kind=center_kind)
+
+        inputs = {}
+        for label, ds in datasets.items():
+            sides = [ds.metric(m) for m in METRICS]
+            samplers = [make_sampler(den, num, model, m) for m, (num, den) in zip(METRICS, sides)]
+            draws = [[s.draw(seed, i) for s in samplers] for i in range(iterations)]
+            inputs[label] = (list(ds.region_codes), ds.registered, sides, draws)
+        rows, ranking = oracles.region_peak_table(inputs, center_kind)
+
+        def exact(row):
+            amp = row[2]
+            return row[:2] + (None if amp is None else amp.hex(),) + row[3:]
+
+        got = [
+            (r.region_code, r.dataset_label, r.peak_amplitude, r.peak_metric, r.peak_percent)
+            for r in table.rows
+        ]
+        assert [exact(r) for r in got] == [exact(r) for r in rows]
+        assert list(table.ranking) == ranking
+        assert sum(r[2] is None for r in rows) == 1
 
 
 class TestExcludeRestrict:
