@@ -189,24 +189,6 @@ def empirical_statistic(
     return _scores(dataset, [(stat, window)], reported)[0]
 
 
-class _QReducer(Reducer):
-    """Per-iteration q values for a list of statistic definitions."""
-
-    mode = "stack"
-    dtype = np.dtype(np.int64)
-
-    def __init__(self, dataset, defs, refilter_max):
-        self.dataset = dataset
-        self.defs = list(defs)
-        self.refilter_max = refilter_max
-        self.out_shape = (len(self.defs),)
-
-    def reduce(self, iteration_index: int, counts: Mapping[str, np.ndarray]):
-        return np.array(
-            _scores(self.dataset, self.defs, counts, self.refilter_max), dtype=np.int64
-        )
-
-
 def _band_indices(n: int, levels) -> tuple[int, int]:
     """Sorted-sample indices of the percentile_band bounds of n samples."""
     lo_level = as_fraction(levels[0])
@@ -365,9 +347,12 @@ def run_nulls(
         num, den = dataset.metric(metric)
         reported[metric] = num
         samplers[metric] = make_sampler(den, num, model, metric)
+
+    def q_row(iteration_index, counts):
+        return np.array(_scores(dataset, defs, counts, refilter_max), dtype=np.int64)
+
     (samples_matrix,) = run_simulation(
-        [samplers], [_QReducer(dataset, defs, refilter_max)], iterations, master_seed,
-        workers, progress,
+        [samplers], [Reducer(q_row, (len(defs),))], iterations, master_seed, workers, progress
     )
     empirical = _scores(dataset, defs, reported, refilter_max)
     return [

@@ -67,7 +67,7 @@ from .ingest import (
     verify_subtotals,
     write_canonical_tsv,
 )
-from .model import METRICS, ElectionDataset, FilterPolicy, apply_filters, as_fraction
+from .model import METRICS, SEED_LIMIT, ElectionDataset, FilterPolicy, apply_filters, as_fraction
 from .regions import exclude_regions, fingerprint, region_peaks, restrict_regions
 from .render import (
     render_box_plot,
@@ -162,6 +162,13 @@ def _non_negative_int_arg(text: str) -> int:
     return _int_at_least(text, 0, "non-negative")
 
 
+def _seed_arg(text: str) -> int:
+    value = _int_at_least(text, 0, "non-negative")
+    if value >= SEED_LIMIT:
+        raise argparse.ArgumentTypeError(f"{value} is not below 2**32")
+    return value
+
+
 def _model_arg(text: str) -> NullModel:
     try:
         return NullModel.parse(text)
@@ -218,7 +225,7 @@ def _add_filters(p: argparse.ArgumentParser) -> None:
 def _add_mc(p: argparse.ArgumentParser, default_iterations: int) -> None:
     p.add_argument("--model", type=_model_arg, default=NullModel("binomial"))
     p.add_argument("--iterations", type=int, default=default_iterations)
-    p.add_argument("--seed", type=_non_negative_int_arg, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument(
         "--workers",
         type=_positive_int_arg,
@@ -293,14 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".", help="output directory for artifacts")
     p.add_argument("--stations", type=_positive_int_arg, required=True)
     p.add_argument("--regions", type=_positive_int_arg, default=1)
-    p.add_argument("--seed", type=_non_negative_int_arg, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument("--fraud-mechanism", default=None, choices=MECHANISMS)
     p.add_argument("--fraud-fraction", type=float, default=0.0)
     p.add_argument("--fraud-side", default="just_above", choices=TARGET_SIDES)
     p.add_argument("--fraud-metric", default="either", choices=METRIC_CHOICES)
     p.add_argument("--fraud-regions", type=_codes_arg, default=None)
     p.add_argument("--fraud-window", type=_fraction_arg, default=Fraction(1, 20))
-    p.add_argument("--fraud-seed", type=_non_negative_int_arg, default=None)
+    p.add_argument("--fraud-seed", type=_seed_arg, default=None)
     return parser
 
 
@@ -913,6 +920,8 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, list]:
     else:
         if not 0 <= args.fraud_fraction <= 1:
             raise ValueError("--fraud-fraction must be in [0, 1]")
+        if args.fraud_seed is None and args.seed + 1 >= SEED_LIMIT:
+            raise UsageError("the default --fraud-seed, --seed + 1, is not below 2**32")
         spec = FraudSpec(
             mechanism=args.fraud_mechanism,
             affected_fraction=args.fraud_fraction,

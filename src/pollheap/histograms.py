@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -160,51 +161,24 @@ def build_histogram(
     return WeightedHistogram(metric=metric, bin_width=as_fraction(bin_width), weights=weights)
 
 
-class _HistogramReducer(Reducer):
-    """Per-iteration histogram of simulated percentages."""
-
-    mode = "stack"
-    dtype = np.dtype(np.int64)
-
-    def __init__(
-        self,
-        metric: str,
-        den: np.ndarray,
-        weight: np.ndarray,
-        m: int,
-        suppress_hundred: bool,
-        jitter: bool,
-        master_seed: int,
-        group: int = 0,
-        finish=None,
-    ):
-        self.metric = metric
-        self.den = den
-        self.weight = weight
-        self.m = m
-        self.suppress_hundred = suppress_hundred
-        self.jitter = jitter
-        self.master_seed = int(master_seed)
-        self.out_shape = (100 * m + 1,)
-        self.group = group
-        self._finish = finish
-
-    def reduce(self, iteration_index: int, counts: Mapping[str, np.ndarray]):
-        num = counts[self.metric]
-        u = None
-        if self.jitter:
-            u = _jitter_uniforms(
-                (
-                    self.master_seed,
-                    int(iteration_index),
-                    _JITTER_STREAM_OFFSET + METRIC_CODES[self.metric],
-                ),
-                num.size,
-            )
-        return _bin_histogram(num, self.den, self.weight, self.m, self.suppress_hundred, u)
-
-    def finish(self, folded: np.ndarray):
-        return folded if self._finish is None else self._finish(folded)
+def _simulated_histogram(
+    metric: str,
+    den: np.ndarray,
+    weight: np.ndarray,
+    m: int,
+    suppress_hundred: bool,
+    jitter: bool,
+    master_seed: int,
+    iteration_index: int,
+    counts: Mapping[str, np.ndarray],
+) -> np.ndarray:
+    """One iteration's histogram of simulated percentages (a Reducer.reduce)."""
+    num = counts[metric]
+    u = None
+    if jitter:
+        key = (int(master_seed), int(iteration_index), _JITTER_STREAM_OFFSET + METRIC_CODES[metric])
+        u = _jitter_uniforms(key, num.size)
+    return _bin_histogram(num, den, weight, m, suppress_hundred, u)
 
 
 def mc_histograms(
@@ -273,15 +247,14 @@ def mc_histogram_matrices(
         model = NullModel.parse(model)
     groups = []
     reducers = []
-    for k, ((dataset, metric), fin) in enumerate(zip(jobs, finish)):
+    for (dataset, metric), fin in zip(jobs, finish):
         num, den = dataset.metric(metric)
         groups.append(_sampler_builder(den, num, model, metric))
-        reducers.append(
-            _HistogramReducer(
-                metric, den, dataset.registered, m, suppress_hundred, jitter,
-                master_seed, group=k, finish=fin,
-            )
+        reduce = partial(
+            _simulated_histogram, metric, den, dataset.registered, m, suppress_hundred, jitter,
+            master_seed,
         )
+        reducers.append(Reducer(reduce, (100 * m + 1,), finish=fin))
     return run_simulation(groups, reducers, iterations, master_seed, workers, progress)
 
 

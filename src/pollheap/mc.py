@@ -2,36 +2,33 @@
 
 A run simulates one or more groups. A group is one station set: the
 samplers of its metrics, given either built or as a zero-argument
-builder that returns them. Every reducer belongs to one group, and
-draws are keyed by (seed, iteration, metric) within their group, so a
-group simulated alongside others draws exactly what it would draw
-alone.
-
-Iterations are cut into fixed blocks of CHUNK_ITERATIONS. Each reducer
-folds its group's block results in block order, into a running total
-as they arrive: a sum-mode reducer adds each block's total to one
-array, a stack-mode reducer copies its rows into one preallocated
-(iterations, *out_shape) array. Because the block boundaries and the
-fold order never depend on the worker count, every reduction
-(including floating-point sums) follows the same arithmetic tree and
-the output is bit-identical whether the run used one process or
-twenty.
+builder that returns them. Each group has one reducer, which turns
+every iteration's draws into int64 counts, and draws are keyed by
+(seed, iteration, metric) within their group, so a group simulated
+alongside others draws exactly what it would draw alone.
 
 The work is a list of tasks (group, start, end), each a range of one
-group's blocks. A task makes sure its process holds the group: a
+group's iterations. A task makes sure its process holds the group: a
 one-slot cache that drops the previous group's samplers before it
-builds the next. It runs the blocks of its range and folds them, and
-the parent folds each group's range results in task order. A pool over
-several groups gets one range per group, so each group is built by
-the one worker that simulates it. Every other pass gets one range per
-block; a lone group over several workers is built in this process
-before the fork and shared copy-on-write.
+builds the next. It folds each iteration's counts into one array as
+it is made: a stack-mode reducer copies its row into a preallocated
+(iterations, *out_shape) array, a sum-mode reducer adds it to one
+total. The parent folds each group's range results the same way, in
+task order. Integer sums are exact in any order, so the output
+depends neither on the worker count nor on the range size; a float
+result is refused, not truncated.
 
-Once a reducer's fold is complete, Reducer.finish turns the folded
-array into the reducer's result (the array itself unless a subclass
-says otherwise). It runs where the fold completes: in the worker when
-a pool over several groups gives it the group's whole range, so only
-finished results come back, and in the parent otherwise.
+A pool over several groups gets one range per group, so each group is
+built by the one worker that simulates it. Every other pass gets one
+range per CHUNK_ITERATIONS iterations; a lone group over several
+workers is built in this process before the fork and shared
+copy-on-write.
+
+Once a group's fold is complete, Reducer.finish (if set) turns the
+folded array into the reducer's result. It runs where the fold
+completes: in the worker when a pool over several groups gives it the
+group's whole range, so only finished results come back, and in the
+parent otherwise.
 
 Worker processes are always forked. Where the platform has no "fork"
 start method, the run uses one worker and says so on stderr.
@@ -41,52 +38,41 @@ from __future__ import annotations
 
 import os
 import sys
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
+from .model import check_seed
 from .sampling import DatasetSampler
 
 __all__ = ["CHUNK_ITERATIONS", "Reducer", "run_simulation", "default_workers"]
 
-# Fixed block size. Changing it changes float summation trees and
-# therefore byte-level output; it is a constant, not a tuning knob.
+# Iterations per task when a group is split into ranges, and so the
+# step of progress reports. The output does not depend on it.
 CHUNK_ITERATIONS = 32
 
 Samplers = Mapping[str, DatasetSampler]
 Group = Union[Samplers, Callable[[], Samplers]]
 
 
+@dataclass(frozen=True)
 class Reducer:
-    """Per-iteration reduction of simulated counts.
+    """Per-iteration reduction of one group's simulated counts.
 
-    Subclasses set out_shape/dtype/mode and implement reduce(), which
-    receives the iteration index and a dict of simulated numerator
-    arrays of the reducer's group, keyed by metric name (model.METRICS).
-    mode "stack" keeps one row per iteration; mode "sum" accumulates
-    elementwise totals. reduce() must be pure and must not mutate
-    shared state: the same instance runs concurrently in forked
-    workers.
+    reduce(iteration_index, counts) receives a dict of the group's
+    simulated numerator arrays keyed by metric name (model.METRICS) and
+    returns int64 counts of shape out_shape. mode "stack" keeps one row
+    per iteration; mode "sum" accumulates elementwise totals. finish,
+    if given, maps the folded array to the reducer's result. Both run
+    concurrently in forked workers, so they must be pure and must not
+    depend on which process runs them.
     """
 
-    out_shape: tuple[int, ...] = ()
-    dtype: np.dtype = np.dtype(np.int64)
+    reduce: Callable[[int, Mapping[str, np.ndarray]], np.ndarray]
+    out_shape: tuple[int, ...]
     mode: str = "stack"
-    group: int = 0  # index of the station-set group this reducer reads
-
-    def reduce(
-        self, iteration_index: int, counts: Mapping[str, np.ndarray]
-    ) -> np.ndarray:
-        raise NotImplementedError
-
-    def finish(self, folded: np.ndarray):
-        """The reducer's result from its folded array; the array itself here.
-
-        Runs once per run, in the process that completes the fold (see
-        the module docstring), so like reduce() it must not depend on
-        which process that is.
-        """
-        return folded
+    finish: Callable[[np.ndarray], object] | None = None
 
 
 # Worker payload, installed in the parent immediately before the pool
@@ -116,71 +102,45 @@ def _hold(g: int) -> dict[str, DatasetSampler]:
 
 
 class _Fold:
-    """Running fold of one group's reducers over iterations [start, end).
+    """Running int64 fold of one reducer over iterations [start, end)."""
 
-    A stack-mode array is allocated whole and filled row by row. A
-    sum-mode total is the first block's own total, to which each later
-    block's total is added in block order. Every block total starts at
-    +0.0 zeros, so it never holds -0.0 and taking it as is equals
-    adding it to zeros: a range folded from its blocks and a run folded
-    from its ranges follow the same summation tree.
-    """
-
-    def __init__(self, reducers: Sequence[Reducer], start: int, end: int):
-        self.reducers = reducers
+    def __init__(self, reducer: Reducer, start: int, end: int):
+        self.reducer = reducer
         self.start = start
-        self.arrays = [
-            None if r.mode == "sum" else np.empty((end - start, *r.out_shape), r.dtype)
-            for r in reducers
-        ]
-
-    def _sum(self, j: int, total: np.ndarray) -> None:
-        if self.arrays[j] is None:
-            self.arrays[j] = total
+        if reducer.mode == "sum":
+            self.array = np.zeros(reducer.out_shape, np.int64)
         else:
-            self.arrays[j] += total
+            self.array = np.empty((end - start, *reducer.out_shape), np.int64)
 
-    def add(self, start: int, parts: Sequence[np.ndarray]) -> None:
-        """Fold in the result of the range that begins at iteration start."""
-        for j, (r, part) in enumerate(zip(self.reducers, parts)):
-            if r.mode == "sum":
-                self._sum(j, part)
-            else:
-                self.arrays[j][start - self.start : start - self.start + len(part)] = part
+    def add(self, start: int, end: int, part: np.ndarray) -> None:
+        """Fold in iterations [start, end): their rows, or their sum."""
+        if self.reducer.mode == "sum":
+            self.array += part
+        else:
+            rows = self.array[start - self.start : end - self.start]
+            np.copyto(rows, part, casting="same_kind")
 
-    def run_block(self, samplers: Samplers, master_seed: int, start: int, end: int) -> None:
-        """Simulate the iterations [start, end) of one block and fold them in."""
-        tags = sorted(samplers)
-        totals = [np.zeros(r.out_shape, r.dtype) if r.mode == "sum" else None for r in self.reducers]
-        for it in range(start, end):
-            counts = {tag: samplers[tag].draw(master_seed, it) for tag in tags}
-            for r, rows, total in zip(self.reducers, self.arrays, totals):
-                val = r.reduce(it, counts)
-                if total is None:
-                    rows[it - self.start] = val
-                else:
-                    total += val
-        for j, total in enumerate(totals):
-            if total is not None:
-                self._sum(j, total)
-
-    def finish(self) -> list:
-        return [r.finish(a) for r, a in zip(self.reducers, self.arrays)]
+    def finish(self):
+        fin = self.reducer.finish
+        return self.array if fin is None else fin(self.array)
 
 
-def _task(task: tuple[int, int, int]) -> list:
-    """Group g's blocks in [start, end), folded in block order.
+def _task(task: tuple[int, int, int]):
+    """Group g's iterations [start, end), folded as they are made.
 
     A range that is the group's whole run comes back finished.
     """
     g, start, end = task
     samplers = _hold(g)
-    fold = _Fold(_ACTIVE["reducers"][g], start, end)
-    for s in range(start, end, CHUNK_ITERATIONS):
-        fold.run_block(samplers, _ACTIVE["master_seed"], s, min(s + CHUNK_ITERATIONS, end))
+    tags = sorted(samplers)
+    reducer, seed = _ACTIVE["reducers"][g], _ACTIVE["master_seed"]
+    fold = _Fold(reducer, start, end)
+    for it in range(start, end):
+        counts = {tag: samplers[tag].draw(seed, it) for tag in tags}
+        fold.add(it, it + 1, reducer.reduce(it, counts))
     if end - start == _ACTIVE["iterations"]:
         return fold.finish()
-    return fold.arrays
+    return fold.array
 
 
 def default_workers() -> int:
@@ -195,38 +155,36 @@ def run_simulation(
     workers: int | None = None,
     progress: Callable[[int, int], None] | None = None,
 ) -> list:
-    """Run the null simulation and return one result per reducer.
+    """Run the null simulation and return one result per group.
 
     groups lists the station sets; each is a mapping of metric tag to
     sampler, or a zero-argument callable returning one (built where
-    the schedule puts it, see the module docstring). reducers[j] reads
-    groups[reducers[j].group]. Stack-mode reducers yield shape
-    (iterations, *out_shape) with row i holding iteration i; sum-mode
-    reducers yield shape out_shape; a reducer whose finish() is not the
-    identity yields what finish returns. The result depends only on
-    (groups, reducers, iterations, master_seed), never on workers.
-    progress(done, total) counts iterations over all groups and ends
-    at done == total == len(groups) * iterations.
+    the schedule puts it, see the module docstring). reducers[g] reads
+    groups[g]. A stack-mode reducer yields shape (iterations,
+    *out_shape) with row i holding iteration i; a sum-mode reducer
+    yields shape out_shape; a reducer with a finish yields what finish
+    returns. The result depends only on (groups, reducers, iterations,
+    master_seed), never on workers or CHUNK_ITERATIONS. master_seed
+    must be in [0, 2**32). progress(done, total) counts iterations
+    over all groups and ends at done == total == len(groups) *
+    iterations.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     if isinstance(groups, Mapping) or not groups:
         raise ValueError("groups must be a non-empty sequence of sampler groups")
     n_groups = len(groups)
-    for r in reducers:
-        if not 0 <= r.group < n_groups:
-            raise ValueError(f"reducer group {r.group} is not one of {n_groups} groups")
-    members = [[j for j, r in enumerate(reducers) if r.group == g] for g in range(n_groups)]
-    by_group = [[reducers[j] for j in idx] for idx in members]
+    if len(reducers) != n_groups:
+        raise ValueError(f"{len(reducers)} reducers for {n_groups} groups; one per group")
+    seed = check_seed(master_seed)
 
-    n_blocks = -(-iterations // CHUNK_ITERATIONS)
-    seed = int(master_seed)
+    n_chunks = -(-iterations // CHUNK_ITERATIONS)
     if workers is None:
         workers = default_workers()
     # several groups run as one range each, built in the worker that runs
     # it, so a worker beyond the group count would idle; only a lone
-    # group is split into its blocks
-    workers = max(1, min(int(workers), n_groups if n_groups > 1 else n_blocks))
+    # group is split into chunks
+    workers = max(1, min(int(workers), n_groups if n_groups > 1 else n_chunks))
     if workers > 1:
         # only a pool needs these, so a one-worker run never loads them
         import multiprocessing
@@ -248,13 +206,13 @@ def run_simulation(
 
     global _ACTIVE, _HELD
     _ACTIVE = {
-        "groups": list(groups), "reducers": by_group, "master_seed": seed,
+        "groups": list(groups), "reducers": list(reducers), "master_seed": seed,
         "iterations": iterations,
     }
     pool = None
     total = n_groups * iterations
     done = 0
-    out: list = [None] * len(reducers)
+    out: list = [None] * n_groups
     try:
         if workers == 1:
             results = map(_task, tasks)
@@ -268,7 +226,7 @@ def run_simulation(
             ctx = multiprocessing.get_context("fork")
             pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
             results = pool.map(_task, tasks)
-        # results come in task order, so a group's ranges arrive in block
+        # results come in task order, so a group's ranges arrive in
         # order and are folded as they come. Each is taken with next(): a
         # zip would keep the last one alive while the next task runs.
         fold = None
@@ -278,17 +236,14 @@ def run_simulation(
             if progress is not None:
                 progress(done, total)
             if e - s == iterations:  # the task ran and finished the whole run
-                finished = part
-            else:
-                if s == 0:
-                    fold = _Fold(by_group[g], 0, iterations)
-                fold.add(s, part)
-                part = None
-                if e < iterations:
-                    continue
-                finished, fold = fold.finish(), None
-            for j, value in zip(members[g], finished):
-                out[j] = value
+                out[g] = part
+                continue
+            if s == 0:
+                fold = _Fold(reducers[g], 0, iterations)
+            fold.add(s, e, part)
+            part = None
+            if e == iterations:
+                out[g], fold = fold.finish(), None
     finally:
         if pool is not None:
             pool.shutdown()

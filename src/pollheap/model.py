@@ -58,6 +58,19 @@ MAX_DENOMINATOR = 10**6
 # every count is exact as a float64.
 MAX_COUNT = 10**9
 
+# Every seed is one 32-bit word of a numpy SeedSequence key. A larger
+# int spills into the next word, so (2**32 + 5, 0) would key the same
+# streams as (5, 1).
+SEED_LIMIT = 2**32
+
+
+def check_seed(seed: int) -> int:
+    """seed as an int; ValueError unless 0 <= seed < SEED_LIMIT."""
+    seed = int(seed)
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed {seed} is not in [0, 2**32)")
+    return seed
+
 # The int64 bound of every exact product, from count <= MAX_COUNT (C)
 # and bound denominator <= MAX_DENOMINATOR (D); int64 holds 9.2e18. A
 # filter cap or window half-width is at most 100, so its numerator is

@@ -16,6 +16,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Mapping
 
 import numpy as np
@@ -80,24 +81,9 @@ def _candidate_cells(
     return out
 
 
-class _CandidateReducer(Reducer):
-    """Accumulates one input's simulated _candidate_cells."""
-
-    mode = "sum"
-    dtype = np.dtype(np.int64)
-
-    def __init__(self, cells, region_idx, n_regions, dataset, group):
-        self.cells = cells
-        self.region_idx = region_idx
-        self.n_regions = n_regions
-        self.dataset = dataset
-        self.out_shape = (n_regions, int(cells.max()) + 1)
-        self.group = group
-
-    def reduce(self, iteration_index, counts):
-        return _candidate_cells(
-            self.cells, self.region_idx, self.n_regions, counts, self.dataset
-        )
+def _simulated_cells(cells, region_idx, n_regions, dataset, iteration_index, counts):
+    """One iteration's _candidate_cells (a Reducer.reduce)."""
+    return _candidate_cells(cells, region_idx, n_regions, counts, dataset)
 
 
 @dataclass(frozen=True)
@@ -170,7 +156,7 @@ def region_peaks(
     reducers = []
     reported = []  # (region codes, reported candidate cells) per dataset
     largest = 0  # registered total of the largest region
-    for g, label in enumerate(labels):
+    for label in labels:
         ds = datasets[label]
         codes, region_idx = ds.region_partition()
         nums = {m: ds.metric(m)[0] for m in METRICS}
@@ -179,7 +165,8 @@ def region_peaks(
         np.add.at(totals, region_idx, ds.registered)
         largest = max(largest, int(totals.max(initial=0)))
         groups.append(_sampler_builder(ds, model))
-        reducers.append(_CandidateReducer(cells, region_idx, len(codes), ds, group=g))
+        reduce = partial(_simulated_cells, cells, region_idx, len(codes), ds)
+        reducers.append(Reducer(reduce, (len(codes), len(candidates)), mode="sum"))
     # a cell adds at most its region's total per iteration, summed in int64
     if iterations * largest > _INT64_MAX:
         raise ValueError(

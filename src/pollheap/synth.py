@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import ElectionDataset, as_fraction
+from .model import ElectionDataset, as_fraction, check_seed
 
 __all__ = [
     "FixedSize",
@@ -57,7 +57,7 @@ _TAG_FRAUD = 8
 
 
 def _stream(seed: int, tag: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), tag))))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((check_seed(seed), tag))))
 
 
 @dataclass(frozen=True)

@@ -557,10 +557,11 @@ class TestExitCodes:
         assert "--workers" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["analyze", "histogram", "spectrum", "regions", "simulate"])
-    @pytest.mark.parametrize("seed", ["-1", "-5"])
+    @pytest.mark.parametrize("seed", ["-1", "-5", "4294967296", "4294967301"])
     def test_seed_must_be_non_negative(self, capsys, command, seed):
         # a usage error named by argparse before any input is read, not
-        # numpy's seeding error at exit 1
+        # numpy's seeding error at exit 1; a seed of 2**32 or more would
+        # reuse a smaller seed's streams
         first = ["--stations", "10"] if command == "simulate" else ["--input", "x.tsv"]
         flags = ["--seed", "--fraud-seed"] if command == "simulate" else ["--seed"]
         for flag in flags:
@@ -568,6 +569,15 @@ class TestExitCodes:
                 main([command, *first, flag, seed])
             assert exc.value.code == 2
             assert flag in capsys.readouterr().err
+
+    def test_default_fraud_seed_must_fit_in_one_word(self, tmp_path, capsys):
+        top = ["simulate", "--out", str(tmp_path), "--stations", "10", "--seed", "4294967295"]
+        fraud = ["--fraud-mechanism", "integer_rounding", "--fraud-fraction", "0.5"]
+        assert main([*top, *fraud]) == 2
+        assert "--fraud-seed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        assert main([*top, *fraud, "--fraud-seed", "4294967295"]) == 0
+        assert main(top) == 0  # no fraud, no fraud seed
 
     @pytest.mark.parametrize(
         "argv, flag",

@@ -154,11 +154,11 @@ class TestJitter:
             build_histogram(ds, metric, jitter=True, seed=seed)
         empirical, keys[:] = list(keys), []
         for metric in ("turnout", "result"):
-            reducer = histograms._HistogramReducer(
-                metric, ds.metric(metric)[1], ds.registered, 10, True, True, seed
-            )
+            num, den = ds.metric(metric)
             for i in range(1024):
-                reducer.reduce(i, {metric: ds.metric(metric)[0]})
+                histograms._simulated_histogram(
+                    metric, den, ds.registered, 10, True, True, seed, i, {metric: num}
+                )
         simulated = keys + [
             _stream_entropy(seed, i, metric) for i in range(1024) for metric in ("turnout", "result")
         ]

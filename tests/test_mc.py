@@ -16,32 +16,14 @@ from pollheap.sampling import make_sampler
 from helpers import random_counts
 
 
-class _Draws(Reducer):
+def _draws(metric, n):
     """Stack mode: the simulated counts of one metric."""
-
-    def __init__(self, metric, n, group):
-        self.metric = metric
-        self.out_shape = (n,)
-        self.group = group
-
-    def reduce(self, iteration_index, counts):
-        return counts[self.metric]
+    return Reducer(lambda it, counts: counts[metric], (n,))
 
 
-class _Share(Reducer):
-    """Sum mode in float64, so the fold order shows in the bits."""
-
-    mode = "sum"
-    dtype = np.dtype(np.float64)
-
-    def __init__(self, metric, den, group):
-        self.metric = metric
-        self.den = den
-        self.out_shape = den.shape
-        self.group = group
-
-    def reduce(self, iteration_index, counts):
-        return counts[self.metric] / self.den / 3.0
+def _share(metric, den, finish=None):
+    """Sum mode: each station's draw weighted by its iteration."""
+    return Reducer(lambda it, counts: counts[metric] * (it + 1) - den, den.shape, "sum", finish)
 
 
 def _station_sets():
@@ -65,10 +47,11 @@ def _builder(counts, pid_log=None):
 
 
 def _reducers(sets):
-    out = []
-    for k, (v, g, b, l) in enumerate(sets):
-        out += [_Draws("result", len(v), k), _Share("turnout", v, k)]
-    return out
+    """One reducer per group, alternating stack and sum."""
+    return [
+        _draws("result", len(v)) if k % 2 == 0 else _share("turnout", v)
+        for k, (v, g, b, l) in enumerate(sets)
+    ]
 
 
 def _bits(arrays):
@@ -80,15 +63,11 @@ ITERATIONS = 3 * CHUNK_ITERATIONS + 5  # a short last block
 
 def test_groups_draw_what_they_draw_alone():
     sets = _station_sets()
-    together = run_simulation(
-        [_builder(c) for c in sets], _reducers(sets), ITERATIONS, 8, workers=1
-    )
+    reducers = _reducers(sets)
+    together = run_simulation([_builder(c) for c in sets], reducers, ITERATIONS, 8, workers=1)
     for k, c in enumerate(sets):
-        alone = run_simulation(
-            [_builder(c)], [_Draws("result", len(c[0]), 0), _Share("turnout", c[0], 0)],
-            ITERATIONS, 8, workers=1,
-        )
-        assert _bits(together[2 * k : 2 * k + 2]) == _bits(alone)
+        alone = run_simulation([_builder(c)], [reducers[k]], ITERATIONS, 8, workers=1)
+        assert _bits(together[k : k + 1]) == _bits(alone)
 
 
 @pytest.mark.parametrize("workers", [2, 3, 4, 8])
@@ -126,17 +105,15 @@ def test_tables_are_built_where_the_schedule_says(tmp_path, n_groups, workers, i
         assert os.getpid() not in pids
 
 
-class _PidFinish(_Share):
+def _pid_finish(pid_log):
     """Records the pid that finishes it, and returns the folded sum doubled."""
 
-    def __init__(self, metric, den, group, pid_log):
-        super().__init__(metric, den, group)
-        self.pid_log = pid_log
-
-    def finish(self, folded):
-        with open(self.pid_log, "a", encoding="utf-8") as fh:
+    def finish(folded):
+        with open(pid_log, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()}\n")
-        return ("finished", folded * 2.0)
+        return ("finished", folded * 2)
+
+    return finish
 
 
 @pytest.mark.parametrize(
@@ -147,16 +124,16 @@ class _PidFinish(_Share):
 def test_finish_runs_where_the_schedule_says(tmp_path, n_groups, workers, in_parent):
     sets = _station_sets()[:n_groups]
     log = tmp_path / "pids.txt"
-    reducers = [_PidFinish("turnout", c[0], k, log) for k, c in enumerate(sets)]
+    reducers = [_share("turnout", c[0], _pid_finish(log)) for c in sets]
     got = run_simulation(
         [_builder(c) for c in sets], reducers, ITERATIONS, 8, workers=workers
     )
     plain = run_simulation(
-        [_builder(c) for c in sets], [_Share("turnout", c[0], k) for k, c in enumerate(sets)],
+        [_builder(c) for c in sets], [_share("turnout", c[0]) for c in sets],
         ITERATIONS, 8, workers=1,
     )
     assert [tag for tag, _ in got] == ["finished"] * n_groups
-    assert _bits(a for _, a in got) == _bits(a * 2.0 for a in plain)
+    assert _bits(a for _, a in got) == _bits(a * 2 for a in plain)
     pids = [int(p) for p in log.read_text().split()]
     assert len(pids) == n_groups  # every reducer finished exactly once
     if in_parent:
@@ -168,29 +145,15 @@ def test_finish_runs_where_the_schedule_says(tmp_path, n_groups, workers, in_par
 def test_failing_finish_in_a_worker_raises_and_clears_the_state():
     sets = _station_sets()
 
-    class _Broken(_Share):
-        def finish(self, folded):
-            raise RuntimeError("finish failed")
+    def broken(folded):
+        raise RuntimeError("finish failed")
 
-    reducers = [_Share("turnout", sets[0][0], 0), _Broken("turnout", sets[1][0], 1),
-                _Share("turnout", sets[2][0], 2)]
+    reducers = [_share("turnout", sets[0][0]), _share("turnout", sets[1][0], broken),
+                _share("turnout", sets[2][0])]
     with pytest.raises(RuntimeError, match="finish failed"):
         run_simulation([_builder(c) for c in sets], reducers, ITERATIONS, 8, workers=2)
     assert mc._ACTIVE is None
     assert mc._HELD is None
-
-
-class _Wide(Reducer):
-    """Sum mode over a float64 output far larger than the station set."""
-
-    mode = "sum"
-    dtype = np.dtype(np.float64)
-
-    def __init__(self, size):
-        self.out_shape = (size,)
-
-    def reduce(self, iteration_index, counts):
-        return np.full(self.out_shape, float(counts["turnout"].sum()))
 
 
 def test_one_worker_folds_blocks_as_they_arrive():
@@ -199,7 +162,10 @@ def test_one_worker_folds_blocks_as_they_arrive():
     # total, the current block's total, and the last reduce() result
     # while the next one is made
     (v, g, b, l), = _station_sets()[:1]
-    reducer = _Wide(250_000)
+    size = 250_000
+    reducer = Reducer(
+        lambda it, counts: np.full(size, counts["turnout"].sum(), np.int64), (size,), "sum"
+    )
     samplers = {"turnout": make_sampler(v, g, "binomial", "turnout")}
     out_bytes = reducer.out_shape[0] * 8
     tracemalloc.start()
@@ -280,10 +246,64 @@ def test_bad_groups_rejected():
         run_simulation([], [], 10, 1)
     with pytest.raises(ValueError):
         run_simulation(_builder(sets[0])(), [], 10, 1)  # a mapping, not a list of groups
+    draws = _draws("result", 40)
+    with pytest.raises(ValueError, match="one per group"):
+        run_simulation([_builder(sets[0])], [draws, draws], 10, 1)
+    with pytest.raises(ValueError, match="one per group"):
+        run_simulation([_builder(sets[0]), _builder(sets[0])], [draws], 10, 1)
     with pytest.raises(ValueError):
-        run_simulation([_builder(sets[0])], [_Draws("result", 40, 1)], 10, 1)
-    with pytest.raises(ValueError):
-        run_simulation([_builder(sets[0])], [], 0, 1)
+        run_simulation([_builder(sets[0])], [draws], 0, 1)
     mixed = {"turnout": _builder(sets[0])()["turnout"], "result": _builder(sets[1])()["result"]}
-    with pytest.raises(ValueError):
-        run_simulation([mixed], [], 10, 1, workers=1)
+    with pytest.raises(ValueError, match="same station set"):
+        run_simulation([mixed], [draws], 10, 1, workers=1)
+
+
+def test_seed_outside_one_word_rejected():
+    # SeedSequence would split 2**32 + 5 into the words (5, 1), the key
+    # of seed 5's iteration 1
+    (v, g, b, l), = _station_sets()[:1]
+    group, reducer = _builder((v, g, b, l)), _draws("result", len(v))
+    for seed in (-1, 2**32, 2**32 + 5):
+        with pytest.raises(ValueError, match="seed"):
+            run_simulation([group], [reducer], 10, seed, workers=1)
+    (top,) = run_simulation([group], [reducer], 2, 2**32 - 1, workers=1)
+    assert top.shape == (2, len(v))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("mode", ["stack", "sum"])
+def test_float_rows_are_refused_not_truncated(mode, workers):
+    (counts,) = _station_sets()[:1]
+    halves = Reducer(lambda it, c: c["turnout"] / 2.0, (len(counts[0]),), mode)
+    with pytest.raises(TypeError, match="float64"):
+        run_simulation([_builder(counts)], [halves], ITERATIONS, 8, workers=workers)
+    assert mc._ACTIVE is None
+    assert mc._HELD is None
+
+
+def test_output_does_not_depend_on_the_chunk_size(monkeypatch):
+    # integer folds are exact in any order, so neither the range size
+    # nor the worker count shows in the bits
+    sets = _station_sets()
+    v = sets[0][0]
+    runs = [
+        (groups, reducers, iterations)
+        for iterations in (5, 101)
+        for groups, reducers in [
+            (sets[:1], [_draws("result", len(v))]),
+            (sets[:1], [_share("turnout", v)]),
+            (sets, _reducers(sets)),  # stack, sum, stack
+        ]
+    ]
+
+    def bits(run, workers):
+        groups, reducers, iterations = run
+        return _bits(run_simulation(
+            [_builder(c) for c in groups], reducers, iterations, 8, workers=workers
+        ))
+
+    ref = [bits(run, 1) for run in runs]
+    for chunk in (1, 7, 32, 1000):
+        monkeypatch.setattr(mc, "CHUNK_ITERATIONS", chunk)
+        for workers in (1, 2, 3):
+            assert [bits(run, workers) for run in runs] == ref, (chunk, workers)

@@ -41,6 +41,15 @@ class TestGenerate:
         assert np.array_equal(a.turnout_p, b.turnout_p)
         assert not arrays_equal(a.dataset, c.dataset)
 
+    def test_seed_must_fit_in_one_word(self):
+        # SeedSequence would split 2**32 + 5 into the words (5, 1), the
+        # key of seed 5's region stream
+        cfg = GeneratorConfig(n_stations=20, n_regions=2)
+        for seed in (-1, 2**32, 2**32 + 5):
+            with pytest.raises(ValueError, match="seed"):
+                generate(cfg, seed)
+        assert len(generate(cfg, 2**32 - 1).dataset) == 20
+
     def test_count_invariants_hold(self):
         elec = generate(GeneratorConfig(n_stations=500), 7)
         ds = elec.dataset
