@@ -6,8 +6,9 @@ sum of invalid/empty/valid counts). A ColumnMapping describes how to
 assemble the four canonical counts from the source columns; a
 CountryProfile bundles a mapping with documentation. Rows are read in
 bounded blocks so national-scale files need bounded memory; each count
-column of a block is checked and converted in one step, and only rows
-that fail a check are examined cell by cell to name the fault.
+column of a block is checked and converted in one step, and only cells
+that fail the column check are parsed one at a time. Each bad row gets
+one fault, the message of its first failing check.
 """
 
 from __future__ import annotations
@@ -232,6 +233,8 @@ def _resolve_indices(
             raise SchemaError(
                 f"field {for_field!r}: named column {col!r} requires a header row"
             )
+        if header.count(col) > 1:
+            raise SchemaError(f"field {for_field!r}: column {col!r} repeats in the header")
         try:
             return header.index(col)
         except ValueError:
@@ -252,22 +255,11 @@ def _parse_count(cell: str) -> int:
     # ASCII digits only: no signs, no separators, no locale surprises
     if not (s.isascii() and s.isdigit()):
         raise ValueError(f"not a plain integer: {cell!r}")
-    if len(s.lstrip("0")) > _SHORT_COUNT or int(s) > MAX_COUNT:
+    # int() refuses over 4300 digits, so leading zeros go first
+    digits = s.lstrip("0") or "0"
+    if len(digits) > _SHORT_COUNT or int(digits) > MAX_COUNT:
         raise ValueError(f"count above {MAX_COUNT}: {cell!r}")
-    return int(s)
-
-
-def _parse_counts(
-    row: Sequence[str], fields: Sequence[tuple[str, tuple[int, ...]]]
-) -> dict[str, int]:
-    """One row's counts, raising ValueError for the first bad cell or sum."""
-    values = {}
-    for name, cols in fields:
-        total = sum(_parse_count(row[i]) for i in cols)
-        if total > MAX_COUNT:
-            raise ValueError(f"{name} sum above {MAX_COUNT}: {total}")
-        values[name] = total
-    return values
+    return int(digits)
 
 
 @dataclass(frozen=True)
@@ -298,12 +290,14 @@ class _Layout:
         )
 
 
-def _count_column(col: list[str], suspect: np.ndarray) -> np.ndarray:
-    """One count column as int64, checked and converted at once.
+def _count_column(col: list[str], faults: dict[int, str]) -> np.ndarray:
+    """One count column of a block as int64.
 
-    Marks in suspect each row whose cell is not a short plain ASCII
-    integer; such cells read 0. Every value is below 10 * MAX_COUNT, so
-    sums of columns cannot wrap.
+    A column of short plain ASCII integers is converted at once; only
+    cells that fail that check go through _parse_count, one at a time,
+    and a cell it refuses reads 0. A refused cell, or one above
+    MAX_COUNT, gives its row a fault unless the row has one already.
+    Every value is below 10 * MAX_COUNT, so sums of columns cannot wrap.
     """
     joined = "".join(col)
     if not (
@@ -312,16 +306,18 @@ def _count_column(col: list[str], suspect: np.ndarray) -> np.ndarray:
         and "" not in col
         and max(map(len, col)) <= _SHORT_COUNT
     ):
-        odd = [
-            j
-            for j, c in enumerate(col)
-            if not (c.isascii() and c.isdigit() and len(c) <= _SHORT_COUNT)
-        ]
         col = list(col)
-        for j in odd:
-            col[j] = "0"
-        suspect[odd] = True
-    return np.array(col, dtype=np.int64)
+        for j, cell in enumerate(col):
+            if not (cell.isascii() and cell.isdigit() and len(cell) <= _SHORT_COUNT):
+                try:
+                    col[j] = str(_parse_count(cell))
+                except ValueError as exc:
+                    faults.setdefault(j, str(exc))
+                    col[j] = "0"
+    values = np.array(col, dtype=np.int64)
+    for j in np.flatnonzero(values > MAX_COUNT).tolist():
+        faults.setdefault(j, f"count above {MAX_COUNT}: {col[j]!r}")
+    return values
 
 
 def _read_block(
@@ -333,63 +329,47 @@ def _read_block(
 ) -> tuple[list[str], list[str], list[str], dict[str, np.ndarray]]:
     """Accepted ids, regions, constituencies and counts of one block.
 
-    Rows are csv records from line first_line on. Blank rows are
-    dropped, each bad row is recorded in line order with the message of
-    its first failing check, and accepted ids enter seen.
+    Rows are csv records from line first_line on. Each row's first
+    failing check gives it one fault, keyed by its position in the
+    block: too few cells (the row is then padded with empty cells and
+    read like the rest), a count cell, a field sum, then its station
+    id. Faults of non-blank rows are recorded in line order, blank
+    rows are dropped silently, and accepted ids enter seen.
     """
-    errors: list[tuple[int, str]] = []
-    lines: Sequence[int] = range(first_line, first_line + len(rows))
+    faults: dict[int, str] = {}
     widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    if widths.min() <= layout.needed:
-        for j in np.flatnonzero(widths <= layout.needed).tolist():
-            if "".join(rows[j]).strip():
-                message = f"expected at least {layout.needed + 1} columns, got {len(rows[j])}"
-                errors.append((lines[j], message))
-        wide = np.flatnonzero(widths > layout.needed).tolist()
-        rows = [rows[j] for j in wide]
-        lines = [lines[j] for j in wide]
+    for j in np.flatnonzero(widths <= layout.needed).tolist():
+        faults[j] = f"expected at least {layout.needed + 1} columns, got {len(rows[j])}"
+        rows[j] = rows[j] + [""] * (layout.needed + 1 - len(rows[j]))
 
-    n = len(rows)
     columns = {i: [row[i] for row in rows] for i in layout.used}
-    suspect = np.zeros(n, dtype=bool)
     source: dict[int, np.ndarray] = {}
     values: dict[str, np.ndarray] = {}
     for name, cols in layout.counts:
         for i in cols:
             if i not in source:
-                source[i] = _count_column(columns[i], suspect)
-        values[name] = sum((source[i] for i in cols), np.zeros(n, dtype=np.int64))
-        # a cell above MAX_COUNT makes its field's sum exceed it too
-        suspect |= values[name] > MAX_COUNT
-
-    accept = np.ones(n, dtype=bool)
-    for j in np.flatnonzero(suspect).tolist():
-        accept[j] = False
-        if not "".join(rows[j]).strip():
-            continue
-        try:
-            parsed = _parse_counts(rows[j], layout.counts)
-        except ValueError as exc:
-            errors.append((lines[j], str(exc)))
-            continue
-        accept[j] = True
-        for name, value in parsed.items():
-            values[name][j] = value
+                source[i] = _count_column(columns[i], faults)
+        values[name] = sum(source[i] for i in cols)
+        for j in np.flatnonzero(values[name] > MAX_COUNT).tolist():
+            faults.setdefault(j, f"{name} sum above {MAX_COUNT}: {values[name][j]}")
 
     sids = list(map(str.strip, columns[layout.station_id]))
-    for j in np.flatnonzero(accept).tolist():
-        sid = sids[j]
+    for j, sid in enumerate(sids):
+        if j in faults:
+            continue
         if not sid:
-            errors.append((lines[j], "empty station_id"))
+            faults[j] = "empty station_id"
         elif sid in seen:
-            errors.append((lines[j], f"duplicate station_id {sid!r}"))
+            faults[j] = f"duplicate station_id {sid!r}"
         else:
             seen.add(sid)
-            continue
-        accept[j] = False
 
-    for line, message in sorted(errors):
-        report.record_error(line, message)
+    # a blank row always has a fault: its count cells hold no digits
+    for j in sorted(faults):
+        if "".join(rows[j]).strip():
+            report.record_error(first_line + j, faults[j])
+    accept = np.ones(len(rows), dtype=bool)
+    accept[list(faults)] = False
     keep = np.flatnonzero(accept).tolist()
     report.parsed += len(keep)
 

@@ -189,10 +189,12 @@ def load_rows(path, delimiter, has_header, resolve, max_count, max_errors):
         s = cell.strip()
         if not (s.isascii() and s.isdigit()):
             raise ValueError(f"not a plain integer: {cell!r}")
-        # the length test comes first: int() refuses over 4300 digits
-        if len(s.lstrip("0")) > len(str(max_count)) or int(s) > max_count:
+        # int() refuses over 4300 digits: strip leading zeros, then
+        # test the length before converting
+        digits = s.lstrip("0") or "0"
+        if len(digits) > len(str(max_count)) or int(digits) > max_count:
             raise ValueError(f"count above {max_count}: {cell!r}")
-        return int(s)
+        return int(digits)
 
     out = {
         "ids": [],

@@ -307,6 +307,10 @@ def test_mc_moments_match_the_exact_null_law_property(stations, model, cap, seed
         # the whole run from failing on the hits alone
         bound = 5 * sd / np.sqrt(iterations) + 5 * max(weights) / iterations
         assert abs(rep.mc_mean - mean) <= bound, (stat, window)
+        # 0.25 is five normal-theory standard errors of a sample sd,
+        # 5 / sqrt(2 * iterations - 2); the second term as above
+        bound = 0.25 * sd + 5 * max(weights) / iterations
+        assert abs(rep.mc_sd - sd) <= bound, (stat, window)
 
 
 class TestWindowSweep:

@@ -533,6 +533,17 @@ class TestExitCodes:
         assert rc == 2
         assert "error:" in err
 
+    def test_repeated_mapped_column_is_usage_error(self, tmp_path, capsys):
+        header = "station_id\tregion_code\tconstituency_id\tregistered\tgiven\tcast\tleader"
+        tsv = tmp_path / "twice.tsv"
+        tsv.write_text(f"{header}\tgiven\nS1\tA\tC1\t1000\t700\t690\t400\t9\n")
+        out = tmp_path / "out"
+        rc, summary, err = run(capsys, ["validate", "--input", str(tsv), "--out", str(out)])
+        assert rc == 2
+        assert summary is None
+        assert "'given'" in err and "repeats" in err
+        assert not out.exists()
+
     def test_argparse_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "--input", "x.tsv", "--window", "0.7"])

@@ -56,6 +56,19 @@ class TestCanonical:
         with pytest.raises(SchemaError):
             load_dataset(path, "canonical")
 
+    def test_repeated_unmapped_column_still_loads(self, tmp_path):
+        path = _write(
+            tmp_path / "notes.tsv",
+            [
+                f"note\t{CANONICAL_HEADER}\tnote",
+                "x\tS1\tA\tC1\t1000\t700\t690\t400\ty",
+            ],
+        )
+        ds, report = load_dataset(path, "canonical")
+        assert ds.station_ids == ("S1",)
+        assert ds.given.tolist() == [700]
+        assert report.parsed == 1 and report.invalid == 0
+
     def test_bad_rows_are_counted_not_fatal(self, tmp_path):
         header = "station_id\tregion_code\tconstituency_id\tregistered\tgiven\tcast\tleader"
         path = _write(
@@ -210,12 +223,14 @@ class TestCountBound:
                 f"s4\tR\t\t{MAX_COUNT + 1}\t150\t148\t90",
                 f"s5\tR\t\t{MAX_COUNT}\t150\t148\t90",
                 "s6\tR\t\t000000000000000000300\t150\t148\t90",
+                # longer than int()'s 4300-digit limit
+                "s7\tR\t\t" + "0" * 5000 + "300\t150\t148\t90",
             ],
         )
         ds, report = load_dataset(path, "canonical")
-        assert ds.station_ids == ("s1", "s5", "s6")
-        assert ds.registered.tolist() == [200, MAX_COUNT, 300]
-        assert report.parsed == 3
+        assert ds.station_ids == ("s1", "s5", "s6", "s7")
+        assert ds.registered.tolist() == [200, MAX_COUNT, 300, 300]
+        assert report.parsed == 4
         assert report.invalid == 3
         assert [e.split(":")[0] for e in report.errors] == ["line 3", "line 4", "line 5"]
         assert all(f"above {MAX_COUNT}" in e for e in report.errors)
@@ -238,7 +253,8 @@ class TestCountBound:
 
 # Cells chosen to hit every branch of the row checks: padding (accepted
 # after strip), signs, separators, non-ASCII digits and whitespace,
-# empty cells, counts at and around MAX_COUNT, leading zeros.
+# empty cells, counts at and around MAX_COUNT, leading zeros (also past
+# int()'s 4300-digit limit).
 _COUNT_CELLS = st.one_of(
     st.integers(0, 3000).map(str),
     st.sampled_from(
@@ -246,6 +262,7 @@ _COUNT_CELLS = st.one_of(
             "", " ", "\xa0", " 12", "12 ", "+5", "-5", "1_000", "1e3", "\u0663",
             "12x", "0007", "00000000000000000000042", str(MAX_COUNT), str(MAX_COUNT + 1),
             str(MAX_COUNT // 2 + 1), "99999999999999999999", str(2**63 - 1),
+            "0" * 4400 + "7",
         ]
     ),
 )
