@@ -28,6 +28,7 @@ Conventions shared by every subcommand:
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -374,12 +375,12 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _csv_lines(cfg: dict, digest: str, header: list[str], rows):
-    yield "# config: " + json.dumps(cfg, sort_keys=True) + "\n"
-    yield "# digest: " + digest + "\n"
-    yield ",".join(header) + "\n"
-    for row in rows:
-        yield ",".join(_cell(v) for v in row) + "\n"
+def _write_csv(fh, cfg: dict, digest: str, header: list[str], rows) -> None:
+    """Two comment lines, then header and rows, minimally quoted."""
+    fh.write("# config: " + json.dumps(cfg, sort_keys=True) + "\n# digest: " + digest + "\n")
+    out = csv.writer(fh, lineterminator="\n")
+    out.writerow(header)
+    out.writerows([_cell(v) for v in row] for row in rows)
 
 
 def _json_doc(cfg: dict, digest: str, payload: dict) -> str:
@@ -406,7 +407,7 @@ def _stage(path: Path, content, cfg: dict, digest: str) -> None:
         return
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if kind == ".csv":
-            fh.writelines(_csv_lines(cfg, digest, *content))
+            _write_csv(fh, cfg, digest, *content)
         elif kind == ".json":
             fh.write(_json_doc(cfg, digest, content))
         elif kind == ".svg":

@@ -17,8 +17,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .mc import Reducer, run_simulation
-from .model import METRICS, ElectionDataset, as_fraction
-from .sampling import METRIC_CODES, NullModel, make_sampler
+from .model import JITTER, METRIC_CODES, METRICS, REPORTED_JITTER, ElectionDataset, as_fraction, stream
+from .sampling import NullModel, make_sampler
 from .anomaly import DEFAULT_LEVELS, _band_indices
 
 __all__ = [
@@ -33,18 +33,6 @@ __all__ = [
 ]
 
 DEFAULT_BIN_WIDTH = Fraction(1, 10)
-
-# Jitter noise streams. A key is (seed, iteration, tag), the shape of
-# the count-sampling keys, whose tags are the metric codes 0 and 1; the
-# tag keeps the streams apart. Simulated iteration i jitters metric
-# code c under tag 16 + c, and the reported counts, which belong to no
-# iteration, under iteration 0 and tag 32 + c. Dropping the iteration
-# from a key would not do: SeedSequence zero-pads a key shorter than
-# its 4-word pool, so (seed, 16) draws what (seed, 16, 0) draws, which
-# is count sampling's turnout at iteration 16.
-_JITTER_STREAM_OFFSET = 16
-_EMPIRICAL_JITTER_OFFSET = 32
-
 
 def _bins_per_percent(bin_width) -> int:
     bw = as_fraction(bin_width)
@@ -128,11 +116,6 @@ def _bin_histogram(
     return out
 
 
-def _jitter_uniforms(entropy: tuple, n: int) -> np.ndarray:
-    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
-    return gen.random(n) - 0.5
-
-
 def build_histogram(
     dataset: ElectionDataset,
     metric: str,
@@ -155,8 +138,7 @@ def build_histogram(
     num, den = dataset.metric(metric)
     u = None
     if jitter:
-        key = (int(seed), 0, _EMPIRICAL_JITTER_OFFSET + METRIC_CODES[metric])
-        u = _jitter_uniforms(key, len(dataset))
+        u = stream(seed, 0, REPORTED_JITTER + METRIC_CODES[metric]).random(len(dataset)) - 0.5
     weights = _bin_histogram(num, den, dataset.registered, m, suppress_hundred, u)
     return WeightedHistogram(metric=metric, bin_width=as_fraction(bin_width), weights=weights)
 
@@ -176,8 +158,7 @@ def _simulated_histogram(
     num = counts[metric]
     u = None
     if jitter:
-        key = (int(master_seed), int(iteration_index), _JITTER_STREAM_OFFSET + METRIC_CODES[metric])
-        u = _jitter_uniforms(key, num.size)
+        u = stream(master_seed, iteration_index, JITTER + METRIC_CODES[metric]).random(num.size) - 0.5
     return _bin_histogram(num, den, weight, m, suppress_hundred, u)
 
 

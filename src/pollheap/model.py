@@ -34,9 +34,11 @@ __all__ = [
     "REASON_UNDEFINED_RESULT",
 ]
 
-# The two percentages of every station, in the order of their sampling
-# stream tags (0, 1); ElectionDataset.metric gives each one's columns.
+# The two percentages of every station; ElectionDataset.metric gives
+# each one's columns, and its code, its place here, keys its random
+# streams (see stream).
 METRICS = ("turnout", "result")
+METRIC_CODES = {metric: code for code, metric in enumerate(METRICS)}
 
 # Exclusion reason tags, in precedence order. A station excluded for
 # several reasons is logged under the first one that applies.
@@ -70,6 +72,35 @@ def check_seed(seed: int) -> int:
     if not 0 <= seed < SEED_LIMIT:
         raise ValueError(f"seed {seed} is not in [0, 2**32)")
     return seed
+
+
+# Random stream domains: stream(seed, index, domain) is the one source
+# of random draws, and each key names one stream.
+#
+#   draws                               index         domain
+#   simulated counts of metric code c   iteration     c
+#   jitter of simulated metric code c   iteration     JITTER + c
+#   jitter of reported metric code c    0             REPORTED_JITTER + c
+#   synthetic election sub-stream t     tag t (0-8)   SYNTH
+#
+# A key keeps all three words, as SeedSequence zero-pads a key to its
+# 4-word pool: (seed, 16) would draw what (seed, 16, 0), the turnout
+# counts of iteration 16, draws. By that padding SYNTH = 0 keeps the
+# draws of the old (seed, tag) keys, but shares domain 0 with turnout:
+# simulate --seed s draws on tag t what iteration t's turnout draws.
+JITTER = 16
+REPORTED_JITTER = 32
+SYNTH = 0
+
+
+def stream(seed: int, index: int, domain: int) -> np.random.Generator:
+    """The Philox generator keyed by (seed, index, domain).
+
+    ValueError unless 0 <= seed < SEED_LIMIT, so no seed reaches the
+    key of another (see check_seed).
+    """
+    key = (check_seed(seed), int(index), int(domain))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 # The int64 bound of every exact product, from count <= MAX_COUNT (C)
 # and bound denominator <= MAX_DENOMINATOR (D); int64 holds 9.2e18. A

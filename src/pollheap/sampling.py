@@ -2,10 +2,10 @@
 
 Every random quantity is a pure function of a (master_seed,
 iteration_index, station_index, metric_tag) tuple. Uniform variates
-come from a counter-based generator (Philox) keyed by the first three
-coordinates, with station i consuming a fixed block of words, so a draw
-can be reproduced in isolation or inside a vectorized batch and the
-result is bit-identical under any parallel schedule.
+come from model.stream keyed by (master_seed, iteration_index, the
+metric's code), with station i consuming the i-th fixed block of words,
+so a draw can be reproduced in isolation or inside a vectorized batch
+and the result is bit-identical under any parallel schedule.
 
 Counts are produced from those uniforms by inverse-CDF transforms using
 the convention k = min{k : F(k) > u}, which maps a uniform on [0, 1)
@@ -21,8 +21,9 @@ whose answer lies outside the band (about one in 10^5), or whose key
 ties with the entry below its answer (a few in 10^8), is finished
 on its station's full window, rebuilt in float64 with the build's own
 arithmetic, and one outside the window (probability ~1e-12) falls back
-to a direct quantile whose CDF authority is scipy's bdtr; either way
-the draw is the one a float64 table of whole windows gives.
+to a direct quantile on the regularized incomplete beta function
+(_binom_cdf); either way the draw is the one a float64 table of whole
+windows gives.
 scipy.special is imported inside the functions that call it, so a
 command that never draws or builds a table never loads scipy.
 """
@@ -34,7 +35,7 @@ from typing import Literal
 
 import numpy as np
 
-from .model import METRICS
+from .model import METRIC_CODES, stream
 
 __all__ = [
     "NullModel",
@@ -43,9 +44,6 @@ __all__ = [
     "iteration_uniforms",
     "make_sampler",
 ]
-
-# a metric's stream tag is its place in METRICS
-METRIC_CODES = {metric: code for code, metric in enumerate(METRICS)}
 
 # Support window for tabulated CDFs: mean +- _TAIL_SIGMAS stddevs plus
 # slack. Beyond-window draws are settled by the direct quantile.
@@ -120,10 +118,6 @@ class NullModel:
         return cls(t)
 
 
-def _stream_entropy(master_seed: int, iteration_index: int, metric_tag: str):
-    return (int(master_seed), int(iteration_index), METRIC_CODES[metric_tag])
-
-
 def iteration_uniforms(
     master_seed: int,
     iteration_index: int,
@@ -132,12 +126,19 @@ def iteration_uniforms(
     words_per_station: int,
 ) -> np.ndarray:
     """All uniforms for one iteration, shape (n_stations, words)."""
-    seq = np.random.SeedSequence(
-        _stream_entropy(master_seed, iteration_index, metric_tag)
-    )
-    gen = np.random.Generator(np.random.Philox(seq))
-    flat = gen.random(n_stations * words_per_station)
-    return flat.reshape(n_stations, words_per_station)
+    gen = stream(master_seed, iteration_index, METRIC_CODES[metric_tag])
+    return gen.random(n_stations * words_per_station).reshape(n_stations, words_per_station)
+
+
+def _binom_cdf(k, n, p):
+    """Binom(n, p) CDF at k, for 0 <= k < n, as I_{1-p}(n - k, k + 1).
+
+    Not scipy's bdtr, which loses accuracy near the mean above n ~ 2e6
+    (2e-3 at n = 1e7, 0.35 at 1e9).
+    """
+    from scipy.special import betainc
+
+    return betainc(n - k, k + 1.0, 1.0 - p)
 
 
 def _quantile_guess(u: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -145,11 +146,11 @@ def _quantile_guess(u: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
 
     n is float64. The result is a float64 count clipped to [0, n].
     binom_quantile starts from it; the walk that follows makes the
-    answer exact, but it walks on bdtr, which is not bitwise monotone,
-    so a different start can give a different draw and this arithmetic
-    must not change. The table lookup starts near the same estimate,
-    from per-station constants stored at build; there a start only sets
-    how far the walk goes.
+    answer exact, but it walks on _binom_cdf, which need not be bitwise
+    monotone, so a different start can give a different draw and this
+    arithmetic must not change. The table lookup starts near the same
+    estimate, from per-station constants stored at build; there a start
+    only sets how far the walk goes.
     """
     from scipy.special import ndtri
 
@@ -171,8 +172,6 @@ def binom_quantile(u, n, p) -> np.ndarray:
     shrinking set of unsettled entries. F(n) is taken as exactly 1, so
     the walk always terminates.
     """
-    from scipy.special import bdtr
-
     u = np.atleast_1d(np.asarray(u, dtype=np.float64))
     n = np.broadcast_to(np.asarray(n, dtype=np.int64), u.shape)
     p = np.broadcast_to(np.asarray(p, dtype=np.float64), u.shape)
@@ -188,22 +187,21 @@ def binom_quantile(u, n, p) -> np.ndarray:
 
     idx = np.flatnonzero(regular)
     nn = n[idx].astype(np.float64)
-    ni = n[idx]
     pp = p[idx]
     uu = u[idx]
     k = _quantile_guess(uu, nn, pp)
 
-    F = np.where(k >= nn, 1.0, bdtr(k, ni, pp))
+    F = np.where(k >= nn, 1.0, _binom_cdf(np.minimum(k, nn - 1.0), nn, pp))
     lag = np.flatnonzero(F <= uu)
     while lag.size:
         k[lag] += 1.0
-        hit_top = k[lag] >= nn[lag]
-        F[lag] = np.where(hit_top, 1.0, bdtr(np.minimum(k[lag], nn[lag]), ni[lag], pp[lag]))
+        below_top = np.minimum(k[lag], nn[lag] - 1.0)
+        F[lag] = np.where(k[lag] >= nn[lag], 1.0, _binom_cdf(below_top, nn[lag], pp[lag]))
         lag = lag[F[lag] <= uu[lag]]
 
     cand = np.flatnonzero(k > 0.0)
     while cand.size:
-        Fm = bdtr(k[cand] - 1.0, ni[cand], pp[cand])
+        Fm = _binom_cdf(k[cand] - 1.0, nn[cand], pp[cand])
         cand = cand[Fm > uu[cand]]
         k[cand] -= 1.0
         cand = cand[k[cand] > 0.0]
@@ -336,7 +334,7 @@ def _build_table(
     turns them into fixed point (see _QuantileTable) in the chunk's
     scratch on the way.
     """
-    from scipy.special import bdtr, gammaln
+    from scipy.special import gammaln
 
     den = np.asarray(den, dtype=np.int64)
     p = np.asarray(p, dtype=np.float64)
@@ -384,7 +382,7 @@ def _build_table(
     odds = pp / (1.0 - pp)
     left_tail = np.zeros(n_st, dtype=np.float64)
     t = np.flatnonzero((lo > 0) & ~degenerate)
-    left_tail[t] = bdtr(lo[t] - 1.0, den[t], p[t])
+    left_tail[t] = _binom_cdf(lo[t] - 1.0, den[t], p[t])
     tail = left_tail[order]
     # where a row's shape differs from the row before it
     reshaped = (w[1:] != w[:-1]) | (stored[1:] != stored[:-1]) | (first[1:] != first[:-1])

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import ElectionDataset, as_fraction, check_seed
+from .model import SYNTH, ElectionDataset, as_fraction, stream
 
 __all__ = [
     "FixedSize",
@@ -44,7 +44,7 @@ MECHANISMS = (
 TARGET_SIDES = ("just_above", "nearest")
 METRIC_CHOICES = ("either", "turnout", "result", "both")
 
-# Disjoint sub-stream tags under the user's seed.
+# Sub-stream tags: tag t draws from stream(seed, t, SYNTH).
 _TAG_SIZE = 0
 _TAG_REGION = 1
 _TAG_TURNOUT_P = 2
@@ -54,10 +54,6 @@ _TAG_GIVEN = 5
 _TAG_INVALID = 6
 _TAG_LEADER = 7
 _TAG_FRAUD = 8
-
-
-def _stream(seed: int, tag: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((check_seed(seed), tag))))
 
 
 @dataclass(frozen=True)
@@ -151,27 +147,27 @@ def generate(config: GeneratorConfig, seed: int) -> SyntheticElection:
     produce identical elections.
     """
     n = config.n_stations
-    V = config.size.draw(_stream(seed, _TAG_SIZE), n)
+    V = config.size.draw(stream(seed, _TAG_SIZE, SYNTH), n)
     if isinstance(config.size, FixedSize) and config.size.registered < 100:
         warnings.warn(
             "fixed station size below 100 registered voters: the default "
             "filter policy would drop every station"
         )
-    pt = config.turnout.draw(_stream(seed, _TAG_TURNOUT_P), n)
-    pr = config.result.draw(_stream(seed, _TAG_RESULT_P), n)
-    pi = config.invalid.draw(_stream(seed, _TAG_INVALID_P), n)
+    pt = config.turnout.draw(stream(seed, _TAG_TURNOUT_P, SYNTH), n)
+    pr = config.result.draw(stream(seed, _TAG_RESULT_P, SYNTH), n)
+    pi = config.invalid.draw(stream(seed, _TAG_INVALID_P, SYNTH), n)
 
-    G = _stream(seed, _TAG_GIVEN).binomial(V, pt)
-    I = _stream(seed, _TAG_INVALID).binomial(G, pi)
+    G = stream(seed, _TAG_GIVEN, SYNTH).binomial(V, pt)
+    I = stream(seed, _TAG_INVALID, SYNTH).binomial(G, pi)
     B = G - I
-    L = _stream(seed, _TAG_LEADER).binomial(B, pr)
+    L = stream(seed, _TAG_LEADER, SYNTH).binomial(B, pr)
 
     if config.n_regions == 1:
         codes = ("R00",) * n
     else:
         w = config.region_weights
         p = None if w is None else np.asarray(w, dtype=np.float64) / np.sum(w)
-        assign = _stream(seed, _TAG_REGION).choice(config.n_regions, size=n, p=p)
+        assign = stream(seed, _TAG_REGION, SYNTH).choice(config.n_regions, size=n, p=p)
         codes = tuple(f"R{int(a):02d}" for a in assign)
 
     dataset = ElectionDataset.from_arrays(
@@ -299,7 +295,7 @@ def inject_fraud(
     invariants are skipped and logged.
     """
     n = len(dataset)
-    rng = _stream(seed, _TAG_FRAUD)
+    rng = stream(seed, _TAG_FRAUD, SYNTH)
     eligible = np.arange(n)
     if spec.region_concentration is not None:
         mask = np.array(

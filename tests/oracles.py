@@ -279,7 +279,7 @@ def station_order_table(den, p, cells=2**16, tail_sigmas=7.5, tail_pad=5):
     entry 1.0 at their certain outcome. Returns lo, offsets, cdf and
     left_tail (F(lo - 1), 0 where lo = 0 or degenerate).
     """
-    from scipy.special import bdtr, gammaln
+    from scipy.special import betainc, gammaln
 
     den = np.asarray(den, dtype=np.int64)
     p = np.asarray(p, dtype=np.float64)
@@ -333,7 +333,8 @@ def station_order_table(den, p, cells=2**16, tail_sigmas=7.5, tail_pad=5):
         has_tail = (lo[s:e] > 0) & ~deg
         if has_tail.any():
             t = np.flatnonzero(has_tail)
-            tail[t] = bdtr(llo[t] - 1.0, den[s:e][t], p[s:e][t])
+            # F(lo - 1) = I_{1-p}(n - lo + 1, lo), as the build takes it
+            tail[t] = betainc(den[s:e][t] - llo[t] + 1.0, llo[t], 1.0 - p[s:e][t])
         rows += tail[:, None]
         rows[deg, 0] = 1.0
         left_tail[s:e] = tail

@@ -1,6 +1,8 @@
 """End-to-end command line runs, in process."""
 
 import contextlib
+import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -1172,3 +1174,50 @@ def test_golden_session_keeps_its_bytes_when_every_draw_leaves_the_band(tmp_path
     monkeypatch.setattr(sampling, "_build_table", spy)
     test_golden_session_is_byte_stable(tmp_path, monkeypatch)
     assert sum(rebuilt) > 100 * 300
+
+
+def test_awkward_names_keep_every_artifact_parseable(tmp_path):
+    """Region codes and an input name holding CSV, XML and comment
+    characters: every CSV row keeps the header's width, every SVG and
+    JSON file parses."""
+    codes = ("Palmas, Las", 'Quote "Q"', "Île<&>", "#hash")
+    inputs = []
+    for seed, name in ((11, "in,put.tsv"), (12, "other.tsv")):
+        rc, _ = quiet_main(["simulate", "--out", str(tmp_path / name[:2]), "--stations", "400",
+                            "--regions", "4", "--seed", str(seed)])
+        assert rc == 0
+        ds, _ = load_dataset(str(tmp_path / name[:2] / "election.tsv"), "canonical")
+        recoded = tuple(codes[int(c[1:])] for c in ds.region_codes)
+        write_canonical_tsv(dataclasses.replace(ds, region_codes=recoded), tmp_path / name)
+        inputs.append(str(tmp_path / name))
+    mc = ["--iterations", "100", "--workers", "1"]
+    runs = {
+        "analyze": ["analyze", "--input", inputs[0], *mc],
+        "histogram": ["histogram", "--input", *inputs, *mc],
+        "average": ["histogram", "--input", *inputs, "--average", *mc],
+        "spectrum": ["spectrum", "--input", inputs[0], *mc],
+        "regions": ["regions", "--input", *inputs, "--exclude-top", "1", *mc],
+        "fingerprint": ["fingerprint", "--input", inputs[0]],
+    }
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    for out, argv in runs.items():
+        rc, _ = quiet_main(argv + ["--format", "csv,json,svg", "--out", str(tmp_path / out)])
+        assert rc == 0, out
+        for path in (tmp_path / out).iterdir():
+            text = path.read_text(encoding="utf-8")
+            if path.suffix == ".csv":
+                lines = text.splitlines(keepends=True)
+                assert lines[0].startswith("# config: ") and lines[1].startswith("# digest: ")
+                header, *rows = csv.reader(lines[2:])
+                assert rows and {len(row) for row in rows} == {len(header)}, path.name
+            elif path.suffix == ".svg":
+                minidom.parseString(text)
+            elif path.suffix == ".json":
+                json.loads(text, parse_constant=reject)
+    with open(tmp_path / "regions" / "region_peaks.csv", encoding="utf-8", newline="") as fh:
+        table = list(csv.DictReader(line for line in fh if not line.startswith("# ")))
+    assert {row["region_code"] for row in table} == set(codes)
+    assert {row["dataset"] for row in table} == {"in,put", "other"}

@@ -18,7 +18,7 @@ from pollheap.histograms import (
     peak_shape,
 )
 import pollheap.histograms as histograms
-from pollheap.sampling import _stream_entropy
+from pollheap.model import METRIC_CODES, stream
 
 from helpers import make_dataset, random_counts
 
@@ -141,14 +141,20 @@ class TestJitter:
             got = int(np.flatnonzero(jit.weights)[0])
             assert abs(got - exact) <= 1
 
-    @pytest.mark.parametrize("seed", [0, 5, 2**32 + 5])
+    def test_seed_outside_one_word_rejected(self, null_2k):
+        # SeedSequence would split 2**32 + 5 into the words (5, 1), the
+        # key of seed 5's iteration 1
+        for seed in (-1, 2**32, 2**32 + 5):
+            with pytest.raises(ValueError, match="seed"):
+                build_histogram(null_2k, "turnout", jitter=True, seed=seed)
+        assert build_histogram(null_2k, "turnout", jitter=True, seed=2**32 - 1).weights.sum() > 0
+
+    @pytest.mark.parametrize("seed", [0, 5])
     def test_empirical_noise_is_no_simulated_stream(self, monkeypatch, seed):
         # SeedSequence zero-pads a key to its 4-word pool, so two keys
         # draw alike when their padded words agree; compare the states
         keys = []
-        monkeypatch.setattr(
-            histograms, "_jitter_uniforms", lambda key, n: keys.append(key) or np.zeros(n)
-        )
+        monkeypatch.setattr(histograms, "stream", lambda *key: keys.append(key) or stream(*key))
         ds = one_station(1000, 700)
         for metric in ("turnout", "result"):
             build_histogram(ds, metric, jitter=True, seed=seed)
@@ -159,9 +165,7 @@ class TestJitter:
                 histograms._simulated_histogram(
                     metric, den, ds.registered, 10, True, True, seed, i, {metric: num}
                 )
-        simulated = keys + [
-            _stream_entropy(seed, i, metric) for i in range(1024) for metric in ("turnout", "result")
-        ]
+        simulated = keys + [(seed, i, code) for i in range(1024) for code in METRIC_CODES.values()]
 
         def state(key):
             return tuple(np.random.SeedSequence(key).generate_state(4))

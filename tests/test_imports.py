@@ -41,3 +41,46 @@ def test_every_allowed_import_is_still_unused():
     for module, name in ALLOWED:
         tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
         assert name in _unused_imports(tree), (module, name)
+
+
+# numpy's generator constructors; model.stream is the one place that
+# keys a random stream
+GENERATOR_NAMES = {"SeedSequence", "Philox", "Generator", "default_rng"}
+
+
+def _generator_names(tree: ast.Module) -> set[str]:
+    """Generator constructor names a module uses outside annotations."""
+    annotations = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            args = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            notes = [arg.annotation for arg in args if arg is not None] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            notes = [node.annotation]
+        else:
+            continue
+        annotations |= {id(n) for note in notes if note is not None for n in ast.walk(note)}
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in annotations:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name.split(".")[-1])
+    return names & GENERATOR_NAMES
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.stem != "model"), ids=lambda p: p.stem
+)
+def test_only_model_builds_a_random_generator(path):
+    assert _generator_names(ast.parse(path.read_text(encoding="utf-8"))) == set()
+
+
+def test_model_builds_the_random_generator():
+    names = _generator_names(ast.parse((SRC / "model.py").read_text(encoding="utf-8")))
+    assert names == {"SeedSequence", "Philox", "Generator"}

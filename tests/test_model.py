@@ -8,19 +8,23 @@ from hypothesis import given as hgiven
 from hypothesis import settings
 from hypothesis import strategies as st
 
+import pollheap.histograms as histograms
+import pollheap.sampling as sampling
+import pollheap.synth as synth
 from pollheap.anomaly import WindowSpec, _side_membership, _side_residues
 from pollheap.histograms import build_histogram
 from pollheap.model import (
     MAX_COUNT,
     MAX_DENOMINATOR,
+    METRIC_CODES,
     METRICS,
+    SYNTH,
     ElectionDataset,
     FilterPolicy,
     apply_filters,
     as_fraction,
 )
 from pollheap.regions import _candidate_cells, fingerprint
-from pollheap.sampling import METRIC_CODES
 
 import oracles
 from helpers import make_dataset, random_counts
@@ -302,3 +306,41 @@ def test_exact_arithmetic_at_the_count_bound_property(stations, m, center_kind, 
         if b > 0 and v > 0:
             cells[oracles.nearest_bin(g, v, 2), oracles.nearest_bin(l, b, 2)] += v
     assert np.array_equal(fingerprint(ds).cells, cells)
+
+
+def test_stream_domains_stay_apart(monkeypatch):
+    # every key each drawing module asks model.stream for, over seeds,
+    # iterations 0..1023 and synth tags 0..8; SeedSequence zero-pads a
+    # key to its 4-word pool, so streams coincide when their states do
+    keys = set()
+    for module in (sampling, histograms, synth):
+        def recorder(seed, index, domain, real=module.stream, name=module.__name__):
+            keys.add((name, (int(seed), int(index), int(domain))))
+            return real(seed, index, domain)
+
+        monkeypatch.setattr(module, "stream", recorder)
+    seeds = (0, 5, 2**32 - 1)
+    ds = make_dataset([1000], [700], [690], [400])
+    for seed in seeds:
+        for metric in METRICS:
+            num, den = ds.metric(metric)
+            build_histogram(ds, metric, jitter=True, seed=seed)
+            for i in range(1024):
+                sampling.iteration_uniforms(seed, i, metric, 1, 1)
+                histograms._simulated_histogram(
+                    metric, den, ds.registered, 10, True, True, seed, i, {metric: num}
+                )
+        election = synth.generate(synth.GeneratorConfig(n_stations=20, n_regions=2), seed)
+        synth.inject_fraud(election.dataset, synth.FraudSpec("integer_rounding", 0.5), seed)
+
+    by_state = {}
+    for name, key in keys:
+        state = tuple(np.random.SeedSequence(key).generate_state(4))
+        by_state.setdefault(state, set()).add((name, key))
+    shared = {frozenset(group) for group in by_state.values() if len(group) > 1}
+    # synth's SYNTH domain is turnout's count domain (model's stream table)
+    turnout = METRIC_CODES["turnout"]
+    assert shared == {
+        frozenset({("pollheap.synth", (seed, t, SYNTH)), ("pollheap.sampling", (seed, t, turnout))})
+        for seed in seeds for t in range(9)
+    }

@@ -12,8 +12,9 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from pollheap import sampling
+from pollheap.model import METRIC_CODES
 from pollheap.sampling import (
-    METRIC_CODES,
+    _TAIL_SIGMAS,
     _build_table,
     NullModel,
     binom_quantile,
@@ -133,6 +134,17 @@ class TestBinomQuantile:
         )
         assert list(got) == [0, 0, 8]
 
+    @pytest.mark.parametrize("n, p", [(10**7, 0.5), (10**8, 0.3)])
+    def test_large_n_matches_the_float64_row(self, n, p):
+        # scipy's bdtr loses accuracy near the mean above n ~ 2e6 (2e-3
+        # at 1e7, 0.12 at 1e8); the row is a running pmf sum, off by
+        # at most 4e-7 here, so a draw may differ from it by one count
+        table = _build_table(np.array([n]), np.array([p]), _TAIL_SIGMAS)
+        u = np.arange(1, 1000) / 1000.0
+        want = table.lo[0] + np.searchsorted(_row(table, 0), u, "right")
+        got = binom_quantile(u, n, p)
+        assert np.abs(got - want).max() <= 1
+
 
 @settings(max_examples=60, deadline=None)
 @hgiven(
@@ -228,6 +240,17 @@ class TestDeterminism:
         ub = iteration_uniforms(9, 0, "result", 64, 1)
         assert not np.array_equal(ua, ub)
         assert a.shape == b.shape
+
+    def test_seed_outside_one_word_rejected(self, null_2k):
+        # SeedSequence would split 2**32 + 5 into the words (5, 1), the
+        # key of seed 5's iteration 1
+        sampler = make_sampler(null_2k.registered, null_2k.given, NullModel("binomial"), "turnout")
+        for seed in (-1, 2**32, 2**32 + 5):
+            with pytest.raises(ValueError, match="seed"):
+                sampler.draw(seed, 0)
+            with pytest.raises(ValueError, match="seed"):
+                iteration_uniforms(seed, 0, "turnout", 64, 1)
+        assert sampler.draw(2**32 - 1, 0).shape == (len(null_2k),)
 
     def test_iterations_differ(self, null_2k):
         sampler = make_sampler(null_2k.registered, null_2k.given, NullModel("binomial"), "turnout")
