@@ -152,11 +152,7 @@ def _scores(
     capped = None
     if refilter_max is not None:
         pn, pd = refilter_max.numerator, refilter_max.denominator
-        # make_sampler rejected num > den, so den == 0 means num == 0,
-        # which the cap keeps anyway
-        capped = np.logical_and.reduce(
-            [(dens[m] == 0) | (100 * pd * nums[m] <= pn * dens[m]) for m in METRICS]
-        )
+        capped = np.logical_and.reduce([100 * pd * nums[m] <= pn * dens[m] for m in METRICS])
     scores = []
     for stat, window in defs:
         hits = []
@@ -304,6 +300,11 @@ def _build_report(
     )
 
 
+# Fewest iterations a null test runs, here and in every Monte Carlo
+# command; fewer give too few samples for the percentile band.
+MIN_ITERATIONS = 100
+
+
 def run_nulls(
     dataset: ElectionDataset,
     defs: Sequence[tuple[StatisticDef, WindowSpec]],
@@ -327,8 +328,8 @@ def run_nulls(
     sensitivity variant that drops such stations per iteration; it
     makes the effective station count random, so it is off by default.
     """
-    if iterations < 100:
-        raise ValueError("iterations must be >= 100 for meaningful percentiles")
+    if iterations < MIN_ITERATIONS:
+        raise ValueError(f"iterations must be >= {MIN_ITERATIONS} for meaningful percentiles")
     if not defs:
         raise ValueError("at least one statistic definition is required")
     refilter_max = None

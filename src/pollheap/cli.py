@@ -45,6 +45,7 @@ import numpy as np
 from . import __version__
 from .anomaly import (
     DEFAULT_LEVELS,
+    MIN_ITERATIONS,
     StatisticDef,
     WindowSpec,
     run_nulls,
@@ -68,7 +69,15 @@ from .ingest import (
     verify_subtotals,
     write_canonical_tsv,
 )
-from .model import METRICS, SEED_LIMIT, ElectionDataset, FilterPolicy, apply_filters, as_fraction
+from .model import (
+    METRICS,
+    SEED_LIMIT,
+    ElectionDataset,
+    FilterPolicy,
+    apply_filters,
+    as_fraction,
+    check_seed,
+)
 from .regions import exclude_regions, fingerprint, region_peaks, restrict_regions
 from .render import (
     render_box_plot,
@@ -109,72 +118,67 @@ class UsageError(ValueError):
 # argument parsing helpers
 
 
-def _fraction_arg(text: str) -> Fraction:
-    try:
-        return as_fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _checked(parse):
+    """parse as an argparse type: the ValueError of its rule (or a 1/0
+    fraction's ZeroDivisionError) is a usage error with its message."""
+
+    def check(text: str):
+        try:
+            return parse(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+
+    return check
 
 
+_fraction_arg = _checked(as_fraction)
+_model_arg = _checked(NullModel.parse)
+_seed_arg = _checked(check_seed)
+
+
+@_checked
+def _max_percent_arg(text: str) -> Fraction:
+    return FilterPolicy(max_percentage=as_fraction(text)).max_percentage
+
+
+@_checked
 def _window_arg(text: str) -> tuple[Fraction, ...]:
     parts = [p for p in text.split(",") if p.strip()]
     if not parts:
-        raise argparse.ArgumentTypeError("empty window list")
-    try:
-        return tuple(WindowSpec(half_width=_fraction_arg(p)).half_width for p in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+        raise ValueError("empty window list")
+    return tuple(WindowSpec(half_width=as_fraction(p)).half_width for p in parts)
 
 
+@_checked
 def _bins_arg(text: str) -> Fraction:
-    width = _fraction_arg(text)
-    try:
-        _bins_per_percent(width)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+    width = as_fraction(text)
+    _bins_per_percent(width)
     return width
 
 
+@_checked
 def _levels_arg(text: str) -> tuple[Fraction, Fraction]:
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) != 2:
-        raise argparse.ArgumentTypeError("levels must be two comma-separated percentiles")
-    lo, hi = (_fraction_arg(p) for p in parts)
+        raise ValueError("levels must be two comma-separated percentiles")
+    lo, hi = map(as_fraction, parts)
     if not 0 <= lo < hi <= 100:
-        raise argparse.ArgumentTypeError("levels must satisfy 0 <= low < high <= 100")
+        raise ValueError("levels must satisfy 0 <= low < high <= 100")
     return lo, hi
 
 
-def _int_at_least(text: str, minimum: int, kind: str) -> int:
-    try:
+def _int_arg(minimum: int, also: int | None = None):
+    """An argparse type: an int of at least minimum, or equal to also."""
+
+    @_checked
+    def parse(text: str) -> int:
         value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < minimum:
-        raise argparse.ArgumentTypeError(f"{value} is not a {kind} integer")
-    return value
+        if value < minimum and value != also:
+            alt = "" if also is None else f" and is not {also}"
+            raise ValueError(f"{value} is below {minimum}{alt}")
+        return value
 
-
-def _positive_int_arg(text: str) -> int:
-    return _int_at_least(text, 1, "positive")
-
-
-def _non_negative_int_arg(text: str) -> int:
-    return _int_at_least(text, 0, "non-negative")
-
-
-def _seed_arg(text: str) -> int:
-    value = _int_at_least(text, 0, "non-negative")
-    if value >= SEED_LIMIT:
-        raise argparse.ArgumentTypeError(f"{value} is not below 2**32")
-    return value
-
-
-def _model_arg(text: str) -> NullModel:
-    try:
-        return NullModel.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+    return parse
 
 
 def _codes_arg(text: str) -> tuple[str, ...]:
@@ -212,7 +216,7 @@ def _add_common(
 
 def _add_filters(p: argparse.ArgumentParser) -> None:
     p.add_argument("--min-registered", type=int, default=100)
-    p.add_argument("--max-percent", type=_fraction_arg, default=Fraction(99))
+    p.add_argument("--max-percent", type=_max_percent_arg, default=Fraction(99))
     p.add_argument(
         "--keep-undefined-result",
         action="store_true",
@@ -225,11 +229,13 @@ def _add_filters(p: argparse.ArgumentParser) -> None:
 
 def _add_mc(p: argparse.ArgumentParser, default_iterations: int) -> None:
     p.add_argument("--model", type=_model_arg, default=NullModel("binomial"))
-    p.add_argument("--iterations", type=int, default=default_iterations)
+    # histogram's default, 0, skips its envelopes
+    iterations = _int_arg(MIN_ITERATIONS, also=None if default_iterations else 0)
+    p.add_argument("--iterations", type=iterations, default=default_iterations)
     p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument(
         "--workers",
-        type=_positive_int_arg,
+        type=_int_arg(1),
         default=None,
         help="simulation worker processes (default: available parallelism)",
     )
@@ -287,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--centers", default="integer", choices=("integer", "half_integer"))
     p.add_argument(
         "--exclude-top",
-        type=_non_negative_int_arg,
+        type=_int_arg(0),
         default=0,
         help="also emit averaged histograms with the top N ranked regions removed",
     )
@@ -299,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate synthetic data, optionally with injected fraud")
     p.add_argument("--out", default=".", help="output directory for artifacts")
-    p.add_argument("--stations", type=_positive_int_arg, required=True)
-    p.add_argument("--regions", type=_positive_int_arg, default=1)
+    p.add_argument("--stations", type=_int_arg(1), required=True)
+    p.add_argument("--regions", type=_int_arg(1), default=1)
     p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument("--fraud-mechanism", default=None, choices=MECHANISMS)
     p.add_argument("--fraud-fraction", type=float, default=0.0)
@@ -469,11 +475,17 @@ def _run(args: argparse.Namespace) -> dict:
     return summary
 
 
-def _progress(label: str):
-    def cb(done: int, total: int) -> None:
-        print(f"progress {label} {done}/{total}", file=sys.stderr, flush=True)
+def _mc(args: argparse.Namespace) -> dict:
+    """The Monte Carlo settings of args as keyword arguments; progress
+    lines on stderr carry the command's name."""
 
-    return cb
+    def progress(done: int, total: int) -> None:
+        print(f"progress {args.command} {done}/{total}", file=sys.stderr, flush=True)
+
+    return dict(
+        model=args.model, iterations=args.iterations, master_seed=args.seed,
+        workers=args.workers, progress=progress,
+    )
 
 
 def _prepare(args: argparse.Namespace, path: str) -> ElectionDataset:
@@ -526,8 +538,6 @@ def _cmd_validate(args: argparse.Namespace) -> tuple[dict, list]:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, list]:
-    if args.iterations < 100:
-        raise ValueError("analyze needs --iterations >= 100")
     dataset = _prepare(args, args.input)
 
     named = [
@@ -543,12 +553,8 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, list]:
     reports = run_nulls(
         dataset,
         [(stat, window) for _, stat, window in named] + sweep,
-        model=args.model,
-        iterations=args.iterations,
-        master_seed=args.seed,
-        workers=args.workers,
         levels=args.levels,
-        progress=_progress("analyze"),
+        **_mc(args),
     )
     by_name = {name: rep for (name, _, _), rep in zip(named, reports)}
     sweep_reports = reports[len(named):]
@@ -653,8 +659,6 @@ def _averaged(stem: str, title: str, columns):
 
 
 def _cmd_histogram(args: argparse.Namespace) -> tuple[dict, list]:
-    if args.iterations and args.iterations < 100:
-        raise ValueError("envelopes need --iterations >= 100 (or 0 to skip)")
     suppress = not args.include_hundred
 
     if args.average and len(args.input) < 2:
@@ -677,9 +681,8 @@ def _cmd_histogram(args: argparse.Namespace) -> tuple[dict, list]:
     simulated = []
     if args.iterations:
         simulated = mc_histogram_matrices(
-            jobs, model=args.model, iterations=args.iterations, master_seed=args.seed,
-            bin_width=args.bins, jitter=args.jitter, suppress_hundred=suppress,
-            workers=args.workers, progress=_progress("histogram"),
+            jobs, bin_width=args.bins, jitter=args.jitter, suppress_hundred=suppress,
+            **_mc(args),
             finish=[
                 partial(np.mean, axis=0) if args.average
                 else partial(envelope_from_matrix, metric=metric, bin_width=args.bins,
@@ -770,16 +773,13 @@ def _spectrogram_ratio(hist: WeightedHistogram, matrix: np.ndarray):
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> tuple[dict, list]:
-    if args.iterations < 100:
-        raise ValueError("spectrum needs --iterations >= 100 for the simulated baseline")
     dataset = _prepare(args, args.input)
 
     metrics = _metrics(args.metric)
     hists = [build_histogram(dataset, metric) for metric in metrics]
     grams = mc_histogram_matrices(
         [(dataset, metric) for metric in metrics],
-        model=args.model, iterations=args.iterations, master_seed=args.seed,
-        workers=args.workers, progress=_progress("spectrum"),
+        **_mc(args),
         finish=[partial(_spectrogram_ratio, hist) for hist in hists],
     )
 
@@ -828,22 +828,12 @@ def _cmd_spectrum(args: argparse.Namespace) -> tuple[dict, list]:
 
 
 def _cmd_regions(args: argparse.Namespace) -> tuple[dict, list]:
-    if args.iterations < 100:
-        raise ValueError("regions needs --iterations >= 100")
     # each input is labelled by its file stem, as _prepare loads it
     if len({Path(path).stem for path in args.input}) != len(args.input):
         raise ValueError("input files must have distinct names")
     datasets = {d.label: d for d in (_prepare(args, path) for path in args.input)}
 
-    table = region_peaks(
-        datasets,
-        model=args.model,
-        iterations=args.iterations,
-        master_seed=args.seed,
-        center_kind=args.centers,
-        workers=args.workers,
-        progress=_progress("regions"),
-    )
+    table = region_peaks(datasets, center_kind=args.centers, **_mc(args))
 
     rows = [
         [r.region_code, r.dataset_label, r.peak_amplitude, r.peak_metric, r.peak_percent]

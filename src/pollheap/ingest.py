@@ -542,7 +542,7 @@ def verify_subtotals(
 
 
 def write_canonical_tsv(dataset: ElectionDataset, path: str | Path) -> None:
-    """Write the canonical TSV: UTF-8, LF endings, no trailing delimiter."""
+    """Write the canonical TSV: UTF-8, LF endings, minimally quoted."""
     path = Path(path)
     columns = (
         dataset.station_ids,
@@ -551,5 +551,6 @@ def write_canonical_tsv(dataset: ElectionDataset, path: str | Path) -> None:
         *(map(str, getattr(dataset, name).tolist()) for name in COUNT_FIELDS),
     )
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("\t".join(CANONICAL_FIELDS) + "\n")
-        handle.writelines("\t".join(row) + "\n" for row in zip(*columns))
+        out = csv.writer(handle, delimiter="\t", lineterminator="\n")
+        out.writerow(CANONICAL_FIELDS)
+        out.writerows(zip(*columns))

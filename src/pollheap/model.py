@@ -96,10 +96,13 @@ SYNTH = 0
 def stream(seed: int, index: int, domain: int) -> np.random.Generator:
     """The Philox generator keyed by (seed, index, domain).
 
-    ValueError unless 0 <= seed < SEED_LIMIT, so no seed reaches the
-    key of another (see check_seed).
+    ValueError unless seed, index and domain all lie in [0, SEED_LIMIT),
+    so no word spills into the next (see check_seed).
     """
-    key = (check_seed(seed), int(index), int(domain))
+    index, domain = int(index), int(domain)
+    if not (0 <= index < SEED_LIMIT and 0 <= domain < SEED_LIMIT):
+        raise ValueError(f"stream index {index} or domain {domain} is not in [0, 2**32)")
+    key = (check_seed(seed), index, domain)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 # The int64 bound of every exact product, from count <= MAX_COUNT (C)

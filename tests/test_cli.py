@@ -387,15 +387,6 @@ class TestHistogram:
         assert rc == 1
         assert "at least two inputs" in err
 
-    def test_low_iterations_rejected(self, data_dir, tmp_path, capsys):
-        rc, _, err = run(
-            capsys,
-            ["histogram", "--input", str(data_dir / "clean.tsv"),
-             "--out", str(tmp_path), "--iterations", "50"],
-        )
-        assert rc == 1
-        assert "iterations" in err
-
 
 class TestSpectrum:
     def test_artifacts(self, data_dir, tmp_path, capsys):
@@ -598,13 +589,21 @@ class TestExitCodes:
             (["simulate", "--stations", "0"], "--stations"),
             (["simulate", "--stations", "10", "--regions", "0"], "--regions"),
             (["regions", "--input", "x.tsv", "--exclude-top", "-1"], "--exclude-top"),
+            *(([command, "--input", "x.tsv", "--iterations", "50"], "--iterations")
+              for command in ("analyze", "histogram", "spectrum", "regions")),
+            # 0 skips only histogram's envelopes
+            (["histogram", "--input", "x.tsv", "--iterations", "-1"], "--iterations"),
+            (["spectrum", "--input", "x.tsv", "--iterations", "0"], "--iterations"),
         ],
     )
-    def test_count_flags_out_of_range_are_usage_errors(self, capsys, argv, flag):
+    def test_count_flags_out_of_range_are_usage_errors(self, tmp_path, capsys, argv, flag):
+        # refused at parse time: nothing is read or written
+        out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
-            main(argv)
+            main([*argv, "--out", str(out)])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+        assert not out.exists()
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -624,17 +623,18 @@ class TestExitCodes:
         assert not (out / "analysis.json").exists()
         assert not (out / "samples.csv").exists()
 
-    def test_overprecise_max_percent_is_rejected(self, data_dir, tmp_path, capsys):
-        # finer than 1e-6 the exact filter products would wrap in int64
+    def test_overprecise_max_percent_is_rejected(self, tmp_path, capsys):
+        # finer than 1e-6 the exact filter products would wrap in int64;
+        # refused at parse time, before the absent input is read
         out = tmp_path / "nothing"
-        rc, _, err = run(
-            capsys,
-            ["analyze", "--input", str(data_dir / "clean.tsv"), "--out", str(out),
-             "--iterations", "100", "--max-percent", "98.99999999999999"],
-        )
-        assert rc == 1
-        assert "max_percentage precision" in err
-        assert not out.exists() or not any(out.iterdir())
+        for command in ("analyze", "histogram", "spectrum", "regions", "fingerprint"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--input", str(tmp_path / "absent.tsv"), "--out", str(out),
+                      "--max-percent", "98.99999999999999"])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "--max-percent" in err and "max_percentage precision" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, blocked", [("simulate", "injection_log.json"), ("analyze", "samples.csv")]

@@ -1,5 +1,6 @@
 """Core data model: exact bounds, filtering, dataset ops."""
 
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from pollheap.model import (
     FilterPolicy,
     apply_filters,
     as_fraction,
+    stream,
 )
 from pollheap.regions import _candidate_cells, fingerprint
 
@@ -309,13 +311,15 @@ def test_exact_arithmetic_at_the_count_bound_property(stations, m, center_kind, 
 
 
 def test_stream_domains_stay_apart(monkeypatch):
-    # every key each drawing module asks model.stream for, over seeds,
+    # every key each drawing function asks model.stream for, over seeds,
     # iterations 0..1023 and synth tags 0..8; SeedSequence zero-pads a
-    # key to its 4-word pool, so streams coincide when their states do
+    # key to its 4-word pool, so streams coincide when their states do.
+    # A key is recorded under its calling function, so two functions of
+    # one module that share a key stay two entries
     keys = set()
     for module in (sampling, histograms, synth):
-        def recorder(seed, index, domain, real=module.stream, name=module.__name__):
-            keys.add((name, (int(seed), int(index), int(domain))))
+        def recorder(seed, index, domain, real=module.stream):
+            keys.add((sys._getframe(1).f_code.co_name, (int(seed), int(index), int(domain))))
             return real(seed, index, domain)
 
         monkeypatch.setattr(module, "stream", recorder)
@@ -338,9 +342,27 @@ def test_stream_domains_stay_apart(monkeypatch):
         state = tuple(np.random.SeedSequence(key).generate_state(4))
         by_state.setdefault(state, set()).add((name, key))
     shared = {frozenset(group) for group in by_state.values() if len(group) > 1}
-    # synth's SYNTH domain is turnout's count domain (model's stream table)
+    # synth's SYNTH domain is turnout's count domain (model's stream
+    # table): generate draws tags 0-7 and inject_fraud tag 8
     turnout = METRIC_CODES["turnout"]
     assert shared == {
-        frozenset({("pollheap.synth", (seed, t, SYNTH)), ("pollheap.sampling", (seed, t, turnout))})
+        frozenset({
+            ("generate" if t < 8 else "inject_fraud", (seed, t, SYNTH)),
+            ("iteration_uniforms", (seed, t, turnout)),
+        })
         for seed in seeds for t in range(9)
     }
+
+
+@pytest.mark.parametrize("index", [-1, 2**32])
+def test_stream_index_stays_in_its_word(index):
+    # 2**32 would spill into the domain word: (5, 2**32, 0) keys what
+    # (5, 0, 1), iteration 0's result counts, keys
+    with pytest.raises(ValueError, match="index"):
+        sampling.iteration_uniforms(5, index, "turnout", 4, 1)
+    sampler = sampling.make_sampler(np.array([1000]), np.array([700]), "binomial", "turnout")
+    with pytest.raises(ValueError, match="index"):
+        sampler.draw(5, index)
+    with pytest.raises(ValueError, match="index"):
+        stream(5, 0, index)
+    assert sampler.draw(5, 2**32 - 1).shape == (1,)
