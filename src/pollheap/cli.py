@@ -28,7 +28,6 @@ Conventions shared by every subcommand:
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -66,6 +65,7 @@ from .ingest import (
     SchemaError,
     load_dataset,
     load_reference,
+    row_writer,
     verify_subtotals,
     write_canonical_tsv,
 )
@@ -131,7 +131,6 @@ def _checked(parse):
     return check
 
 
-_fraction_arg = _checked(as_fraction)
 _model_arg = _checked(NullModel.parse)
 _seed_arg = _checked(check_seed)
 
@@ -139,6 +138,16 @@ _seed_arg = _checked(check_seed)
 @_checked
 def _max_percent_arg(text: str) -> Fraction:
     return FilterPolicy(max_percentage=as_fraction(text)).max_percentage
+
+
+@_checked
+def _fraud_fraction_arg(text: str) -> float:
+    return FraudSpec(MECHANISMS[0], float(text)).affected_fraction
+
+
+@_checked
+def _fraud_window_arg(text: str) -> Fraction:
+    return FraudSpec(MECHANISMS[0], 0.0, window_half_width=as_fraction(text)).window_half_width
 
 
 @_checked
@@ -309,11 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regions", type=_int_arg(1), default=1)
     p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument("--fraud-mechanism", default=None, choices=MECHANISMS)
-    p.add_argument("--fraud-fraction", type=float, default=0.0)
+    p.add_argument("--fraud-fraction", type=_fraud_fraction_arg, default=0.0)
     p.add_argument("--fraud-side", default="just_above", choices=TARGET_SIDES)
     p.add_argument("--fraud-metric", default="either", choices=METRIC_CHOICES)
     p.add_argument("--fraud-regions", type=_codes_arg, default=None)
-    p.add_argument("--fraud-window", type=_fraction_arg, default=Fraction(1, 20))
+    p.add_argument("--fraud-window", type=_fraud_window_arg, default=Fraction(1, 20))
     p.add_argument("--fraud-seed", type=_seed_arg, default=None)
     return parser
 
@@ -384,7 +393,7 @@ def _cell(v) -> str:
 def _write_csv(fh, cfg: dict, digest: str, header: list[str], rows) -> None:
     """Two comment lines, then header and rows, minimally quoted."""
     fh.write("# config: " + json.dumps(cfg, sort_keys=True) + "\n# digest: " + digest + "\n")
-    out = csv.writer(fh, lineterminator="\n")
+    out = row_writer(fh)
     out.writerow(header)
     out.writerows([_cell(v) for v in row] for row in rows)
 
@@ -909,8 +918,6 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, list]:
         if args.fraud_fraction:
             raise UsageError("--fraud-fraction needs --fraud-mechanism")
     else:
-        if not 0 <= args.fraud_fraction <= 1:
-            raise ValueError("--fraud-fraction must be in [0, 1]")
         if args.fraud_seed is None and args.seed + 1 >= SEED_LIMIT:
             raise UsageError("the default --fraud-seed, --seed + 1, is not below 2**32")
         spec = FraudSpec(

@@ -541,6 +541,28 @@ def verify_subtotals(
     return out
 
 
+class _LineFeedRows:
+    """A csv.writer target that ends each CR LF row in LF instead."""
+
+    def __init__(self, handle) -> None:
+        self._write = handle.write
+
+    def write(self, line: str):
+        return self._write(line[:-2] + "\n")
+
+
+def row_writer(handle, delimiter: str = ","):
+    """A csv.writer of minimally quoted, LF-ended rows into handle that
+    also quotes a cell holding a lone carriage return.
+
+    The writer with lineterminator "\n" leaves such a cell bare (Python
+    3.11), so a reader splits its row there. This one writes rows with
+    "\r\n", which quotes it and keeps every other cell's bytes, and each
+    row's "\r\n" becomes "\n" on its way into handle.
+    """
+    return csv.writer(_LineFeedRows(handle), delimiter=delimiter, lineterminator="\r\n")
+
+
 def write_canonical_tsv(dataset: ElectionDataset, path: str | Path) -> None:
     """Write the canonical TSV: UTF-8, LF endings, minimally quoted."""
     path = Path(path)
@@ -551,6 +573,6 @@ def write_canonical_tsv(dataset: ElectionDataset, path: str | Path) -> None:
         *(map(str, getattr(dataset, name).tolist()) for name in COUNT_FIELDS),
     )
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        out = csv.writer(handle, delimiter="\t", lineterminator="\n")
+        out = row_writer(handle, "\t")
         out.writerow(CANONICAL_FIELDS)
         out.writerows(zip(*columns))

@@ -11,19 +11,21 @@ Counts are produced from those uniforms by inverse-CDF transforms using
 the convention k = min{k : F(k) > u}, which maps a uniform on [0, 1)
 to the exact pmf. The hot path computes, per station, the binomial CDF
 over a central support window in float64, and stores only the central
-band of each row, as 32-bit fixed point rounded down, rows laid out in
+band of each row, as 16-bit fixed point rounded down, rows laid out in
 order of window width. A lookup starts each station at a
 Cornish-Fisher estimate from constants stored at build and walks the
 station's band to the first entry above u's fixed-point key
 (sequential search from a start, Devroye 1986, section III.2); rows
 are non-decreasing, so the start sets only how far it walks. A draw
-whose answer lies outside the band (about one in 10^5), or whose key
-ties with the entry below its answer (a few in 10^8), is finished
-on its station's full window, rebuilt in float64 with the build's own
-arithmetic, and one outside the window (probability ~1e-12) falls back
-to a direct quantile on the regularized incomplete beta function
-(_binom_cdf); either way the draw is the one a float64 table of whole
-windows gives.
+whose key ties with the entry below its answer (about one in 540 on
+synthetic stations) is settled on its band's float64 entries,
+continued by the build's own row kernel from the row state stored at
+the band's start. One whose answer lies outside the band (about one in
+10^5) is finished on its station's full window, rebuilt in float64
+with the build's own arithmetic, and one outside the window
+(probability ~1e-12) falls back to a direct quantile on the regularized
+incomplete beta function (_binom_cdf); in every case the draw is the
+one a float64 table of whole windows gives.
 scipy.special is imported inside the functions that call it, so a
 command that never draws or builds a table never loads scipy.
 """
@@ -63,12 +65,12 @@ _BAND_SIGMAS = 4.0
 # _BUILD_CELLS.
 _MAX_TABLE_ENTRIES = 150_000_000
 
-# A banded table stores each CDF entry F as the 32-bit fixed-point
+# A banded table stores each CDF entry F as the 16-bit fixed-point
 # q = min(floor(F * _FIXED_ONE), _FIXED_MAX). A format constant: the
 # scale sets only how often a lookup ties (see _QuantileTable), never a
 # draw.
-_FIXED_ONE = 2.0**32
-_FIXED_MAX = 2**32 - 1
+_FIXED_ONE = 2.0**16
+_FIXED_MAX = 2**16 - 1
 
 # Cells (rows x widest row) per build chunk: about 0.5 MB per float64
 # temporary, so a chunk's scratch stays in cache whatever the input.
@@ -210,6 +212,65 @@ def binom_quantile(u, n, p) -> np.ndarray:
     return out
 
 
+def _window(den: np.ndarray, p: np.ndarray):
+    """Each station's mean, sd and computed window [lo, hi]: mean +-
+    _TAIL_SIGMAS stddevs plus _TAIL_PAD, clipped to [0, den]."""
+    mu = den * p
+    sig = np.sqrt(np.maximum(mu * (1.0 - p), 0.0))
+    half = np.ceil(_TAIL_SIGMAS * sig).astype(np.int64) + _TAIL_PAD
+    lo = np.maximum(np.floor(mu).astype(np.int64) - half, 0)
+    hi = np.minimum(np.ceil(mu).astype(np.int64) + half, den)
+    return mu, sig, lo, hi
+
+
+def _anchor(nn: np.ndarray, llo: np.ndarray, pp: np.ndarray) -> np.ndarray:
+    """Binom(nn, pp) pmf at llo via log-gamma: each row's first term."""
+    from scipy.special import gammaln
+
+    return np.exp(
+        gammaln(nn + 1.0)
+        - gammaln(llo + 1.0)
+        - gammaln(nn - llo + 1.0)
+        + llo * np.log(pp)
+        + (nn - llo) * np.log1p(-pp)
+    )
+
+
+def _row_kernel(rows, grid, nn, base, odds, anchor, prod, total, at=None):
+    """Run the build's row recurrence over rows, one station per row.
+
+    Column 0 of row r is outcome base[r] (a float64 count), where the
+    running ratio product is prod[r] (1 at the window's start) and the
+    running pmf sum is total[r] (the anchor there). Column t > 0 gets
+    the next ratio (n - k) / (k + 1) * odds for k = base + t - 1, the
+    running product, the pmf (product times anchor) and the running
+    sum, so rows ends holding the sums: the CDF row less its window
+    tail F(lo - 1). Every step is row-independent and runs left to
+    right, so a row continued from a column's (prod, total) gets the
+    bytes a row built from its window's start has there. grid is
+    scratch of shape (rows, columns - 1). Returns the running product
+    at column at[r] of each row, when at is given.
+    """
+    m, k = rows.shape
+    rows[:, 0] = prod
+    # cells past a row's own are padding: cumprod and cumsum run left to
+    # right, so whatever they hold never reaches a row's own cells
+    with np.errstate(over="ignore", invalid="ignore"):
+        if k > 1:
+            ratio = rows[:, 1:]
+            np.add(base[:, None], np.arange(k - 1, dtype=np.float64), out=grid)
+            np.subtract(nn[:, None], grid, out=ratio)
+            grid += 1.0
+            ratio /= grid
+            ratio *= odds[:, None]
+            np.cumprod(rows, axis=1, out=rows)
+        kept = None if at is None else rows[np.arange(m), at]
+        rows[:, 1:] *= anchor[:, None]
+        rows[:, 0] = total
+        np.cumsum(rows, axis=1, out=rows)
+    return kept
+
+
 @dataclass
 class _QuantileTable:
     """Per-station tabulated binomial CDFs over a band of each window.
@@ -223,13 +284,16 @@ class _QuantileTable:
     window and cdf holds the float64 entries themselves: the exact
     reference a stray is settled on.
 
-    A banded cdf holds each entry F as q = min(floor(F * 2^32), 2^32 - 1)
-    in uint32, and a lookup compares it with key = floor(u * 2^32) <=
-    2^32 - 1. As floor is monotone:
-      q > key gives floor(F * 2^32) >= q > floor(u * 2^32), so F > u;
-      q < key leaves q unclipped, floor(F * 2^32) < floor(u * 2^32), so F < u.
+    A banded cdf holds each entry F as q = min(floor(F * 2^16), 2^16 - 1)
+    in uint16, and a lookup compares it with key = floor(u * 2^16) <=
+    2^16 - 1. As floor is monotone:
+      q > key gives floor(F * 2^16) >= q > floor(u * 2^16), so F > u;
+      q < key leaves q unclipped, floor(F * 2^16) < floor(u * 2^16), so F < u.
     Only q == key leaves F against u open, so the walk's answer is exact
-    unless the entry below it equals key; such a tie is a stray.
+    unless the entry below it equals key. Such a tie is settled on the
+    band's float64 entries, continued by _row_kernel from band_prod and
+    band_sum, the build's running product and sum at the band's first
+    entry.
     """
 
     n: np.ndarray  # int64 denominators
@@ -237,11 +301,13 @@ class _QuantileTable:
     lo: np.ndarray  # int64 first stored outcome (the band's) per station
     starts: np.ndarray  # int64 index of each station's row in cdf
     last: np.ndarray  # int64 stored row width - 1
-    cdf: np.ndarray  # flat, every stored row back to back: uint32 fixed point, float64 if full
+    cdf: np.ndarray  # flat, every stored row back to back: uint16 fixed point, float64 if full
     left_tail: np.ndarray  # float64 band tail F(lo - 1) per station
     shift: np.ndarray  # float64 mu + 0.5 - lo
     sig: np.ndarray  # float64 sqrt(n p q)
     skew: np.ndarray  # float64 (q - p) / 6
+    band_prod: np.ndarray  # float64 running ratio product at lo
+    band_sum: np.ndarray  # float64 running pmf sum at lo, less the window tail
     full: bool  # each band is its whole window: strays go to binom_quantile
 
     def lookup(self, u: np.ndarray) -> np.ndarray:
@@ -254,11 +320,12 @@ class _QuantileTable:
         non-negative terms, and rounding down to fixed point keeps it
         non-decreasing, so the walk ends at the row's first entry above v
         from any start; the start only sets how far it walks. That entry
-        is the answer the whole window gives exactly when u is at or
-        above the band's tail, the walk stops inside the band and the
-        entry below it does not tie with the key; every other station is
-        a stray, and all of one call's strays are finished together on a
-        table of their full windows.
+        is the answer the whole window gives when u is at or above the
+        band's tail and the walk stops inside the band, unless the entry
+        below it ties with the key; the ties are settled on their bands'
+        float64 entries. Every other station is a stray, and all of one
+        call's strays are finished together on a table of their full
+        windows.
         """
         from scipy.special import ndtri
 
@@ -277,8 +344,8 @@ class _QuantileTable:
         np.clip(x, 0.0, self.last, out=x)
         i = x.astype(np.int64)
         i += starts
-        # u * 2^32 is exact and below 2^32, so truncation is the floor
-        v = u if self.full else (u * _FIXED_ONE).astype(np.uint32)
+        # u * 2^16 is exact and below 2^16, so truncation is the floor
+        v = u if self.full else (u * _FIXED_ONE).astype(np.uint16)
         above = self.cdf[i] > v
         up = np.flatnonzero(~above)
         while up.size:
@@ -295,12 +362,14 @@ class _QuantileTable:
             down = down[i[down] > starts[down]]
             down = down[self.cdf[i[down] - 1] > v[down]]
         k = self.lo + (i - starts)
-        # outside the stored band, or tied with the key: finish on the
-        # full window, and outside that settle exactly; rare by design
+        # outside the stored band: finish on the full window, and outside
+        # that settle exactly; rare by design
         stray = (i == ends) | (u < self.left_tail)
         if not self.full:
             below[walks] = self.cdf[i[walks] - 1]  # only these moved after it was read
-            stray |= (i > starts) & (below == v)
+            tie = np.flatnonzero(~stray & (i > starts) & (below == v))
+            if tie.size:
+                k[tie] = self._settle_ties(tie, u[tie], i[tie] - starts[tie])
         if stray.any():
             s = np.flatnonzero(stray)
             if self.full:
@@ -308,6 +377,39 @@ class _QuantileTable:
             else:
                 k[s] = _build_table(self.n[s], self.p[s], _TAIL_SIGMAS).lookup(u[s])
         return k
+
+    def band_entries(self, t: np.ndarray, width: int) -> np.ndarray:
+        """Stations t's first width band entries F(lo), ..., in float64.
+
+        Each row is continued from its stored state by _row_kernel, so
+        its entries are the bytes of the station's full-window row; a
+        column past a station's window holds padding.
+        """
+        n, p = self.n[t], self.p[t]
+        nn = n.astype(np.float64)
+        lo = _window(n, p)[2]
+        tail = np.zeros(t.size)
+        inner = np.flatnonzero(lo > 0)
+        tail[inner] = _binom_cdf(lo[inner] - 1.0, n[inner], p[inner])
+        rows = np.empty((t.size, width))
+        _row_kernel(rows, np.empty((t.size, width - 1)), nn, self.lo[t].astype(np.float64),
+                    p / (1.0 - p), _anchor(nn, lo.astype(np.float64), p),
+                    self.band_prod[t], self.band_sum[t])
+        rows += tail[:, None]
+        return rows
+
+    def _settle_ties(self, t: np.ndarray, u: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Answers of stations t whose walk ended at band column cols
+        with the entry below tied: the first float64 entry above u. The
+        entry at cols is above u, so each row holds one; at most
+        _BUILD_CELLS float64 entries are continued at a time."""
+        width = int(cols.max()) + 1
+        step = max(1, _BUILD_CELLS // width)
+        k = np.empty(t.size, dtype=np.int64)
+        for a in range(0, t.size, step):
+            b = slice(a, a + step)
+            k[b] = (self.band_entries(t[b], width) > u[b, None]).argmax(axis=1)
+        return self.lo[t] + k
 
 
 def _build_table(
@@ -317,14 +419,14 @@ def _build_table(
 
     Degenerate stations (den = 0, p = 0, p = 1) get single-entry
     tables holding their certain outcome. The pmf is anchored at the
-    window's left edge via log-gamma and extended by the ratio
-    recurrence over the whole window; every operation is
-    row-independent, so a one-station build is bit-identical to the
-    same station inside a batch. The band is mean +- band_sigmas
-    stddevs plus _TAIL_PAD (default _BAND_SIGMAS), clipped to the
-    window; _TAIL_SIGMAS stores whole windows.
+    window's left edge via log-gamma and extended by _row_kernel through
+    the band's last entry; every operation is row-independent, so a
+    one-station build is bit-identical to the same station inside a
+    batch. The band is mean +- band_sigmas stddevs plus _TAIL_PAD
+    (default _BAND_SIGMAS), clipped to the window; _TAIL_SIGMAS stores
+    whole windows.
 
-    Stations are taken in order of window width, then of band width
+    Stations are taken in order of computed width, then of band width
     and offset (a stable sort), and each chunk is a run of near-equal
     rows holding at most _BUILD_CELLS cells once padded to its widest
     row, or one row if that is wider; so each scratch array holds at
@@ -334,18 +436,12 @@ def _build_table(
     turns them into fixed point (see _QuantileTable) in the chunk's
     scratch on the way.
     """
-    from scipy.special import gammaln
-
     den = np.asarray(den, dtype=np.int64)
     p = np.asarray(p, dtype=np.float64)
     n_st = den.size
 
     degenerate = (den <= 0) | (p <= 0.0) | (p >= 1.0)
-    mu = den * p
-    sig = np.sqrt(np.maximum(mu * (1.0 - p), 0.0))
-    half = np.ceil(_TAIL_SIGMAS * sig).astype(np.int64) + _TAIL_PAD
-    lo = np.clip(np.floor(mu).astype(np.int64) - half, 0, None)
-    hi = np.minimum(np.ceil(mu).astype(np.int64) + half, den)
+    mu, sig, lo, hi = _window(den, p)
     certain = np.where(p >= 1.0, den, 0)
     lo = np.where(degenerate, np.maximum(certain, 0), lo)
     hi = np.where(degenerate, lo, hi)
@@ -355,7 +451,8 @@ def _build_table(
     band_lo = np.clip(np.floor(mu).astype(np.int64) - band, lo, hi)
     band_hi = np.clip(np.ceil(mu).astype(np.int64) + band, lo, hi)
 
-    width = hi - lo + 1
+    # a row is computed only through its band's last entry
+    width = band_hi - lo + 1
     # rows of one shape (width, band width, band offset) lie together
     order = np.lexsort((band_lo - lo, band_hi - band_lo, width))
     w = width[order]
@@ -366,29 +463,24 @@ def _build_table(
     starts = np.empty(n_st, dtype=np.int64)
     starts[order] = bounds[:-1]
     full = band_sigmas >= _TAIL_SIGMAS
-    cdf = np.empty(int(bounds[-1]), dtype=np.float64 if full else np.uint32)
+    cdf = np.empty(int(bounds[-1]), dtype=np.float64 if full else np.uint16)
 
     # per-station terms, in row order
     nn = den[order].astype(np.float64)
     pp = np.where(degenerate, 0.5, p)[order]  # placeholder under degenerate
     llo = lo[order].astype(np.float64)
-    anchor = np.exp(
-        gammaln(nn + 1.0)
-        - gammaln(llo + 1.0)
-        - gammaln(nn - llo + 1.0)
-        + llo * np.log(pp)
-        + (nn - llo) * np.log1p(-pp)
-    )
+    anchor = _anchor(nn, llo, pp)
     odds = pp / (1.0 - pp)
     left_tail = np.zeros(n_st, dtype=np.float64)
     t = np.flatnonzero((lo > 0) & ~degenerate)
     left_tail[t] = _binom_cdf(lo[t] - 1.0, den[t], p[t])
     tail = left_tail[order]
+    band_prod = np.empty(n_st, dtype=np.float64)
+    band_sum = np.empty(n_st, dtype=np.float64)
     # where a row's shape differs from the row before it
     reshaped = (w[1:] != w[:-1]) | (stored[1:] != stored[:-1]) | (first[1:] != first[:-1])
 
     widest = int(w[-1]) if n_st else 1
-    steps = np.arange(widest, dtype=np.float64)
     row_buf = np.empty(max(_BUILD_CELLS, widest), dtype=np.float64)
     grid_buf = np.empty_like(row_buf)
     s = 0
@@ -399,22 +491,11 @@ def _build_table(
             e = s + max(1, _BUILD_CELLS // int(w[e - 1]))
         wmax = int(w[e - 1])
         rows = row_buf[: (e - s) * wmax].reshape(e - s, wmax)
-        rows[:, 0] = anchor[s:e]
-        # cells past a row's width are padding: cumprod and cumsum run
-        # left to right, so whatever they hold never reaches a row's own
-        # cells, and the copy into cdf leaves them behind
-        with np.errstate(over="ignore", invalid="ignore"):
-            if wmax > 1:
-                ratio = rows[:, 1:]
-                grid = grid_buf[: (e - s) * (wmax - 1)].reshape(e - s, wmax - 1)
-                np.add(llo[s:e, None], steps[: wmax - 1], out=grid)
-                np.subtract(nn[s:e, None], grid, out=ratio)
-                grid += 1.0
-                ratio /= grid
-                ratio *= odds[s:e, None]
-                np.cumprod(ratio, axis=1, out=ratio)
-                ratio *= rows[:, :1]
-            np.cumsum(rows, axis=1, out=rows)
+        grid = grid_buf[: (e - s) * (wmax - 1)].reshape(e - s, wmax - 1)
+        at = first[s:e]
+        band_prod[order[s:e]] = _row_kernel(rows, grid, nn[s:e], llo[s:e], odds[s:e],
+                                            anchor[s:e], 1.0, anchor[s:e], at)
+        band_sum[order[s:e]] = rows[np.arange(e - s), at]
         # the tail is added on the way into cdf, one block per run of
         # equal shape; the band's tail F(band_lo - 1) is the row's entry
         # before the band, or the window's tail where the band starts it
@@ -447,6 +528,8 @@ def _build_table(
         shift=mu + 0.5 - band_lo,
         sig=sig,
         skew=(q - p) / 6.0,
+        band_prod=band_prod,
+        band_sum=band_sum,
         full=full,
     )
 

@@ -98,13 +98,12 @@ class TestSimulateArguments:
 
         monkeypatch.setattr(cli, "generate", generate)
         out = tmp_path / "out"
-        rc, _, err = run(
-            capsys,
-            ["simulate", "--out", str(out), "--stations", "2000000",
-             "--fraud-mechanism", "integer_rounding", "--fraud-fraction", "2"],
-        )
-        assert rc == 1
-        assert "--fraud-fraction must be in [0, 1]" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--out", str(out), "--stations", "2000000",
+                  "--fraud-mechanism", "integer_rounding", "--fraud-fraction", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--fraud-fraction" in err and "affected_fraction must lie in [0, 1]" in err
         assert not out.exists()
 
 
@@ -114,20 +113,19 @@ class TestSimulateArguments:
 
         monkeypatch.setattr(cli, "generate", generate)
         out = tmp_path / "out"
-        rc, _, err = run(
-            capsys,
-            ["simulate", "--out", str(out), "--stations", "2000000",
-             "--fraud-mechanism", "integer_rounding", "--fraud-fraction", "0.1",
-             "--fraud-window", "0.7"],
-        )
-        assert rc == 1
-        assert "window_half_width must lie in (0, 0.5]" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--out", str(out), "--stations", "2000000",
+                  "--fraud-mechanism", "integer_rounding", "--fraud-fraction", "0.1",
+                  "--fraud-window", "0.7"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--fraud-window" in err and "window_half_width must lie in (0, 0.5]" in err
         assert not out.exists()
 
     def test_fraud_fraction_needs_a_mechanism(self, tmp_path, capsys):
         out = tmp_path / "out"
         rc, _, err = run(
-            capsys, ["simulate", "--out", str(out), "--stations", "20", "--fraud-fraction", "5"]
+            capsys, ["simulate", "--out", str(out), "--stations", "20", "--fraud-fraction", "0.5"]
         )
         assert rc == 2
         assert "--fraud-fraction needs --fraud-mechanism" in err
@@ -601,6 +599,27 @@ class TestExitCodes:
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fraud, flag",
+        [
+            (["--fraud-mechanism", "integer_rounding", "--fraud-fraction", "nan"],
+             "--fraud-fraction"),
+            (["--fraud-fraction", "5"], "--fraud-fraction"),
+            (["--fraud-window", "0.7"], "--fraud-window"),
+            (["--fraud-window", "0"], "--fraud-window"),
+        ],
+    )
+    def test_fraud_numbers_out_of_range_are_usage_errors(self, tmp_path, capsys, fraud, flag):
+        # FraudSpec's own ranges, checked at parse time with or without a
+        # mechanism (TestSimulateArguments has one out-of-range number of
+        # each kind with one): nothing is generated or written
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--stations", "10", *fraud, "--out", str(out)])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
         assert not out.exists()
@@ -1177,14 +1196,14 @@ def test_golden_session_keeps_its_bytes_when_every_draw_leaves_the_band(tmp_path
 
 
 def test_awkward_names_keep_every_artifact_parseable(tmp_path):
-    """Region codes and an input name holding CSV, XML and comment
-    characters: every CSV row keeps the header's width, every SVG and
-    JSON file parses."""
-    codes = ("Palmas, Las", 'Quote "Q"', "Île<&>", "#hash")
+    """Region codes and an input name holding CSV, XML, comment and
+    line-break characters: every CSV row keeps the header's width, every
+    SVG and JSON file parses."""
+    codes = ("Palmas, Las", 'Quote "Q"', "Île<&>", "#hash", "Carriage\rReturn")
     inputs = []
     for seed, name in ((11, "in,put.tsv"), (12, "other.tsv")):
         rc, _ = quiet_main(["simulate", "--out", str(tmp_path / name[:2]), "--stations", "400",
-                            "--regions", "4", "--seed", str(seed)])
+                            "--regions", "5", "--seed", str(seed)])
         assert rc == 0
         ds, _ = load_dataset(str(tmp_path / name[:2] / "election.tsv"), "canonical")
         recoded = tuple(codes[int(c[1:])] for c in ds.region_codes)
@@ -1207,11 +1226,12 @@ def test_awkward_names_keep_every_artifact_parseable(tmp_path):
         rc, _ = quiet_main(argv + ["--format", "csv,json,svg", "--out", str(tmp_path / out)])
         assert rc == 0, out
         for path in (tmp_path / out).iterdir():
-            text = path.read_text(encoding="utf-8")
+            with open(path, encoding="utf-8", newline="") as fh:
+                text = fh.read()
             if path.suffix == ".csv":
-                lines = text.splitlines(keepends=True)
-                assert lines[0].startswith("# config: ") and lines[1].startswith("# digest: ")
-                header, *rows = csv.reader(lines[2:])
+                config, digest, body = text.split("\n", 2)
+                assert config.startswith("# config: ") and digest.startswith("# digest: ")
+                header, *rows = csv.reader(io.StringIO(body, newline=""))
                 assert rows and {len(row) for row in rows} == {len(header)}, path.name
             elif path.suffix == ".svg":
                 minidom.parseString(text)

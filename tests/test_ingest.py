@@ -46,23 +46,24 @@ class TestCanonical:
         assert loaded.region_codes == null_multiregion.region_codes
 
     def test_quoted_cells_survive_a_round_trip(self, tmp_path):
-        # a quoted cell may hold a tab or a line break; written raw, the
-        # first splits its row and the second starts a new one
+        # a quoted cell may hold a tab, a line feed or a carriage return;
+        # written raw, the first splits its row and the others start a
+        # new one
         src = tmp_path / "quoted.tsv"
-        src.write_text(
+        src.write_bytes(
             f'{CANONICAL_HEADER}\n"a\tb"\t"Palmas\nLas"\tC1\t1000\t700\t690\t400\n'
-            'S2\tA\t"say ""hi"""\t800\t500\t490\t250\n',
-            encoding="utf-8",
+            'S2\tA\t"say ""hi"""\t800\t500\t490\t250\n'
+            '"c\rd"\t"Cape\rTown"\tC3\t900\t600\t590\t300\n'.encode("utf-8")
         )
         ds, report = load_dataset(src, "canonical")
-        assert ds.station_ids == ("a\tb", "S2") and report.invalid == 0
+        assert ds.station_ids == ("a\tb", "S2", "c\rd") and report.invalid == 0
         out = tmp_path / "out.tsv"
         write_canonical_tsv(ds, out)
         back, report = load_dataset(out, "canonical")
-        assert report.parsed == 2 and report.invalid == 0
+        assert report.parsed == 3 and report.invalid == 0
         assert back.station_ids == ds.station_ids
-        assert back.region_codes == ("Palmas\nLas", "A")
-        assert back.constituency_ids == ("C1", 'say "hi"')
+        assert back.region_codes == ("Palmas\nLas", "A", "Cape\rTown")
+        assert back.constituency_ids == ("C1", 'say "hi"', "C3")
         assert np.array_equal(back.leader, ds.leader)
 
     def test_default_label_is_file_stem(self, tmp_path, null_2k):

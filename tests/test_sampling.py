@@ -508,14 +508,14 @@ def test_lookup_answer_does_not_depend_on_its_start_property(dens, ps, data):
 
 
 def _fixed_point(entries):
-    """CDF entries as a banded table stores them: floor(F * 2^32) in uint32."""
-    return np.minimum(np.floor(entries * 2.0**32), 2.0**32 - 1).astype(np.uint32)
+    """CDF entries as a banded table stores them: floor(F * 2^16) in uint16."""
+    return np.minimum(np.floor(entries * 2.0**16), 2.0**16 - 1).astype(np.uint16)
 
 
 def _assert_band_is_a_slice(banded, full):
     """Each stored row is its full row's band in fixed point; its tail is
     the float64 entry before."""
-    assert banded.cdf.dtype == np.uint32 and full.cdf.dtype == np.float64
+    assert banded.cdf.dtype == np.uint16 and full.cdf.dtype == np.float64
     assert np.all(banded.lo >= full.lo)
     assert np.all(banded.lo + banded.last <= full.lo + full.last)
     for i in range(full.lo.size):
@@ -544,10 +544,10 @@ def _band_uniforms(banded, full, data):
         band_tail = float(banded.left_tail[i])
         window_tail = float(full.left_tail[i])
         entry = float(row[data.draw(st.integers(first, end - 1))])
-        q = np.floor(entry * 2.0**32)
+        q = np.floor(entry * 2.0**16)
         candidates = [0.0, _LAST_UNIFORM, band_tail, np.nextafter(band_tail, 0.0),
                       window_tail, np.nextafter(window_tail, 0.0),
-                      entry, q / 2.0**32, np.nextafter((q + 1.0) / 2.0**32, 0.0),
+                      entry, q / 2.0**16, np.nextafter((q + 1.0) / 2.0**16, 0.0),
                       float(row[end - 1]),
                       float(row[data.draw(st.integers(0, row.size - 1))]), float(row[-1])]
         u = data.draw(st.one_of(st.sampled_from(candidates), st.floats(0.0, 1.0)))
@@ -609,42 +609,123 @@ def test_band_strays_are_settled_on_the_rebuilt_full_row():
     assert den.size // 2 < calls[0][0] <= den.size
 
 
-def test_a_key_tied_with_the_entry_below_is_settled_on_the_rebuilt_full_row():
-    # u on the lower edge of entry j's fixed-point cell lies below F(j), so
-    # the answer is j, but its key equals entry j's stored value and the
-    # fixed-point walk stops one past it: the tie must go to the full row
+def test_a_key_tied_with_the_entry_below_is_settled_from_the_stored_row_state():
+    # station 0's u on the lower edge of entry j's fixed-point cell lies
+    # below F(j), so the answer is j, but its key equals entry j's stored
+    # value and the fixed-point walk stops one past it; stations 1 and 2
+    # have u inside a run of equal stored entries at the start of their
+    # bands, so the walk stops past the run. Each tie is settled on its
+    # band's float64 entries, continued from the stored row state: no row
+    # is rebuilt
     den = np.array([3000, 5000, 800], dtype=np.int64)
     num = np.array([1500, 2750, 120], dtype=np.int64)
     sampler = make_sampler(den, num, "binomial", "turnout")
     table = sampler._table
     with _full_window():
         full = make_sampler(den, num, "binomial", "turnout")
-    j = int(table.last[1]) // 2
-    stored = table.cdf[table.starts[1] + j]
-    u = np.full((den.size, 1), 0.5)
-    u[1, 0] = float(stored) / 2.0**32
-    entry = _row(full._table, 1)[int(table.lo[1] - full._table.lo[1]) + j]
-    assert u[1, 0] < entry and int(u[1, 0] * 2.0**32) == stored
-    assert table.cdf[table.starts[1] + j + 1] > stored
+    first = table.lo - full._table.lo
+    j = int(table.last[0]) // 2
+    stored = table.cdf[table.starts[0] + j]
+    u = np.empty((den.size, 1))
+    u[0, 0] = float(stored) / 2.0**16
+    assert u[0, 0] < _row(full._table, 0)[first[0] + j]
+    assert table.cdf[table.starts[0] + j + 1] > stored
+    for i in (1, 2):
+        entries = _row(full._table, i)[first[i]:first[i] + 4]
+        u[i, 0] = (entries[2] + entries[3]) / 2
+        assert np.all(_row(table, i)[:5] == int(u[i, 0] * 2.0**16)), i
     build = sampling._build_table
-    calls = []
+    settle = sampling._QuantileTable._settle_ties
+    calls, ties = [], []
 
     def spy(den, p, band_sigmas=None):
-        calls.append((den.size, band_sigmas))
+        calls.append(den.size)
         return build(den, p, band_sigmas)
 
-    with mock.patch.object(sampling, "_build_table", spy):
+    def tie_spy(self, t, u, cols):
+        ties.append(t.tolist())
+        return settle(self, t, u, cols)
+
+    with mock.patch.object(sampling, "_build_table", spy), \
+            mock.patch.object(sampling._QuantileTable, "_settle_ties", tie_spy):
         got = sampler.draw_from_uniforms(u)
-        assert calls == [(1, sampling._TAIL_SIGMAS)]
         # started at its row's first entry the walk goes up to the tie,
         # started at its last it comes down to it
         still = np.zeros(den.size)
         for shift in (still, table.last.astype(np.float64)):
             pinned = dataclasses.replace(table, shift=shift, sig=still, skew=still)
             assert np.array_equal(pinned.lookup(u[:, 0]), got)
-    assert calls == [(1, sampling._TAIL_SIGMAS)] * 3
-    assert got[1] == table.lo[1] + j
+    assert calls == [] and ties == [[0, 1, 2]] * 3
+    assert got[0] == table.lo[0] + j
+    assert np.array_equal(got[1:], table.lo[1:] + 3)
     assert np.array_equal(got, full.draw_from_uniforms(u))
+
+
+_extreme_p = st.one_of(_p_values, st.floats(1e-7, 1e-3), st.floats(1.0 - 1e-3, 1.0 - 1e-7))
+
+
+@settings(max_examples=40, deadline=None)
+@hgiven(
+    stations=st.lists(
+        st.tuples(st.one_of(st.integers(1, 3000), st.integers(10**6, 10**7)), _extreme_p),
+        min_size=1, max_size=6,
+    ),
+)
+def test_band_entries_continued_from_the_stored_state_are_the_full_rows_property(stations):
+    # the tie path's only source of float64 entries: from each band's
+    # stored (product, sum), every band entry must be its full-window
+    # row's entry, bit for bit
+    den = np.array([d for d, _ in stations], dtype=np.int64)
+    p = np.array([q for _, q in stations])
+    banded = _build_table(den, p)
+    full = _build_table(den, p, _TAIL_SIGMAS)
+    t = np.flatnonzero((p > 0.0) & (p < 1.0))
+    if not t.size:
+        return
+    rows = banded.band_entries(t, int(banded.last[t].max()) + 1)
+    for row, i in zip(rows, t):
+        first, width = int(banded.lo[i] - full.lo[i]), int(banded.last[i]) + 1
+        want = _row(full, i)[first:first + width]
+        assert row[:width].tobytes() == want.tobytes(), (den[i], p[i])
+
+
+def _copies(table, count):
+    """A table whose count stations all read the first station's row."""
+    per_station = {f.name: np.repeat(getattr(table, f.name)[:1], count)
+                   for f in dataclasses.fields(table) if f.name not in ("cdf", "full")}
+    return dataclasses.replace(table, **per_station)
+
+
+def test_table_draws_follow_the_binomial_pmf_station_by_station():
+    # many copies of one station in one lookup, including the keys that
+    # tie with a 16-bit entry and are settled from the stored row state:
+    # the counts must pass a chi-square bound against the exact pmf
+    from scipy.stats import binom, chi2
+
+    copies = 200_000
+    rng = np.random.default_rng(24)
+    settle = sampling._QuantileTable._settle_ties
+    for n, p in zip(rng.integers(20_000, 200_000, size=3), rng.uniform(0.05, 0.95, size=3)):
+        table = _copies(_build_table(np.array([n]), np.array([p])), copies)
+        ties = []
+
+        def tie_spy(self, t, u, cols):
+            ties.append(t.size)
+            return settle(self, t, u, cols)
+
+        with mock.patch.object(sampling._QuantileTable, "_settle_ties", tie_spy):
+            draws = table.lookup(iteration_uniforms(int(n), 0, "turnout", copies, 1)[:, 0])
+        assert sum(ties) > copies // 1000, (n, p)
+        # outcomes with at least 5 expected draws, each tail pooled into its edge
+        pmf = binom.pmf(np.arange(n + 1), n, p)
+        keep = np.flatnonzero(pmf * copies >= 5)
+        lo, hi = int(keep[0]), int(keep[-1])
+        observed = np.bincount(np.clip(draws, lo, hi) - lo, minlength=hi - lo + 1)
+        expected = copies * pmf[lo:hi + 1]
+        expected[0] += copies * pmf[:lo].sum()
+        expected[-1] += copies * pmf[hi + 1:].sum()
+        stat = np.sum((observed - expected) ** 2 / expected)
+        assert stat < chi2.isf(1e-6, expected.size - 1), (n, p, stat)
 
 
 @pytest.fixture(scope="module")
