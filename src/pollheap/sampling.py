@@ -17,15 +17,14 @@ Cornish-Fisher estimate from constants stored at build and walks the
 station's band to the first entry above u's fixed-point key
 (sequential search from a start, Devroye 1986, section III.2); rows
 are non-decreasing, so the start sets only how far it walks. A draw
-whose key ties with the entry below its answer (about one in 540 on
-synthetic stations) is settled on its band's float64 entries,
-continued by the build's own row kernel from the row state stored at
-the band's start. One whose answer lies outside the band (about one in
-10^5) is finished on its station's full window, rebuilt in float64
-with the build's own arithmetic, and one outside the window
-(probability ~1e-12) falls back to a direct quantile on the regularized
-incomplete beta function (_binom_cdf); in every case the draw is the
-one a float64 table of whole windows gives.
+the band cannot answer is settled on its window's float64 row, re-run
+by the build's own row kernel from the window's start: one whose key
+ties with the entry below the walk's stop (about one in 540 on
+synthetic stations) through the stop, one whose answer lies outside
+the band (about one in 50,000) through the window's end. One outside
+the window (probability ~1e-12) falls back to a direct quantile on the
+regularized incomplete beta function (_binom_cdf); in every case the
+draw is the one a float64 table of whole windows gives.
 scipy.special is imported inside the functions that call it, so a
 command that never draws or builds a table never loads scipy.
 """
@@ -177,7 +176,8 @@ def binom_quantile(u, n, p) -> np.ndarray:
     u = np.atleast_1d(np.asarray(u, dtype=np.float64))
     n = np.broadcast_to(np.asarray(n, dtype=np.int64), u.shape)
     p = np.broadcast_to(np.asarray(p, dtype=np.float64), u.shape)
-    if np.any((u < 0.0) | (u >= 1.0)):
+    # written so that NaN fails too
+    if not np.all((u >= 0.0) & (u < 1.0)):
         raise ValueError("uniform variates must lie in [0, 1)")
 
     out = np.zeros(u.shape, dtype=np.int64)
@@ -236,23 +236,20 @@ def _anchor(nn: np.ndarray, llo: np.ndarray, pp: np.ndarray) -> np.ndarray:
     )
 
 
-def _row_kernel(rows, grid, nn, base, odds, anchor, prod, total, at=None):
+def _row_kernel(rows, grid, nn, base, odds, anchor):
     """Run the build's row recurrence over rows, one station per row.
 
-    Column 0 of row r is outcome base[r] (a float64 count), where the
-    running ratio product is prod[r] (1 at the window's start) and the
-    running pmf sum is total[r] (the anchor there). Column t > 0 gets
-    the next ratio (n - k) / (k + 1) * odds for k = base + t - 1, the
-    running product, the pmf (product times anchor) and the running
-    sum, so rows ends holding the sums: the CDF row less its window
-    tail F(lo - 1). Every step is row-independent and runs left to
-    right, so a row continued from a column's (prod, total) gets the
-    bytes a row built from its window's start has there. grid is
-    scratch of shape (rows, columns - 1). Returns the running product
-    at column at[r] of each row, when at is given.
+    Column 0 of row r is outcome base[r] (a float64 count, its window's
+    start), where the pmf is anchor[r]. Column t > 0 gets the next ratio
+    (n - k) / (k + 1) * odds for k = base + t - 1, the running product,
+    the pmf (product times anchor) and the running sum, so rows ends
+    holding the sums: the CDF row less its window tail F(base - 1).
+    Every step is row-independent and runs left to right, so a row's
+    entries depend neither on the rows beside it nor on how many columns
+    follow them. grid is scratch of shape (rows, columns - 1).
     """
-    m, k = rows.shape
-    rows[:, 0] = prod
+    k = rows.shape[1]
+    rows[:, 0] = 1.0
     # cells past a row's own are padding: cumprod and cumsum run left to
     # right, so whatever they hold never reaches a row's own cells
     with np.errstate(over="ignore", invalid="ignore"):
@@ -264,11 +261,22 @@ def _row_kernel(rows, grid, nn, base, odds, anchor, prod, total, at=None):
             ratio /= grid
             ratio *= odds[:, None]
             np.cumprod(rows, axis=1, out=rows)
-        kept = None if at is None else rows[np.arange(m), at]
         rows[:, 1:] *= anchor[:, None]
-        rows[:, 0] = total
+        rows[:, 0] = anchor
         np.cumsum(rows, axis=1, out=rows)
-    return kept
+
+
+def _runs(w: np.ndarray):
+    """Chunks (s, e) of rows of non-decreasing widths w: each the longest
+    run from s holding at most _BUILD_CELLS cells once padded to its
+    widest row, or one row if that is wider."""
+    s = 0
+    while s < w.size:
+        e = min(w.size, s + max(1, _BUILD_CELLS // int(w[s])))
+        while e - s > 1 and (e - s) * int(w[e - 1]) > _BUILD_CELLS:
+            e = s + max(1, _BUILD_CELLS // int(w[e - 1]))
+        yield s, e
+        s = e
 
 
 @dataclass
@@ -280,20 +288,15 @@ class _QuantileTable:
     that lie in its band; rows lie in order of window width, not of
     station. shift, sig and skew are the per-station constants of the
     lookup's Cornish-Fisher start, so a draw evaluates only ndtri and a
-    few in-place operations. When full is set, every band is its whole
-    window and cdf holds the float64 entries themselves: the exact
-    reference a stray is settled on.
+    few in-place operations.
 
-    A banded cdf holds each entry F as q = min(floor(F * 2^16), 2^16 - 1)
-    in uint16, and a lookup compares it with key = floor(u * 2^16) <=
+    cdf holds each entry F as q = min(floor(F * 2^16), 2^16 - 1) in
+    uint16, and a lookup compares it with key = floor(u * 2^16) <=
     2^16 - 1. As floor is monotone:
       q > key gives floor(F * 2^16) >= q > floor(u * 2^16), so F > u;
       q < key leaves q unclipped, floor(F * 2^16) < floor(u * 2^16), so F < u.
     Only q == key leaves F against u open, so the walk's answer is exact
-    unless the entry below it equals key. Such a tie is settled on the
-    band's float64 entries, continued by _row_kernel from band_prod and
-    band_sum, the build's running product and sum at the band's first
-    entry.
+    unless the entry below it equals key; _settle answers those draws.
     """
 
     n: np.ndarray  # int64 denominators
@@ -301,31 +304,26 @@ class _QuantileTable:
     lo: np.ndarray  # int64 first stored outcome (the band's) per station
     starts: np.ndarray  # int64 index of each station's row in cdf
     last: np.ndarray  # int64 stored row width - 1
-    cdf: np.ndarray  # flat, every stored row back to back: uint16 fixed point, float64 if full
+    cdf: np.ndarray  # uint16 fixed point, every stored row back to back
     left_tail: np.ndarray  # float64 band tail F(lo - 1) per station
     shift: np.ndarray  # float64 mu + 0.5 - lo
     sig: np.ndarray  # float64 sqrt(n p q)
     skew: np.ndarray  # float64 (q - p) / 6
-    band_prod: np.ndarray  # float64 running ratio product at lo
-    band_sum: np.ndarray  # float64 running pmf sum at lo, less the window tail
-    full: bool  # each band is its whole window: strays go to binom_quantile
 
     def lookup(self, u: np.ndarray) -> np.ndarray:
         """Map one uniform per station to a count.
 
         Each station starts at the Cornish-Fisher estimate of its answer,
-        clipped into its row, and walks up while cdf <= v and down while
-        the entry below is > v, where v is u for a full table and u's
-        fixed-point key for a banded one. A row is a running sum of
-        non-negative terms, and rounding down to fixed point keeps it
-        non-decreasing, so the walk ends at the row's first entry above v
-        from any start; the start only sets how far it walks. That entry
-        is the answer the whole window gives when u is at or above the
-        band's tail and the walk stops inside the band, unless the entry
-        below it ties with the key; the ties are settled on their bands'
-        float64 entries. Every other station is a stray, and all of one
-        call's strays are finished together on a table of their full
-        windows.
+        clipped into its band, and walks up while cdf <= key and down
+        while the entry below is > key, for u's fixed-point key. A row is
+        a running sum of non-negative terms, and rounding down to fixed
+        point keeps it non-decreasing, so the walk ends at the band's
+        first entry above key from any start; the start only sets how
+        far it walks. That entry is the answer the whole window gives
+        when u is at or above the band's tail and the walk stops inside
+        the band, unless the entry below it ties with the key. _settle
+        answers every other draw but a degenerate station's (last == 0),
+        whose one entry is its certain count.
         """
         from scipy.special import ndtri
 
@@ -345,7 +343,7 @@ class _QuantileTable:
         i = x.astype(np.int64)
         i += starts
         # u * 2^16 is exact and below 2^16, so truncation is the floor
-        v = u if self.full else (u * _FIXED_ONE).astype(np.uint16)
+        v = (u * _FIXED_ONE).astype(np.uint16)
         above = self.cdf[i] > v
         up = np.flatnonzero(~above)
         while up.size:
@@ -361,60 +359,58 @@ class _QuantileTable:
             i[down] -= 1
             down = down[i[down] > starts[down]]
             down = down[self.cdf[i[down] - 1] > v[down]]
-        k = self.lo + (i - starts)
-        # outside the stored band: finish on the full window, and outside
-        # that settle exactly; rare by design
-        stray = (i == ends) | (u < self.left_tail)
-        if not self.full:
-            below[walks] = self.cdf[i[walks] - 1]  # only these moved after it was read
-            tie = np.flatnonzero(~stray & (i > starts) & (below == v))
-            if tie.size:
-                k[tie] = self._settle_ties(tie, u[tie], i[tie] - starts[tie])
-        if stray.any():
-            s = np.flatnonzero(stray)
-            if self.full:
-                k[s] = binom_quantile(u[s], self.n[s], self.p[s])
-            else:
-                k[s] = _build_table(self.n[s], self.p[s], _TAIL_SIGMAS).lookup(u[s])
+        k = self.lo + np.minimum(i - starts, self.last)
+        below[walks] = self.cdf[i[walks] - 1]  # only these moved after it was read
+        tie = (i > starts) & (below == v)
+        # outside the stored band, or tied: rare by design
+        unsettled = np.flatnonzero((tie | (i == ends) | (u < self.left_tail)) & (self.last > 0))
+        if unsettled.size:
+            k[unsettled] = self._settle(unsettled, u[unsettled], i[unsettled] - starts[unsettled])
         return k
 
-    def band_entries(self, t: np.ndarray, width: int) -> np.ndarray:
-        """Stations t's first width band entries F(lo), ..., in float64.
+    def _settle(self, t: np.ndarray, u: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Answers of stations t whose walk stopped at band column cols
+        without settling u: the first entry above u of each station's
+        float64 window row, as the build computes it.
 
-        Each row is continued from its stored state by _row_kernel, so
-        its entries are the bytes of the station's full-window row; a
-        column past a station's window holds padding.
+        _row_kernel re-runs each row from its window's start. A tie's
+        answer lies in its band at or before cols, whose entry is above
+        u, so its row runs through there; a walk past the band, or a u
+        below the band's tail, runs through the window's end. A u below
+        the window's tail or at or above its last entry goes to
+        binom_quantile. Rows are taken in order of width, at most
+        _BUILD_CELLS cells at a time.
         """
         n, p = self.n[t], self.p[t]
+        lo, hi = _window(n, p)[2:]
+        inside = (cols <= self.last[t]) & (u >= self.left_tail[t])
+        width = np.where(inside, self.lo[t] - lo + cols, hi - lo) + 1
         nn = n.astype(np.float64)
-        lo = _window(n, p)[2]
+        llo = lo.astype(np.float64)
+        odds = p / (1.0 - p)
+        anchor = _anchor(nn, llo, p)
         tail = np.zeros(t.size)
         inner = np.flatnonzero(lo > 0)
-        tail[inner] = _binom_cdf(lo[inner] - 1.0, n[inner], p[inner])
-        rows = np.empty((t.size, width))
-        _row_kernel(rows, np.empty((t.size, width - 1)), nn, self.lo[t].astype(np.float64),
-                    p / (1.0 - p), _anchor(nn, lo.astype(np.float64), p),
-                    self.band_prod[t], self.band_sum[t])
-        rows += tail[:, None]
-        return rows
-
-    def _settle_ties(self, t: np.ndarray, u: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Answers of stations t whose walk ended at band column cols
-        with the entry below tied: the first float64 entry above u. The
-        entry at cols is above u, so each row holds one; at most
-        _BUILD_CELLS float64 entries are continued at a time."""
-        width = int(cols.max()) + 1
-        step = max(1, _BUILD_CELLS // width)
-        k = np.empty(t.size, dtype=np.int64)
-        for a in range(0, t.size, step):
-            b = slice(a, a + step)
-            k[b] = (self.band_entries(t[b], width) > u[b, None]).argmax(axis=1)
-        return self.lo[t] + k
+        tail[inner] = _binom_cdf(llo[inner] - 1.0, n[inner], p[inner])
+        k = lo.copy()
+        direct = u < tail
+        order = np.argsort(width, kind="stable")
+        for s, e in _runs(width[order]):
+            r = order[s:e]
+            wmax = int(width[r[-1]])
+            rows = np.empty((r.size, wmax))
+            _row_kernel(rows, np.empty((r.size, wmax - 1)), nn[r], llo[r], odds[r], anchor[r])
+            rows += tail[r, None]
+            k[r] += (rows > u[r, None]).argmax(axis=1)
+            # rows never decrease, so a row whose last entry is above u
+            # has its first entry above u among its own, not its padding
+            direct[r] |= rows[np.arange(r.size), width[r] - 1] <= u[r]
+        if direct.any():
+            k[direct] = binom_quantile(u[direct], n[direct], p[direct])
+        return k
 
 
-def _build_table(
-    den: np.ndarray, p: np.ndarray, band_sigmas: float | None = None
-) -> _QuantileTable:
+def _build_table(den: np.ndarray, p: np.ndarray) -> _QuantileTable:
     """Tabulate per-station binomial CDFs, storing each row's band.
 
     Degenerate stations (den = 0, p = 0, p = 1) get single-entry
@@ -422,19 +418,15 @@ def _build_table(
     window's left edge via log-gamma and extended by _row_kernel through
     the band's last entry; every operation is row-independent, so a
     one-station build is bit-identical to the same station inside a
-    batch. The band is mean +- band_sigmas stddevs plus _TAIL_PAD
-    (default _BAND_SIGMAS), clipped to the window; _TAIL_SIGMAS stores
-    whole windows.
+    batch. The band is mean +- _BAND_SIGMAS stddevs plus _TAIL_PAD,
+    clipped to the window.
 
     Stations are taken in order of computed width, then of band width
-    and offset (a stable sort), and each chunk is a run of near-equal
-    rows holding at most _BUILD_CELLS cells once padded to its widest
-    row, or one row if that is wider; so each scratch array holds at
-    most max(_BUILD_CELLS, widest row) cells whatever the station
-    count. A chunk's band cells are copied into one contiguous stretch
-    of cdf, one block per run of rows of equal shape; a banded table
-    turns them into fixed point (see _QuantileTable) in the chunk's
-    scratch on the way.
+    and offset (a stable sort), and chunked by _runs; so each scratch
+    array holds at most max(_BUILD_CELLS, widest row) cells whatever
+    the station count. A chunk's band cells are turned into fixed point
+    (see _QuantileTable) in the chunk's scratch and copied into one
+    contiguous stretch of cdf, one block per run of rows of equal shape.
     """
     den = np.asarray(den, dtype=np.int64)
     p = np.asarray(p, dtype=np.float64)
@@ -445,9 +437,7 @@ def _build_table(
     certain = np.where(p >= 1.0, den, 0)
     lo = np.where(degenerate, np.maximum(certain, 0), lo)
     hi = np.where(degenerate, lo, hi)
-    if band_sigmas is None:
-        band_sigmas = _BAND_SIGMAS
-    band = np.ceil(band_sigmas * sig).astype(np.int64) + _TAIL_PAD
+    band = np.ceil(_BAND_SIGMAS * sig).astype(np.int64) + _TAIL_PAD
     band_lo = np.clip(np.floor(mu).astype(np.int64) - band, lo, hi)
     band_hi = np.clip(np.ceil(mu).astype(np.int64) + band, lo, hi)
 
@@ -462,8 +452,7 @@ def _build_table(
     np.cumsum(stored, out=bounds[1:])
     starts = np.empty(n_st, dtype=np.int64)
     starts[order] = bounds[:-1]
-    full = band_sigmas >= _TAIL_SIGMAS
-    cdf = np.empty(int(bounds[-1]), dtype=np.float64 if full else np.uint16)
+    cdf = np.empty(int(bounds[-1]), dtype=np.uint16)
 
     # per-station terms, in row order
     nn = den[order].astype(np.float64)
@@ -475,46 +464,32 @@ def _build_table(
     t = np.flatnonzero((lo > 0) & ~degenerate)
     left_tail[t] = _binom_cdf(lo[t] - 1.0, den[t], p[t])
     tail = left_tail[order]
-    band_prod = np.empty(n_st, dtype=np.float64)
-    band_sum = np.empty(n_st, dtype=np.float64)
     # where a row's shape differs from the row before it
     reshaped = (w[1:] != w[:-1]) | (stored[1:] != stored[:-1]) | (first[1:] != first[:-1])
 
     widest = int(w[-1]) if n_st else 1
     row_buf = np.empty(max(_BUILD_CELLS, widest), dtype=np.float64)
     grid_buf = np.empty_like(row_buf)
-    s = 0
-    while s < n_st:
-        # the longest run from s whose padded cells fit; widths only grow
-        e = min(n_st, s + max(1, _BUILD_CELLS // int(w[s])))
-        while e - s > 1 and (e - s) * int(w[e - 1]) > _BUILD_CELLS:
-            e = s + max(1, _BUILD_CELLS // int(w[e - 1]))
+    for s, e in _runs(w):
         wmax = int(w[e - 1])
         rows = row_buf[: (e - s) * wmax].reshape(e - s, wmax)
         grid = grid_buf[: (e - s) * (wmax - 1)].reshape(e - s, wmax - 1)
-        at = first[s:e]
-        band_prod[order[s:e]] = _row_kernel(rows, grid, nn[s:e], llo[s:e], odds[s:e],
-                                            anchor[s:e], 1.0, anchor[s:e], at)
-        band_sum[order[s:e]] = rows[np.arange(e - s), at]
+        _row_kernel(rows, grid, nn[s:e], llo[s:e], odds[s:e], anchor[s:e])
         # the tail is added on the way into cdf, one block per run of
         # equal shape; the band's tail F(band_lo - 1) is the row's entry
         # before the band, or the window's tail where the band starts it
         cuts = [s, *(s + 1 + np.flatnonzero(reshaped[s:e - 1])).tolist(), e]
         for a, b in zip(cuts[:-1], cuts[1:]):
             f, k = int(first[a]), int(stored[a])
-            out = cdf[bounds[a]:bounds[b]].reshape(b - a, k)
-            if full:
-                np.add(rows[a - s:b - s, f:f + k], tail[a:b, None], out=out)
-            else:
-                # to fixed point through the ratio grid's scratch, free by now
-                band = grid_buf[:(b - a) * k].reshape(b - a, k)
-                np.add(rows[a - s:b - s, f:f + k], tail[a:b, None], out=band)
-                band *= _FIXED_ONE
-                np.minimum(band, _FIXED_MAX, out=out, casting="unsafe")
+            # to fixed point through the ratio grid's scratch, free by now
+            band = grid_buf[:(b - a) * k].reshape(b - a, k)
+            np.add(rows[a - s:b - s, f:f + k], tail[a:b, None], out=band)
+            band *= _FIXED_ONE
+            np.minimum(band, _FIXED_MAX, out=cdf[bounds[a]:bounds[b]].reshape(b - a, k),
+                       casting="unsafe")
             if f:
                 left_tail[order[a:b]] = rows[a - s:b - s, f - 1] + tail[a:b]
-        s = e
-    cdf[starts[degenerate]] = 1.0 if full else _FIXED_MAX
+    cdf[starts[degenerate]] = _FIXED_MAX
 
     q = 1.0 - p
     return _QuantileTable(
@@ -528,9 +503,6 @@ def _build_table(
         shift=mu + 0.5 - band_lo,
         sig=sig,
         skew=(q - p) / 6.0,
-        band_prod=band_prod,
-        band_sum=band_sum,
-        full=full,
     )
 
 
@@ -582,6 +554,9 @@ class DatasetSampler:
     def draw_from_uniforms(self, u: np.ndarray) -> np.ndarray:
         if u.shape != (self.n_stations, self.model.words_per_station):
             raise ValueError("uniform block shape does not match the sampler")
+        # written so that NaN fails too
+        if not np.all((u >= 0.0) & (u < 1.0)):
+            raise ValueError("uniform variates must lie in [0, 1)")
         kind = self.model.kind
         if kind == "beta_binomial":
             from scipy.special import betaincinv

@@ -1179,20 +1179,19 @@ def test_golden_session_is_byte_stable(tmp_path, monkeypatch):
 
 
 def test_golden_session_keeps_its_bytes_when_every_draw_leaves_the_band(tmp_path, monkeypatch):
-    """A 0-sigma band sends almost every table draw through the rebuild
-    of its full row; the session's bytes must not move."""
-    build = sampling._build_table
-    rebuilt = []
+    """A 0-sigma band sends almost every table draw through the
+    settlement on its full row; the session's bytes must not move."""
+    settle = sampling._QuantileTable._settle
+    settled = []
 
-    def spy(den, p, band_sigmas=None):
-        if band_sigmas is not None:
-            rebuilt.append(den.size)
-        return build(den, p, band_sigmas)
+    def spy(self, t, u, cols):
+        settled.append(t.size)
+        return settle(self, t, u, cols)
 
     monkeypatch.setattr(sampling, "_BAND_SIGMAS", 0.0)
-    monkeypatch.setattr(sampling, "_build_table", spy)
+    monkeypatch.setattr(sampling._QuantileTable, "_settle", spy)
     test_golden_session_is_byte_stable(tmp_path, monkeypatch)
-    assert sum(rebuilt) > 100 * 300
+    assert sum(settled) > 100 * 300
 
 
 def test_awkward_names_keep_every_artifact_parseable(tmp_path):

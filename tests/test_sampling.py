@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from pollheap import sampling
 from pollheap.model import METRIC_CODES
 from pollheap.sampling import (
-    _TAIL_SIGMAS,
     _build_table,
     NullModel,
     binom_quantile,
@@ -26,18 +25,33 @@ import oracles
 
 
 def _row(table, i):
-    """Station i's CDF row in a _QuantileTable."""
+    """Station i's stored band in a _QuantileTable."""
     return table.cdf[table.starts[i]:table.starts[i] + table.last[i] + 1]
 
 
-def _binary_search_lookup(table, u):
-    """Reference for _QuantileTable.lookup: a fixed-step binary search.
+def _reference(den, p):
+    """The float64 whole-window rows every table draw must match:
+    oracles.station_order_table, which also keeps each station's n and p."""
+    ref = oracles.station_order_table(den, p)
+    ref.update(n=np.asarray(den, dtype=np.int64), p=np.asarray(p, dtype=np.float64))
+    return ref
+
+
+def _ref_row(ref, i):
+    """Station i's float64 window row in a _reference."""
+    return ref["cdf"][ref["offsets"][i]:ref["offsets"][i + 1]]
+
+
+def _binary_search_lookup(ref, u, stations=None):
+    """Reference for _QuantileTable.lookup: a fixed-step binary search on
+    the oracle's rows, u[j] on the row of stations[j] (station j if None).
 
     Finds each row's first entry with cdf > u; strays (no entry above u,
     or u below the row's left tail) are settled by binom_quantile.
     """
-    starts = table.starts
-    ends = starts + table.last + 1
+    idx = np.arange(u.size) if stations is None else np.asarray(stations)
+    starts = ref["offsets"][idx]
+    ends = ref["offsets"][idx + 1]
     left = starts.copy()
     right = ends.copy()
     max_width = int((ends - starts).max()) if starts.size else 1
@@ -46,27 +60,17 @@ def _binary_search_lookup(table, u):
         if not active.any():
             break
         mid = (left + right) >> 1
-        val = table.cdf[np.minimum(mid, table.cdf.size - 1)]
+        val = ref["cdf"][np.minimum(mid, ref["cdf"].size - 1)]
         above = active & (val > u)
         below = active & ~above
         right[above] = mid[above]
         left[below] = mid[below] + 1
-    k = table.lo + (left - starts)
-    stray = (left == ends) | (u < table.left_tail)
+    k = ref["lo"][idx] + (left - starts)
+    stray = (left == ends) | (u < ref["left_tail"][idx])
     if stray.any():
         s = np.flatnonzero(stray)
-        k[s] = binom_quantile(u[s], table.n[s], table.p[s])
+        k[s] = binom_quantile(u[s], ref["n"][idx[s]], ref["p"][idx[s]])
     return k
-
-
-def _full_window():
-    """Have make_sampler store every row's whole computed window.
-
-    Band sigmas equal to the window's make _build_table the builder the
-    stray rebuild uses, so the oracle properties below compare every
-    entry of every full row.
-    """
-    return mock.patch.object(sampling, "_BAND_SIGMAS", sampling._TAIL_SIGMAS)
 
 
 def _repeat_sampler(den, num, model, n_copies, metric="turnout"):
@@ -126,6 +130,10 @@ class TestBinomQuantile:
         with pytest.raises(ValueError):
             binom_quantile(np.array([1.0]), np.array([5], dtype=np.int64), np.array([0.5]))
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            binom_quantile(np.array([np.nan]), np.array([5], dtype=np.int64), np.array([0.5]))
+
     def test_degenerate_p(self):
         got = binom_quantile(
             np.array([0.0, 0.999999, 0.5]),
@@ -139,9 +147,9 @@ class TestBinomQuantile:
         # scipy's bdtr loses accuracy near the mean above n ~ 2e6 (2e-3
         # at 1e7, 0.12 at 1e8); the row is a running pmf sum, off by
         # at most 4e-7 here, so a draw may differ from it by one count
-        table = _build_table(np.array([n]), np.array([p]), _TAIL_SIGMAS)
+        ref = _reference([n], [p])
         u = np.arange(1, 1000) / 1000.0
-        want = table.lo[0] + np.searchsorted(_row(table, 0), u, "right")
+        want = ref["lo"][0] + np.searchsorted(_ref_row(ref, 0), u, "right")
         got = binom_quantile(u, n, p)
         assert np.abs(got - want).max() <= 1
 
@@ -333,13 +341,13 @@ _p_values = st.one_of(
 )
 
 
-def _boundary_uniforms(table, data):
+def _boundary_uniforms(ref, data):
     """One u per station, drawn at 0, just below 1, the left tail, row
     entries (the last one included), their float neighbours, or anywhere."""
     us = []
-    for i in range(table.lo.size):
-        row = _row(table, i)
-        tail = float(table.left_tail[i])
+    for i in range(ref["lo"].size):
+        row = _ref_row(ref, i)
+        tail = float(ref["left_tail"][i])
         candidates = [0.0, _LAST_UNIFORM, tail, np.nextafter(tail, 0.0),
                       float(row[-1]), float(row[data.draw(st.integers(0, row.size - 1))])]
         u = data.draw(st.one_of(st.sampled_from(candidates), st.floats(0.0, 1.0)))
@@ -350,19 +358,20 @@ def _boundary_uniforms(table, data):
 
 
 def _assert_lookup_matches_binary_search(table, data):
-    u = _boundary_uniforms(table, data)
-    assert np.array_equal(table.lookup(u), _binary_search_lookup(table, u))
-    # every station again at entries spread over its whole row, where the
-    # guess can start on either side of the answer; rows depend only on
-    # (n, p), so a table of copies of the station holds the same row
+    ref = _reference(table.n, table.p)
+    u = _boundary_uniforms(ref, data)
+    assert np.array_equal(table.lookup(u), _binary_search_lookup(ref, u))
+    # every station again at entries spread over its whole window row,
+    # where the guess can start on either side of the answer and the
+    # answer on either side of the band; rows depend only on (n, p), so a
+    # table of copies of the station holds the same row
     for i in range(table.lo.size):
-        row = _row(table, i)
+        row = _ref_row(ref, i)
         picks = row[np.unique(np.linspace(0, row.size - 1, min(row.size, 24)).astype(int))]
         u = np.concatenate([picks, np.nextafter(picks, 0.0), np.nextafter(picks, 1.0)])
         u = np.clip(u, 0.0, _LAST_UNIFORM)
-        copies = _build_table(np.full(u.size, table.n[i]), np.full(u.size, table.p[i]),
-                              sampling._TAIL_SIGMAS)
-        assert np.array_equal(copies.lookup(u), _binary_search_lookup(copies, u))
+        copies = _build_table(np.full(u.size, table.n[i]), np.full(u.size, table.p[i]))
+        assert np.array_equal(copies.lookup(u), _binary_search_lookup(ref, u, np.full(u.size, i)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -374,7 +383,7 @@ def _assert_lookup_matches_binary_search(table, data):
 def test_binomial_table_lookup_matches_binary_search_property(dens, ps, data):
     den = np.array(dens, dtype=np.int64)
     p = np.array(ps[: den.size])
-    _assert_lookup_matches_binary_search(_build_table(den, p, sampling._TAIL_SIGMAS), data)
+    _assert_lookup_matches_binary_search(_build_table(den, p), data)
 
 
 @settings(max_examples=60, deadline=None)
@@ -389,8 +398,7 @@ def test_clustered_table_lookup_matches_binary_search_property(c, quots, rems, f
     # the remainder table's rows have n in {0, 1, 2}: degenerate and tiny
     den = np.array([c * q + r for q, r in zip(quots, rems)], dtype=np.int64)
     num = np.array([int(f * d) for f, d in zip(fracs, den)], dtype=np.int64)
-    with _full_window():
-        sampler = make_sampler(den, num, NullModel("clustered", c), "turnout")
+    sampler = make_sampler(den, num, NullModel("clustered", c), "turnout")
     for table in (sampler._table, sampler._rem_table):
         _assert_lookup_matches_binary_search(table, data)
 
@@ -431,6 +439,30 @@ def _stations_to_counts(stations):
     return den, num
 
 
+def _fixed_point(entries):
+    """CDF entries as a banded table stores them: floor(F * 2^16) in uint16."""
+    return np.minimum(np.floor(entries * 2.0**16), 2.0**16 - 1).astype(np.uint16)
+
+
+def _assert_band_is_a_slice(banded, ref):
+    """Each stored row is its oracle row's band in fixed point, its tail
+    is the oracle's float64 entry before, and the rows tile cdf."""
+    assert banded.cdf.dtype == np.uint16
+    assert np.all(banded.lo >= ref["lo"])
+    assert np.all(banded.lo + banded.last < ref["lo"] + np.diff(ref["offsets"]))
+    for i in range(banded.lo.size):
+        first = int(banded.lo[i] - ref["lo"][i])
+        row = _ref_row(ref, i)
+        want = _fixed_point(row[first:first + banded.last[i] + 1])
+        assert _row(banded, i).tobytes() == want.tobytes(), i
+        tail = row[first - 1] if first else ref["left_tail"][i]
+        assert banded.left_tail[i:i + 1].tobytes() == np.float64(tail).tobytes(), i
+    first = np.sort(banded.starts)
+    widths = (banded.last + 1)[np.argsort(banded.starts)]
+    assert first[0] == 0 and banded.cdf.size == widths.sum()
+    assert np.array_equal(first[1:], first[:-1] + widths[:-1])
+
+
 @settings(max_examples=40, deadline=None)
 @hgiven(
     stations=st.lists(_station, min_size=1, max_size=12),
@@ -439,15 +471,15 @@ def _stations_to_counts(stations):
 )
 def test_build_table_is_chunk_invariant_property(stations, cells, model):
     # every build operation is row-independent, so how stations fall
-    # into chunks cannot change a byte of any station's row or constants
+    # into chunks cannot change a byte of any station's band or constants
     den, num = _stations_to_counts(stations)
-    with _full_window():
-        singles = [make_sampler(den[i:i + 1], num[i:i + 1], model, "turnout")
-                   for i in range(den.size)]
-        with mock.patch.object(sampling, "_BUILD_CELLS", cells):
-            batch = make_sampler(den, num, model, "turnout")
+    singles = [make_sampler(den[i:i + 1], num[i:i + 1], model, "turnout")
+               for i in range(den.size)]
+    with mock.patch.object(sampling, "_BUILD_CELLS", cells):
+        batch = make_sampler(den, num, model, "turnout")
     for name in _table_names(model):
         got = getattr(batch, name)
+        _assert_band_is_a_slice(got, _reference(got.n, got.p))
         for i, single in enumerate(singles):
             want = getattr(single, name)
             assert _row(got, i).tobytes() == want.cdf.tobytes(), (name, i)
@@ -463,86 +495,30 @@ def test_build_table_is_chunk_invariant_property(stations, cells, model):
     model=st.sampled_from(["binomial", "clustered:3", "clustered:7"]),
 )
 def test_build_table_matches_station_order_oracle_property(stations, cells, model):
-    # the width-ordered build must give every station the bytes the
-    # station-ordered build gave it, and its rows must tile cdf exactly
+    # the width-ordered build must give every station the band of the
+    # row the station-ordered build gives it, and its rows must tile cdf
     den, num = _stations_to_counts(stations)
-    with _full_window(), mock.patch.object(sampling, "_BUILD_CELLS", cells):
+    with mock.patch.object(sampling, "_BUILD_CELLS", cells):
         sampler = make_sampler(den, num, model, "turnout")
     p = np.where(den > 0, num / np.maximum(den, 1), 0.0)
     c = 1 if model == "binomial" else NullModel.parse(model).cluster_size
     parts = {"_table": den // c, "_rem_table": den % c}
     for name in _table_names(model):
-        got = getattr(sampler, name)
-        want = oracles.station_order_table(parts[name], p)
-        for i in range(den.size):
-            row = want["cdf"][want["offsets"][i]:want["offsets"][i + 1]]
-            assert _row(got, i).tobytes() == row.tobytes(), (name, i)
-        assert got.lo.tobytes() == want["lo"].tobytes()
-        assert got.left_tail.tobytes() == want["left_tail"].tobytes()
-        first = np.sort(got.starts)
-        widths = (got.last + 1)[np.argsort(got.starts)]
-        assert first[0] == 0 and got.cdf.size == want["cdf"].size
-        assert np.array_equal(first[1:], first[:-1] + widths[:-1])
+        _assert_band_is_a_slice(getattr(sampler, name), _reference(parts[name], p))
 
 
-@settings(max_examples=40, deadline=None)
-@hgiven(
-    dens=st.lists(st.integers(0, 10**6), min_size=1, max_size=6),
-    ps=st.lists(_p_values, min_size=6, max_size=6),
-    data=st.data(),
-)
-def test_lookup_answer_does_not_depend_on_its_start_property(dens, ps, data):
-    # stored constants that start every station at its row's first
-    # entry, then at its last, change how far the walk goes, not where
-    # it ends: a row never decreases; nor, for a banded table, whether
-    # the walk from there leaves the band
-    den, p = np.array(dens, dtype=np.int64), np.array(ps[: len(dens)])
-    table = _build_table(den, p, sampling._TAIL_SIGMAS)
-    u = _boundary_uniforms(table, data)
-    want = _binary_search_lookup(table, u)
-    still = np.zeros(table.lo.size)
-    for built in (table, _build_table(den, p)):
-        for shift in (still, built.last.astype(np.float64)):
-            pinned = dataclasses.replace(built, shift=shift, sig=still, skew=still)
-            assert np.array_equal(pinned.lookup(u), want)
-
-
-def _fixed_point(entries):
-    """CDF entries as a banded table stores them: floor(F * 2^16) in uint16."""
-    return np.minimum(np.floor(entries * 2.0**16), 2.0**16 - 1).astype(np.uint16)
-
-
-def _assert_band_is_a_slice(banded, full):
-    """Each stored row is its full row's band in fixed point; its tail is
-    the float64 entry before."""
-    assert banded.cdf.dtype == np.uint16 and full.cdf.dtype == np.float64
-    assert np.all(banded.lo >= full.lo)
-    assert np.all(banded.lo + banded.last <= full.lo + full.last)
-    for i in range(full.lo.size):
-        first = int(banded.lo[i] - full.lo[i])
-        row = _row(full, i)
-        want = _fixed_point(row[first:first + banded.last[i] + 1])
-        assert _row(banded, i).tobytes() == want.tobytes(), i
-        tail = row[first - 1] if first else full.left_tail[i]
-        assert banded.left_tail[i:i + 1].tobytes() == np.float64(tail).tobytes(), i
-    first = np.sort(banded.starts)
-    widths = (banded.last + 1)[np.argsort(banded.starts)]
-    assert first[0] == 0 and banded.cdf.size == widths.sum()
-    assert np.array_equal(first[1:], first[:-1] + widths[:-1])
-
-
-def _band_uniforms(banded, full, data):
+def _band_uniforms(banded, ref, data):
     """One u per station at the edges of its band and of its window:
     stored entries, the band's tail and just below it, the band's last
     entry (answers past the band), the window's tail and below it, and
     the edges of a band entry's fixed-point cell (keys that tie)."""
     us = []
-    for i in range(full.lo.size):
-        row = _row(full, i)
-        first = int(banded.lo[i] - full.lo[i])
+    for i in range(ref["lo"].size):
+        row = _ref_row(ref, i)
+        first = int(banded.lo[i] - ref["lo"][i])
         end = first + int(banded.last[i]) + 1
         band_tail = float(banded.left_tail[i])
-        window_tail = float(full.left_tail[i])
+        window_tail = float(ref["left_tail"][i])
         entry = float(row[data.draw(st.integers(first, end - 1))])
         q = np.floor(entry * 2.0**16)
         candidates = [0.0, _LAST_UNIFORM, band_tail, np.nextafter(band_tail, 0.0),
@@ -559,95 +535,119 @@ def _band_uniforms(banded, full, data):
 
 @settings(max_examples=40, deadline=None)
 @hgiven(
+    dens=st.lists(st.integers(0, 10**6), min_size=1, max_size=6),
+    ps=st.lists(_p_values, min_size=6, max_size=6),
+    data=st.data(),
+)
+def test_lookup_answer_does_not_depend_on_its_start_property(dens, ps, data):
+    # stored constants that start every station at its band's first
+    # entry, then at its last, change how far the walk goes, not where
+    # it ends: a row never decreases; nor whether the walk from there
+    # leaves the band or stops on a tie
+    den, p = np.array(dens, dtype=np.int64), np.array(ps[: len(dens)])
+    table = _build_table(den, p)
+    ref = _reference(den, p)
+    u = _band_uniforms(table, ref, data)
+    want = _binary_search_lookup(ref, u)
+    still = np.zeros(table.lo.size)
+    for shift in (still, table.last.astype(np.float64)):
+        pinned = dataclasses.replace(table, shift=shift, sig=still, skew=still)
+        assert np.array_equal(pinned.lookup(u), want)
+
+
+@settings(max_examples=40, deadline=None)
+@hgiven(
     stations=st.lists(_station, min_size=1, max_size=8),
+    cells=st.sampled_from([1, 100, sampling._BUILD_CELLS]),
     model=st.sampled_from(["binomial", "clustered:3", "clustered:7"]),
     data=st.data(),
 )
-def test_banded_lookup_matches_full_window_lookup_property(stations, model, data):
-    # a draw inside the band reads the full row's own entries; one
-    # outside it is finished on the rebuilt full row, so every draw keeps
-    # its bytes
+def test_banded_lookup_matches_full_window_lookup_property(stations, cells, model, data):
+    # a draw inside the band reads the full row's own entries; one tied
+    # or outside it is settled on the full row, re-run in chunks of any
+    # size, so every draw is the one the oracle's float64 rows give
     den, num = _stations_to_counts(stations)
-    banded = make_sampler(den, num, model, "turnout")
-    with _full_window():
-        full = make_sampler(den, num, model, "turnout")
+    sampler = make_sampler(den, num, model, "turnout")
+    refs = {}
     for name in _table_names(model):
-        b, f = getattr(banded, name), getattr(full, name)
-        _assert_band_is_a_slice(b, f)
-        u = _band_uniforms(b, f, data)
-        assert np.array_equal(b.lookup(u), f.lookup(u)), name
-        assert np.array_equal(b.lookup(u), _binary_search_lookup(f, u)), name
+        table = getattr(sampler, name)
+        refs[name] = ref = _reference(table.n, table.p)
+        _assert_band_is_a_slice(table, ref)
+        u = _band_uniforms(table, ref, data)
+        with mock.patch.object(sampling, "_BUILD_CELLS", cells):
+            assert np.array_equal(table.lookup(u), _binary_search_lookup(ref, u)), name
     # one uniform column per table, as the sampler hands them out
-    u = np.stack([_band_uniforms(getattr(banded, n), getattr(full, n), data)
+    u = np.stack([_band_uniforms(getattr(sampler, n), refs[n], data)
                   for n in _table_names(model)], axis=1)
-    assert np.array_equal(banded.draw_from_uniforms(u), full.draw_from_uniforms(u))
+    want = _binary_search_lookup(refs["_table"], u[:, 0])
+    if model != "binomial":
+        c = NullModel.parse(model).cluster_size
+        want = c * want + _binary_search_lookup(refs["_rem_table"], u[:, 1])
+    assert np.array_equal(sampler.draw_from_uniforms(u), want)
 
 
-def test_band_strays_are_settled_on_the_rebuilt_full_row():
-    # a 0-sigma band keeps at most 12 entries of a row hundreds wide, so most
-    # draws leave it; each lookup rebuilds its strays in one full build
+def _spy_on_settle(calls):
+    """Patch _QuantileTable._settle to record the stations of each call
+    in calls."""
+    settle = sampling._QuantileTable._settle
+
+    def spy(self, t, u, cols):
+        calls.append(t.tolist())
+        return settle(self, t, u, cols)
+
+    return mock.patch.object(sampling._QuantileTable, "_settle", spy)
+
+
+def _no_build_table():
+    """Patch _build_table to fail the test if a lookup calls it."""
+    return mock.patch.object(sampling, "_build_table",
+                             side_effect=AssertionError("lookup built a table"))
+
+
+def test_band_strays_are_settled_without_a_rebuild():
+    # a 0-sigma band keeps at most 12 entries of a row hundreds wide, so
+    # most draws leave it; each lookup settles them on their full rows in
+    # one call, and builds no table
     rng = np.random.default_rng(11)
     den = rng.integers(2000, 200_000, size=300)
     num = rng.binomial(den, 0.55)
     u = iteration_uniforms(4, 0, "turnout", den.size, 1)
-    with _full_window():
-        want = make_sampler(den, num, "binomial", "turnout").draw_from_uniforms(u)
-    build = sampling._build_table
-    calls = []
-
-    def spy(den, p, band_sigmas=None):
-        calls.append((den.size, band_sigmas))
-        return build(den, p, band_sigmas)
-
+    want = _binary_search_lookup(_reference(den, sampling._empirical_p(den, num)), u[:, 0])
     with mock.patch.object(sampling, "_BAND_SIGMAS", 0.0):
         sampler = make_sampler(den, num, "binomial", "turnout")
-        assert sampler._table.cdf.size <= 12 * den.size
-        with mock.patch.object(sampling, "_build_table", spy):
-            got = sampler.draw_from_uniforms(u)
+    assert sampler._table.cdf.size <= 12 * den.size
+    settled = []
+    with _no_build_table(), _spy_on_settle(settled):
+        got = sampler.draw_from_uniforms(u)
     assert np.array_equal(got, want)
-    assert len(calls) == 1 and calls[0][1] == sampling._TAIL_SIGMAS
-    assert den.size // 2 < calls[0][0] <= den.size
+    assert len(settled) == 1 and den.size // 2 < len(settled[0]) <= den.size
 
 
-def test_a_key_tied_with_the_entry_below_is_settled_from_the_stored_row_state():
+def test_a_key_tied_with_the_entry_below_is_settled_on_the_row_kernel():
     # station 0's u on the lower edge of entry j's fixed-point cell lies
     # below F(j), so the answer is j, but its key equals entry j's stored
     # value and the fixed-point walk stops one past it; stations 1 and 2
     # have u inside a run of equal stored entries at the start of their
     # bands, so the walk stops past the run. Each tie is settled on its
-    # band's float64 entries, continued from the stored row state: no row
-    # is rebuilt
+    # row, re-run from its window's start: no table is built
     den = np.array([3000, 5000, 800], dtype=np.int64)
     num = np.array([1500, 2750, 120], dtype=np.int64)
     sampler = make_sampler(den, num, "binomial", "turnout")
     table = sampler._table
-    with _full_window():
-        full = make_sampler(den, num, "binomial", "turnout")
-    first = table.lo - full._table.lo
+    ref = _reference(den, table.p)
+    first = table.lo - ref["lo"]
     j = int(table.last[0]) // 2
     stored = table.cdf[table.starts[0] + j]
     u = np.empty((den.size, 1))
     u[0, 0] = float(stored) / 2.0**16
-    assert u[0, 0] < _row(full._table, 0)[first[0] + j]
+    assert u[0, 0] < _ref_row(ref, 0)[first[0] + j]
     assert table.cdf[table.starts[0] + j + 1] > stored
     for i in (1, 2):
-        entries = _row(full._table, i)[first[i]:first[i] + 4]
+        entries = _ref_row(ref, i)[first[i]:first[i] + 4]
         u[i, 0] = (entries[2] + entries[3]) / 2
         assert np.all(_row(table, i)[:5] == int(u[i, 0] * 2.0**16)), i
-    build = sampling._build_table
-    settle = sampling._QuantileTable._settle_ties
-    calls, ties = [], []
-
-    def spy(den, p, band_sigmas=None):
-        calls.append(den.size)
-        return build(den, p, band_sigmas)
-
-    def tie_spy(self, t, u, cols):
-        ties.append(t.tolist())
-        return settle(self, t, u, cols)
-
-    with mock.patch.object(sampling, "_build_table", spy), \
-            mock.patch.object(sampling._QuantileTable, "_settle_ties", tie_spy):
+    ties = []
+    with _no_build_table(), _spy_on_settle(ties):
         got = sampler.draw_from_uniforms(u)
         # started at its row's first entry the walk goes up to the tie,
         # started at its last it comes down to it
@@ -655,10 +655,10 @@ def test_a_key_tied_with_the_entry_below_is_settled_from_the_stored_row_state():
         for shift in (still, table.last.astype(np.float64)):
             pinned = dataclasses.replace(table, shift=shift, sig=still, skew=still)
             assert np.array_equal(pinned.lookup(u[:, 0]), got)
-    assert calls == [] and ties == [[0, 1, 2]] * 3
+    assert ties == [[0, 1, 2]] * 3
     assert got[0] == table.lo[0] + j
     assert np.array_equal(got[1:], table.lo[1:] + 3)
-    assert np.array_equal(got, full.draw_from_uniforms(u))
+    assert np.array_equal(got, _binary_search_lookup(ref, u[:, 0]))
 
 
 _extreme_p = st.one_of(_p_values, st.floats(1e-7, 1e-3), st.floats(1.0 - 1e-3, 1.0 - 1e-7))
@@ -671,51 +671,66 @@ _extreme_p = st.one_of(_p_values, st.floats(1e-7, 1e-3), st.floats(1.0 - 1e-3, 1
         min_size=1, max_size=6,
     ),
 )
-def test_band_entries_continued_from_the_stored_state_are_the_full_rows_property(stations):
-    # the tie path's only source of float64 entries: from each band's
-    # stored (product, sum), every band entry must be its full-window
-    # row's entry, bit for bit
+def test_settled_draws_read_the_full_rows_entries_property(stations):
+    # the settlement's only source of float64 entries is the row kernel
+    # re-run from the window's start. At u on a row entry and on the float
+    # below it, the first entry above u moves by a column wherever that
+    # entry's bytes differ from the oracle's. Band entries are settled as
+    # ties (rows through the band's end), the others as strays (rows
+    # through the window's end)
     den = np.array([d for d, _ in stations], dtype=np.int64)
     p = np.array([q for _, q in stations])
-    banded = _build_table(den, p)
-    full = _build_table(den, p, _TAIL_SIGMAS)
-    t = np.flatnonzero((p > 0.0) & (p < 1.0))
-    if not t.size:
-        return
-    rows = banded.band_entries(t, int(banded.last[t].max()) + 1)
-    for row, i in zip(rows, t):
-        first, width = int(banded.lo[i] - full.lo[i]), int(banded.last[i]) + 1
-        want = _row(full, i)[first:first + width]
-        assert row[:width].tobytes() == want.tobytes(), (den[i], p[i])
+    table = _build_table(den, p)
+    ref = _reference(den, p)
+    for i in np.flatnonzero((p > 0.0) & (p < 1.0)):
+        row = _ref_row(ref, i)
+        first, last = int(table.lo[i] - ref["lo"][i]), int(table.last[i])
+        spread = [np.linspace(first, first + last, 8), np.linspace(0, row.size - 1, 8)]
+        picks = row[np.unique(np.concatenate(spread).astype(int))]
+        u = np.clip(np.concatenate([picks, np.nextafter(picks, 0.0)]), 0.0, _LAST_UNIFORM)
+        tie = (u >= table.left_tail[i]) & (u < row[first + last])
+        same = np.full(u.size, i)
+        got = table._settle(same, u, np.where(tie, last, last + 1))
+        assert np.array_equal(got, _binary_search_lookup(ref, u, same)), (den[i], p[i])
 
 
 def _copies(table, count):
     """A table whose count stations all read the first station's row."""
     per_station = {f.name: np.repeat(getattr(table, f.name)[:1], count)
-                   for f in dataclasses.fields(table) if f.name not in ("cdf", "full")}
+                   for f in dataclasses.fields(table) if f.name != "cdf"}
     return dataclasses.replace(table, **per_station)
+
+
+def test_keys_of_the_top_fixed_point_cell_are_settled_without_a_rebuild():
+    # this station's band ends in entries stored as 2^16 - 1, the key of
+    # every u >= 1 - 2^-16, so those walks pass the band; the answers,
+    # most of them inside it, are the oracle's, and no table is built
+    n, p, copies = 800, 0.3, 400
+    table = _copies(_build_table(np.array([n]), np.array([p])), copies)
+    assert _row(table, 0)[-2:].tolist() == [sampling._FIXED_MAX] * 2
+    u = np.linspace(1.0 - 2.0**-16, 1.0 - 2.0**-53, copies)
+    assert np.all((u * 2.0**16).astype(np.int64) == sampling._FIXED_MAX)
+    want = _binary_search_lookup(_reference([n], [p]), u, np.zeros(copies, dtype=np.int64))
+    with _no_build_table():
+        got = table.lookup(u)
+    assert np.array_equal(got, want)
+    assert np.mean(got <= table.lo[0] + table.last[0]) > 0.5
 
 
 def test_table_draws_follow_the_binomial_pmf_station_by_station():
     # many copies of one station in one lookup, including the keys that
-    # tie with a 16-bit entry and are settled from the stored row state:
-    # the counts must pass a chi-square bound against the exact pmf
+    # tie with a 16-bit entry and are settled on the row kernel: the
+    # counts must pass a chi-square bound against the exact pmf
     from scipy.stats import binom, chi2
 
     copies = 200_000
     rng = np.random.default_rng(24)
-    settle = sampling._QuantileTable._settle_ties
     for n, p in zip(rng.integers(20_000, 200_000, size=3), rng.uniform(0.05, 0.95, size=3)):
         table = _copies(_build_table(np.array([n]), np.array([p])), copies)
         ties = []
-
-        def tie_spy(self, t, u, cols):
-            ties.append(t.size)
-            return settle(self, t, u, cols)
-
-        with mock.patch.object(sampling._QuantileTable, "_settle_ties", tie_spy):
+        with _spy_on_settle(ties):
             draws = table.lookup(iteration_uniforms(int(n), 0, "turnout", copies, 1)[:, 0])
-        assert sum(ties) > copies // 1000, (n, p)
+        assert sum(map(len, ties)) > copies // 1000, (n, p)
         # outcomes with at least 5 expected draws, each tail pooled into its edge
         pmf = binom.pmf(np.arange(n + 1), n, p)
         keep = np.flatnonzero(pmf * copies >= 5)
@@ -726,6 +741,18 @@ def test_table_draws_follow_the_binomial_pmf_station_by_station():
         expected[-1] += copies * pmf[hi + 1:].sum()
         stat = np.sum((observed - expected) ** 2 / expected)
         assert stat < chi2.isf(1e-6, expected.size - 1), (n, p, stat)
+
+
+@pytest.mark.parametrize("model", ["binomial", "beta-binomial", "clustered:3"])
+@pytest.mark.parametrize("bad", [1.0, 1.5, -0.1, np.nan])
+def test_draw_refuses_a_uniform_outside_the_unit_interval(model, bad):
+    # a table's 16-bit key wraps to 0 at u = 1.0 and indexes outside the
+    # table beyond it, and NaN compares false with everything
+    sampler = make_sampler(np.array([1000, 2000]), np.array([600, 500]), model, "turnout")
+    u = np.full((2, sampler.model.words_per_station), 0.5)
+    u[1, :] = bad
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        sampler.draw_from_uniforms(u)
 
 
 @pytest.fixture(scope="module")
@@ -755,3 +782,26 @@ def test_table_or_direct_counts_the_full_window(model, null_5k):
         with mock.patch.object(sampling, "_MAX_TABLE_ENTRIES", cap):
             sampler = make_sampler(den, num, model, "turnout")
         assert (sampler._table is None) is direct, cap
+
+
+def test_a_draw_past_its_window_goes_to_the_direct_quantile():
+    # station 0's u is its window's last float64 entry, so no entry of
+    # its row lies above it; its row is settled in one chunk with the
+    # wider row of station 1, whose padding continues station 0's row
+    # past its window, but only binom_quantile may answer it
+    den = np.array([10**6, 4 * 10**6], dtype=np.int64)
+    p = np.array([0.5, 0.5])
+    table = _build_table(den, p)
+    ref = _reference(den, p)
+    u = np.array([_ref_row(ref, 0)[-1], _LAST_UNIFORM])
+    assert u[0] < _LAST_UNIFORM < _ref_row(ref, 1)[-1]
+    asked = []
+
+    def spy(u, n, p):
+        asked.append(np.asarray(n).tolist())
+        return binom_quantile(u, n, p)
+
+    with mock.patch.object(sampling, "binom_quantile", spy):
+        got = table.lookup(u)
+    assert asked == [[10**6]]
+    assert np.array_equal(got, _binary_search_lookup(ref, u))
