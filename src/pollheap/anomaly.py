@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -100,75 +101,96 @@ def is_in_window(value, window: WindowSpec) -> bool:
     return dist <= window.half_width
 
 
-_Residues = tuple[np.ndarray, np.ndarray, np.ndarray]
+def _window_bound(den: np.ndarray, window: WindowSpec) -> np.ndarray:
+    """The largest in-window distance of each station, -1 where den = 0.
 
-
-def _side_residues(num: np.ndarray, den: np.ndarray) -> _Residues:
-    """Stations with den > 0, their den, and r = (100 * num) mod den.
-
-    Every window tested on one metric's numerators needs only these.
+    With half-width hn/hd, hd * x <= hn * den holds for an integer x
+    exactly when x <= floor(hn * den / hd); so min(r, den - r) is tested
+    against floor(hn * den / hd) for an integer center, and |2r - den|
+    against floor(2 * hn * den / hd) for a half-integer one.
     """
-    ok = np.flatnonzero(den > 0)
-    d = den[ok]
-    return ok, d, (100 * num[ok]) % d
-
-
-def _side_membership(residues: _Residues, size: int, window: WindowSpec) -> np.ndarray:
-    """Window membership per station from one metric's _side_residues."""
-    ok, d, r = residues
     hn = window.half_width.numerator
     hd = window.half_width.denominator
-    if window.center_kind == "integer":
-        inside = hd * np.minimum(r, d - r) <= hn * d
-    else:
-        # (200 * num) mod (2 * den) is exactly 2 * r
-        inside = hd * np.abs(2 * r - d) <= 2 * hn * d
-    member = np.zeros(size, dtype=bool)
-    member[ok] = inside
-    return member
+    if window.center_kind == "half_integer":
+        hn *= 2
+    # at most den <= MAX_COUNT < 2^31, as every distance is
+    return np.where(den > 0, hn * den // hd, -1).astype(np.int32)
 
 
-def _scores(
-    dataset: ElectionDataset,
-    defs: Sequence[tuple[StatisticDef, WindowSpec]],
-    nums: Mapping[str, np.ndarray],
-    refilter_max: Fraction | None = None,
-) -> list[int]:
-    """q of each (StatisticDef, WindowSpec) in defs on one set of numerators.
+class _Scorer:
+    """q of each (StatisticDef, WindowSpec) in defs, on any set of one
+    dataset's numerators.
 
-    nums holds one numerator array per metric; denominators and weights
-    come from the dataset. The reported counts and every simulated
-    iteration are scored by this one call, so both sides use identical
-    station sets and identical membership arithmetic. Each metric's
-    residues are computed once, its membership once per distinct
-    window, and the refilter_max mask once. refilter_max is the
-    sensitivity toggle of run_nulls: it drops stations whose percentage
-    exceeds the cap on either metric.
+    run_nulls builds one per run and scores the reported counts and
+    every simulated iteration with it, so both sides use identical
+    station sets and identical membership arithmetic. What depends only
+    on the dataset is computed here once: each window side's bound
+    (_window_bound), the den % 10 masks of zero exclusion and the
+    refilter_max cap. A call computes one residue r = (100 * num) mod den
+    per metric, one distance per metric and center kind, and one int32
+    comparison per (metric, window) side. A station with den = 0 is
+    scored with den read as 1 (so r = 0) against a bound of -1, which no
+    distance meets. refilter_max is the sensitivity toggle of run_nulls:
+    it drops stations whose percentage exceeds the cap on either metric.
     """
-    dens = {m: dataset.metric(m)[1] for m in METRICS}
-    sides = dict.fromkeys((m, w) for stat, w in defs for m in METRIC_SCOPES[stat.metric_scope])
-    residues = {m: _side_residues(nums[m], dens[m]) for m in dict.fromkeys(m for m, _ in sides)}
-    member = {(m, w): _side_membership(residues[m], len(dataset), w) for m, w in sides}
-    capped = None
-    if refilter_max is not None:
-        pn, pd = refilter_max.numerator, refilter_max.denominator
-        capped = np.logical_and.reduce([100 * pd * nums[m] <= pn * dens[m] for m in METRICS])
-    scores = []
-    for stat, window in defs:
-        hits = []
-        for m in METRIC_SCOPES[stat.metric_scope]:
-            hit = member[(m, window)]
-            if stat.zero_exclusion:
-                hit = hit & (nums[m] % 10 != 0) & (dens[m] % 10 != 0)
-            hits.append(hit)
-        hit = np.logical_or.reduce(hits)
-        if capped is not None:
-            hit &= capped
-        if stat.weighting == "registered_voters":
-            scores.append(int(dataset.registered[hit].sum()))
-        else:
-            scores.append(int(np.count_nonzero(hit)))
-    return scores
+
+    def __init__(
+        self,
+        dataset: ElectionDataset,
+        defs: Sequence[tuple[StatisticDef, WindowSpec]],
+        refilter_max: Fraction | None = None,
+    ) -> None:
+        self.defs = [(METRIC_SCOPES[stat.metric_scope], stat, w) for stat, w in defs]
+        self.registered = dataset.registered
+        dens = {m: dataset.metric(m)[1] for m in METRICS}
+        sides = dict.fromkeys((m, w) for scope, _, w in self.defs for m in scope)
+        self.bound = {(m, w): _window_bound(dens[m], w) for m, w in sides}
+        self.distances = dict.fromkeys((m, w.center_kind) for m, w in sides)
+        # a den of 0 is read as 1, so r = 0; only such a column is copied
+        self.den = {m: dens[m] if dens[m].all() else np.maximum(dens[m], 1) for m, _ in sides}
+        self.den_digit = {
+            m: dens[m] % 10 != 0
+            for scope, stat, _ in self.defs if stat.zero_exclusion for m in scope
+        }
+        # 100 * pd * num <= pn * den exactly when num <= floor(pn * den / (100 * pd))
+        self.cap = None
+        if refilter_max is not None:
+            pn, pd = refilter_max.numerator, refilter_max.denominator
+            self.cap = {m: pn * dens[m] // (100 * pd) for m in METRICS}
+
+    def members(self, nums: Mapping[str, np.ndarray]) -> dict:
+        """Window membership per station of each (metric, window) side."""
+        r = {m: (100 * nums[m]) % d for m, d in self.den.items()}
+        dist = {}
+        for m, kind in self.distances:
+            d = self.den[m]
+            # (200 * num) mod (2 * den) is exactly 2 * r
+            x = np.minimum(r[m], d - r[m]) if kind == "integer" else np.abs(2 * r[m] - d)
+            dist[m, kind] = x.astype(np.int32)
+        return {(m, w): dist[m, w.center_kind] <= b for (m, w), b in self.bound.items()}
+
+    def __call__(self, nums: Mapping[str, np.ndarray]) -> list[int]:
+        """q of each definition, nums holding one numerator array per metric."""
+        member = self.members(nums)
+        # num != 10 * (num // 10) is num % 10 != 0; numpy divides by a
+        # scalar several times faster than it takes a remainder
+        kept = {m: (nums[m] != 10 * (nums[m] // 10)) & digit
+                for m, digit in self.den_digit.items()}
+        capped = None
+        if self.cap is not None:
+            capped = np.logical_and.reduce([nums[m] <= self.cap[m] for m in METRICS])
+        scores = []
+        for scope, stat, window in self.defs:
+            hits = [member[m, window] & kept[m] if stat.zero_exclusion else member[m, window]
+                    for m in scope]
+            hit = reduce(np.logical_or, hits)
+            if capped is not None:
+                hit = hit & capped
+            if stat.weighting == "registered_voters":
+                scores.append(int(self.registered[hit].sum()))
+            else:
+                scores.append(int(np.count_nonzero(hit)))
+        return scores
 
 
 def empirical_statistic(
@@ -182,7 +204,7 @@ def empirical_statistic(
     whose leader or cast count ends in 0.
     """
     reported = {m: dataset.metric(m)[0] for m in METRICS}
-    return _scores(dataset, [(stat, window)], reported)[0]
+    return _Scorer(dataset, [(stat, window)])(reported)[0]
 
 
 def _band_indices(n: int, levels) -> tuple[int, int]:
@@ -349,13 +371,15 @@ def run_nulls(
         reported[metric] = num
         samplers[metric] = make_sampler(den, num, model, metric)
 
+    score = _Scorer(dataset, defs, refilter_max)
+
     def q_row(iteration_index, counts):
-        return np.array(_scores(dataset, defs, counts, refilter_max), dtype=np.int64)
+        return np.array(score(counts), dtype=np.int64)
 
     (samples_matrix,) = run_simulation(
         [samplers], [Reducer(q_row, (len(defs),))], iterations, master_seed, workers, progress
     )
-    empirical = _scores(dataset, defs, reported, refilter_max)
+    empirical = score(reported)
     return [
         _build_report(
             stat, window, model, iterations, master_seed, levels,

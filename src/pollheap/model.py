@@ -113,9 +113,10 @@ def stream(seed: int, index: int, domain: int) -> np.random.Generator:
 #
 #   site                         largest product              bound
 #   apply_filters                100*num*bd, bn*den           1e17
-#   _scores refilter_max         100*pd*num, pn*den           1e17
-#   _side_residues               100*num                      1e11
-#   _side_membership             hd*min(r, d-r), hd*|2r-d|    1e15
+#   _Scorer refilter_max cap     pn*den                       1e17
+#   _Scorer residue              100*num                      1e11
+#   _window_bound                2*hn*den                     1e15
+#   _Scorer distance (int32)     min(r, d-r), |2r-d|          1e9
 #   percent_bin (m <= 1000)      200*m*num + den              2e14
 #   a histogram bin or cell      sum of registered            N*C
 #   regions sum over iterations  I bin sums                   I*R

@@ -13,10 +13,12 @@ to the exact pmf. The hot path computes, per station, the binomial CDF
 over a central support window in float64, and stores only the central
 band of each row, as 16-bit fixed point rounded down, rows laid out in
 order of window width. A lookup starts each station at a
-Cornish-Fisher estimate from constants stored at build and walks the
-station's band to the first entry above u's fixed-point key
-(sequential search from a start, Devroye 1986, section III.2); rows
-are non-decreasing, so the start sets only how far it walks. A draw
+Cornish-Fisher estimate from constants stored at build and the normal
+quantile of u's 16-bit key, read from one 2^16-entry table built per
+process (_key_quantiles), and walks the station's band to the first
+entry above that key (sequential search from a start, Devroye 1986,
+section III.2); rows are non-decreasing, so the start sets only how
+far it walks, and no draw evaluates a special function. A draw
 the band cannot answer is settled on its window's float64 row, re-run
 by the build's own row kernel from the window's start: one whose key
 ties with the entry below the walk's stop (about one in 540 on
@@ -32,6 +34,7 @@ command that never draws or builds a table never loads scipy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Literal
 
 import numpy as np
@@ -149,8 +152,9 @@ def _quantile_guess(u: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
     binom_quantile starts from it; the walk that follows makes the
     answer exact, but it walks on _binom_cdf, which need not be bitwise
     monotone, so a different start can give a different draw and this
-    arithmetic must not change. The table lookup starts near the same
-    estimate, from per-station constants stored at build; there a start
+    arithmetic, ndtri at u itself included, must not change. The table
+    lookup starts near the same estimate, from per-station constants
+    stored at build and the key table of _key_quantiles; there a start
     only sets how far the walk goes.
     """
     from scipy.special import ndtri
@@ -210,6 +214,21 @@ def binom_quantile(u, n, p) -> np.ndarray:
 
     out[idx] = k.astype(np.int64)
     return out
+
+
+@cache
+def _key_quantiles() -> np.ndarray:
+    """The normal quantile at the middle of each 16-bit key's cell:
+    entry v is ndtri((v + 0.5) / 2^16), 2^16 float64 (512 KB), built
+    once per process on a lookup's first call. A lookup's start reads
+    it at u's key instead of evaluating ndtri at u; the start only sets
+    how far the walk goes, never its answer.
+    """
+    from scipy.special import ndtri
+
+    z = ndtri((np.arange(_FIXED_MAX + 1) + 0.5) / _FIXED_ONE)
+    z.setflags(write=False)
+    return z
 
 
 def _window(den: np.ndarray, p: np.ndarray):
@@ -287,8 +306,9 @@ class _QuantileTable:
     starts[i] + last[i] + 1], the entries of its computed window's row
     that lie in its band; rows lie in order of window width, not of
     station. shift, sig and skew are the per-station constants of the
-    lookup's Cornish-Fisher start, so a draw evaluates only ndtri and a
-    few in-place operations.
+    lookup's Cornish-Fisher start; with the key's normal quantile from
+    _key_quantiles, a start costs one gather and a few in-place
+    operations.
 
     cdf holds each entry F as q = min(floor(F * 2^16), 2^16 - 1) in
     uint16, and a lookup compares it with key = floor(u * 2^16) <=
@@ -313,7 +333,8 @@ class _QuantileTable:
     def lookup(self, u: np.ndarray) -> np.ndarray:
         """Map one uniform per station to a count.
 
-        Each station starts at the Cornish-Fisher estimate of its answer,
+        Each station starts at the Cornish-Fisher estimate of its answer
+        at the normal quantile of the middle of key's cell (not of u),
         clipped into its band, and walks up while cdf <= key and down
         while the entry below is > key, for u's fixed-point key. A row is
         a running sum of non-negative terms, and rounding down to fixed
@@ -325,13 +346,11 @@ class _QuantileTable:
         answers every other draw but a degenerate station's (last == 0),
         whose one entry is its certain count.
         """
-        from scipy.special import ndtri
-
         starts = self.starts
         ends = starts + self.last + 1
-        with np.errstate(divide="ignore"):
-            z = ndtri(u)
-        np.clip(z, -40.0, 40.0, out=z)
+        # u * 2^16 is exact and below 2^16, so truncation is the floor
+        v = (u * _FIXED_ONE).astype(np.uint16)
+        z = _key_quantiles()[v]
         x = z * z
         x -= 1.0
         x *= self.skew
@@ -342,8 +361,6 @@ class _QuantileTable:
         np.clip(x, 0.0, self.last, out=x)
         i = x.astype(np.int64)
         i += starts
-        # u * 2^16 is exact and below 2^16, so truncation is the floor
-        v = (u * _FIXED_ONE).astype(np.uint16)
         above = self.cdf[i] > v
         up = np.flatnonzero(~above)
         while up.size:

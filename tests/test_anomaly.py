@@ -1,6 +1,7 @@
 """Window statistic and its Monte Carlo null distribution."""
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,10 +15,10 @@ import pollheap.sampling as sampling
 from pollheap.anomaly import (
     CENTER_KINDS,
     METRIC_SCOPES,
+    WEIGHTINGS,
     StatisticDef,
     WindowSpec,
-    _side_membership,
-    _side_residues,
+    _Scorer,
     empirical_statistic,
     is_in_window,
     percentile_band,
@@ -389,8 +390,8 @@ def test_membership_matches_oracle_property(seed, n):
 def test_side_membership_matches_fraction_at_boundaries_property(hw, stations):
     # den = 200 * hd * k puts the window edges c +- hw of every integer
     # and half-integer center c = c2 / 2 on an integer num; each station
-    # sits on an edge or one vote either side of it. One set of residues
-    # serves every window, as it does inside a reducer's memo.
+    # sits on an edge or one vote either side of it. One scorer and one
+    # residue per metric serve both center kinds, as in a run.
     hn, hd = hw.numerator, hw.denominator
     den, num = [0], [0]
     for k, c2, sign, delta in stations:
@@ -399,9 +400,81 @@ def test_side_membership_matches_fraction_at_boundaries_property(hw, stations):
         num.append(min(max(c2 * hd * k + sign * 2 * hn * k + delta, 0), d))
     den = np.array(den, dtype=np.int64)
     num = np.array(num, dtype=np.int64)
-    residues = _side_residues(num, den)
-    for kind in CENTER_KINDS:
-        w = WindowSpec(center_kind=kind, half_width=hw)
+    windows = [WindowSpec(center_kind=kind, half_width=hw) for kind in CENTER_KINDS]
+    ds = make_dataset(registered=den, given=num, cast=den, leader=num)
+    member = _Scorer(ds, [(StatisticDef(), w) for w in windows]).members(
+        {m: ds.metric(m)[0] for m in METRICS}
+    )
+    for w in windows:
         want = [d > 0 and is_in_window(Fraction(100 * int(n), int(d)), w)
                 for n, d in zip(num, den)]
-        assert _side_membership(residues, den.size, w).tolist() == want
+        for m in METRICS:
+            assert member[m, w].tolist() == want
+
+
+def _oracle_scores(dataset, defs, nums, cap):
+    """q of each (StatisticDef, WindowSpec), one station at a time in
+    exact rationals: oracles.count_in_window on each in-scope side with
+    den > 0, zero exclusion on both counts' last digit, and the refilter
+    cap 100 * num <= cap * den on every metric."""
+    dens = {m: dataset.metric(m)[1].tolist() for m in METRICS}
+    scores = []
+    for stat, window in defs:
+        q = 0
+        for i, weight in enumerate(dataset.registered.tolist()):
+            def inside(m):
+                num, den = int(nums[m][i]), dens[m][i]
+                if den == 0 or stat.zero_exclusion and (num % 10 == 0 or den % 10 == 0):
+                    return False
+                pct = Fraction(100 * num, den)
+                return oracles.count_in_window([pct], window.center_kind, window.half_width) == 1
+            hit = any(inside(m) for m in METRIC_SCOPES[stat.metric_scope])
+            if cap is not None:
+                hit = hit and all(100 * int(nums[m][i]) <= cap * dens[m][i] for m in METRICS)
+            if hit:
+                q += weight if stat.weighting == "registered_voters" else 1
+        scores.append(q)
+    return scores
+
+
+@settings(max_examples=40, deadline=None)
+@hgiven(
+    # (registered, cast) per station; either may be 0
+    dens=st.lists(st.tuples(st.integers(0, 300), st.integers(0, 300)), min_size=1, max_size=20),
+    defs=st.lists(
+        st.builds(
+            lambda scope, weighting, zero, kind, hw: (
+                StatisticDef(scope, weighting, zero), WindowSpec(kind, hw)
+            ),
+            st.sampled_from(list(METRIC_SCOPES)),
+            st.sampled_from(WEIGHTINGS),
+            st.booleans(),
+            st.sampled_from(CENTER_KINDS),
+            st.builds(Fraction, st.integers(1, 50), st.integers(1, 100)).filter(
+                lambda f: f <= Fraction(1, 2)
+            ),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    cap=st.none() | st.fractions(Fraction(1, 1000), 100, max_denominator=1000),
+    data=st.data(),
+)
+def test_scorer_matches_a_station_by_station_oracle_property(dens, defs, cap, data):
+    # one scorer per dataset, as in a run, scores several numerator sets;
+    # a numerator is anywhere in [0, den] or on either side of the cap
+    registered = [v for v, _ in dens]
+    cast = [b for _, b in dens]
+    ds = make_dataset(registered=registered, given=[0] * len(dens), cast=cast,
+                      leader=[0] * len(dens))
+    scorer = _Scorer(ds, defs, cap)
+
+    def numerator(den):
+        edge = math.floor((cap if cap is not None else 100) * den / 100)
+        near = [min(max(k, 0), den) for k in (edge, edge + 1)]
+        return data.draw(st.integers(0, den) | st.sampled_from(near))
+
+    for _ in range(3):
+        nums = {m: np.array([numerator(d) for d in ds.metric(m)[1].tolist()], dtype=np.int64)
+                for m in METRICS}
+        assert scorer(nums) == _oracle_scores(ds, defs, nums, cap)

@@ -15,6 +15,9 @@ from xml.dom import minidom
 
 import numpy as np
 import pytest
+from hypothesis import given as hgiven
+from hypothesis import settings
+from hypothesis import strategies as st
 
 import pollheap
 import pollheap.anomaly as anomaly
@@ -24,7 +27,7 @@ import pollheap.regions as regions
 import pollheap.sampling as sampling
 from helpers import make_dataset
 from pollheap.cli import _cell, main
-from pollheap.ingest import load_dataset, write_canonical_tsv
+from pollheap.ingest import load_dataset, row_writer, write_canonical_tsv
 from pollheap.model import apply_filters
 
 
@@ -1240,3 +1243,28 @@ def test_awkward_names_keep_every_artifact_parseable(tmp_path):
         table = list(csv.DictReader(line for line in fh if not line.startswith("# ")))
     assert {row["region_code"] for row in table} == set(codes)
     assert {row["dataset"] for row in table} == {"in,put", "other"}
+
+
+_CSV_TEXT = st.text(st.sampled_from(list('a1. ,"\r\n\t')), max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@hgiven(
+    header=st.lists(_CSV_TEXT, max_size=4),
+    rows=st.lists(
+        st.lists(_CSV_TEXT | st.floats() | st.integers() | st.none(), max_size=4)
+        | st.sampled_from([[""], [None], [], ["\r"], ["a\rb", 1.5]]),
+        max_size=6,
+    ),
+)
+def test_csv_rows_keep_the_row_writers_bytes(header, rows):
+    # rows joined directly and rows sent through row_writer: commas,
+    # quotes, CR, LF, a lone CR, empty cells, a row of one empty cell
+    fast = io.StringIO(newline="")
+    cli._write_csv(fast, {"k": 1}, "d", header, iter(rows))
+    slow = io.StringIO(newline="")
+    slow.write('# config: {"k": 1}\n# digest: d\n')
+    out = row_writer(slow)
+    out.writerow([_cell(v) for v in header])
+    out.writerows([_cell(v) for v in row] for row in rows)
+    assert fast.getvalue() == slow.getvalue()

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import pollheap.histograms as histograms
 import pollheap.sampling as sampling
 import pollheap.synth as synth
-from pollheap.anomaly import WindowSpec, _side_membership, _side_residues
+from pollheap.anomaly import StatisticDef, WindowSpec, _Scorer
 from pollheap.histograms import build_histogram
 from pollheap.model import (
     MAX_COUNT,
@@ -296,7 +296,8 @@ def test_exact_arithmetic_at_the_count_bound_property(stations, m, center_kind, 
         reported = {m: ds.metric(m)[0] for m in METRICS}
         assert np.array_equal(_candidate_cells(every_bin, one_region, 1, reported, ds), region)
 
-        member = _side_membership(_side_residues(num, den), len(ds), window)
+        scorer = _Scorer(ds, [(StatisticDef(), window)])
+        member = scorer.members({m: ds.metric(m)[0] for m in METRICS})[metric, window]
         expected = [
             d > 0 and oracles.count_in_window([Fraction(100 * n, d)], center_kind, half_width) == 1
             for n, d in pairs

@@ -717,11 +717,49 @@ def test_keys_of_the_top_fixed_point_cell_are_settled_without_a_rebuild():
     assert np.mean(got <= table.lo[0] + table.last[0]) > 0.5
 
 
+def test_a_lookup_starts_from_the_key_table_without_ndtri():
+    # once the key table exists a lookup evaluates no ndtri; draws whose
+    # key is the first or the last (u below 2^-16 or at least 1 - 2^-16)
+    # start at the table's ends and still give the oracle's answers
+    import scipy.special
+
+    rng = np.random.default_rng(26)
+    den = rng.integers(0, 200_000, size=200)
+    p = rng.choice([0.0, 1.0, 1e-4, 0.5, 0.97, 1.0 - 1e-4], size=den.size)
+    table = _build_table(den, p)
+    ref = _reference(den, p)
+    keys = sampling._key_quantiles()
+    assert keys.size == 2**16 and keys.nbytes == 512 * 1024
+    edge = rng.uniform(0.0, 2.0**-16, size=den.size)
+    with mock.patch.object(scipy.special, "ndtri", side_effect=AssertionError("ndtri")):
+        for u in (edge, np.minimum(1.0 - edge, _LAST_UNIFORM), rng.uniform(size=den.size)):
+            assert np.array_equal(table.lookup(u), _binary_search_lookup(ref, u))
+
+
+def _assert_follows_pmf(draws, pmf, label):
+    """Chi-square bound on draws against pmf over outcomes 0..n: every
+    draw on an outcome of positive mass, and the outcomes with at least
+    5 expected draws, each tail pooled into its edge."""
+    from scipy.stats import chi2
+
+    support = np.flatnonzero(pmf > 0.0)
+    assert np.isin(draws, support).all(), label
+    draws, pmf = np.searchsorted(support, draws), pmf[support]
+    keep = np.flatnonzero(pmf * draws.size >= 5)
+    lo, hi = int(keep[0]), int(keep[-1])
+    observed = np.bincount(np.clip(draws, lo, hi) - lo, minlength=hi - lo + 1)
+    expected = draws.size * pmf[lo:hi + 1]
+    expected[0] += draws.size * pmf[:lo].sum()
+    expected[-1] += draws.size * pmf[hi + 1:].sum()
+    stat = np.sum((observed - expected) ** 2 / expected)
+    assert stat < chi2.isf(1e-6, expected.size - 1), (label, stat)
+
+
 def test_table_draws_follow_the_binomial_pmf_station_by_station():
     # many copies of one station in one lookup, including the keys that
     # tie with a 16-bit entry and are settled on the row kernel: the
     # counts must pass a chi-square bound against the exact pmf
-    from scipy.stats import binom, chi2
+    from scipy.stats import binom
 
     copies = 200_000
     rng = np.random.default_rng(24)
@@ -731,16 +769,45 @@ def test_table_draws_follow_the_binomial_pmf_station_by_station():
         with _spy_on_settle(ties):
             draws = table.lookup(iteration_uniforms(int(n), 0, "turnout", copies, 1)[:, 0])
         assert sum(map(len, ties)) > copies // 1000, (n, p)
-        # outcomes with at least 5 expected draws, each tail pooled into its edge
-        pmf = binom.pmf(np.arange(n + 1), n, p)
-        keep = np.flatnonzero(pmf * copies >= 5)
-        lo, hi = int(keep[0]), int(keep[-1])
-        observed = np.bincount(np.clip(draws, lo, hi) - lo, minlength=hi - lo + 1)
-        expected = copies * pmf[lo:hi + 1]
-        expected[0] += copies * pmf[:lo].sum()
-        expected[-1] += copies * pmf[hi + 1:].sum()
-        stat = np.sum((observed - expected) ** 2 / expected)
-        assert stat < chi2.isf(1e-6, expected.size - 1), (n, p, stat)
+        _assert_follows_pmf(draws, binom.pmf(np.arange(n + 1), n, p), (n, p))
+
+
+def test_clustered_draws_follow_their_pmf_station_by_station():
+    # c * K + R from the quotient and the remainder table, each station
+    # copied into one lookup; the remainder must read its own uniform,
+    # or K and R move together and the lattice's pmf is lost
+    from scipy.stats import binom
+
+    copies, c = 100_000, 3
+    rng = np.random.default_rng(26)
+    for quot, rem in zip(rng.integers(300, 3000, size=2), (1, 2)):
+        n = c * int(quot) + rem
+        k = int(rng.integers(n // 10, n - n // 10))
+        sampler = make_sampler(np.array([n]), np.array([k]), f"clustered:{c}", "turnout")
+        copied = dataclasses.replace(
+            sampler, den=np.full(copies, n), num=np.full(copies, k),
+            _table=_copies(sampler._table, copies), _rem_table=_copies(sampler._rem_table, copies),
+        )
+        draws = copied.draw(n, 0)
+        pmf = np.zeros(n + 1)
+        for r, mass in enumerate(binom.pmf(np.arange(rem + 1), rem, k / n)):
+            pmf[r::c][: quot + 1] += mass * binom.pmf(np.arange(quot + 1), quot, k / n)
+        _assert_follows_pmf(draws, pmf, (n, k))
+
+
+def test_beta_binomial_draws_follow_their_pmf_station_by_station():
+    # p ~ Beta(k + 1, n - k + 1), then Binom(n, p), for copies of one
+    # station; small n, so a shifted Beta parameter moves the pmf by
+    # a visible fraction of its spread
+    from scipy.stats import betabinom
+
+    copies = 40_000
+    rng = np.random.default_rng(27)
+    for n in rng.integers(20, 200, size=2):
+        k = int(rng.integers(0, n + 1))
+        sampler = _repeat_sampler(int(n), k, "beta-binomial", copies)
+        draws = sampler.draw(int(n), 0)
+        _assert_follows_pmf(draws, betabinom.pmf(np.arange(n + 1), n, k + 1, n - k + 1), (n, k))
 
 
 @pytest.mark.parametrize("model", ["binomial", "beta-binomial", "clustered:3"])
