@@ -200,7 +200,14 @@ PROFILES: dict[str, CountryProfile] = {
 
 @dataclass
 class IngestReport:
-    """Row accounting for one load: parsed + skipped = total data rows."""
+    """Row accounting for one load.
+
+    parsed counts the accepted data rows and skipped the rejected ones;
+    errors keeps the first MAX_RECORDED_ERRORS of their messages, and
+    invalid always equals skipped. Blank rows, empty or holding only
+    delimiters and whitespace, are dropped and counted in neither, so
+    parsed + skipped is the data rows less the blank ones.
+    """
 
     path: str
     profile: str

@@ -18,9 +18,10 @@ quantile of u's 16-bit key, read from one 2^16-entry table built per
 process (_key_quantiles), and walks the station's band to the first
 entry above that key (sequential search from a start, Devroye 1986,
 section III.2); rows are non-decreasing, so the start sets only how
-far it walks, and no draw evaluates a special function. A draw
-the band cannot answer is settled on its window's float64 row, re-run
-by the build's own row kernel from the window's start: one whose key
+far it walks, and no draw evaluates a special function. Every
+float64 row, the build's and a settled draw's, comes from one chunked
+generator (_rows). A draw the band cannot answer is settled on its
+window's float64 row, re-run from the window's start: one whose key
 ties with the entry below the walk's stop (about one in 540 on
 synthetic stations) through the stop, one whose answer lies outside
 the band (about one in 50,000) through the window's end. One outside
@@ -58,13 +59,15 @@ _TAIL_PAD = 5
 # slack, clipped to the window. A row stores about half its window.
 _BAND_SIGMAS = 4.0
 
-# Above this many computed window entries (~1.2 GB were they all
-# stored as float64) skip tables and invert per draw instead. It counts
-# the float64 entries a build computes over the whole window, not the
-# bytes of the band a table stores, so the table-or-direct choice (and
-# with it every draw) depends neither on the band nor on how it is
-# stored; the build's scratch space is bounded separately by
-# _BUILD_CELLS.
+# Above this many computed window entries skip tables and invert per
+# draw instead. A table stores 2 bytes per band entry (about 55% of the
+# window) plus 72 bytes per station: at the cap, the turnout table of
+# the first 565,036 stations of generate(GeneratorConfig(600_000), 1)
+# stores 82.6M entries, 196 MiB. The cap counts the float64 entries a
+# build computes over the whole window, not the band a table stores, so
+# the table-or-direct choice (and with it every draw) depends neither on
+# the band nor on how it is stored; the build's scratch space is bounded
+# separately by _BUILD_CELLS.
 _MAX_TABLE_ENTRIES = 150_000_000
 
 # A banded table stores each CDF entry F as the 16-bit fixed-point
@@ -242,59 +245,62 @@ def _window(den: np.ndarray, p: np.ndarray):
     return mu, sig, lo, hi
 
 
-def _anchor(nn: np.ndarray, llo: np.ndarray, pp: np.ndarray) -> np.ndarray:
-    """Binom(nn, pp) pmf at llo via log-gamma: each row's first term."""
+def _rows(n: np.ndarray, lo: np.ndarray, p: np.ndarray, width: np.ndarray):
+    """Float64 CDF rows of Binom(n, p) stations of non-decreasing width,
+    a chunk at a time: yields (s, e, rows, spare), row r - s of rows
+    holding station r's.
+
+    A row starts at outcome lo, where the pmf is taken via log-gamma,
+    and runs width columns: column t > 0 gets the ratio (n - k) / (k + 1)
+    * p / q for k = lo + t - 1, then the running product, the pmf and the
+    running sum, so it holds the CDF less the tail F(lo - 1). Every step
+    is row-independent and runs left to right, so a row depends neither
+    on the rows beside it nor on its padding to the chunk's widest row.
+    A chunk is the longest run from s with at most _BUILD_CELLS cells
+    once padded, or one row if that is wider. rows and spare share one
+    scratch buffer, sized to the largest chunk and reused by the next;
+    spare, free once rows are done, holds at least as many cells as rows.
+    """
     from scipy.special import gammaln
 
-    return np.exp(
+    nn = n.astype(np.float64)
+    llo = lo.astype(np.float64)
+    odds = p / (1.0 - p)
+    anchor = np.exp(
         gammaln(nn + 1.0)
         - gammaln(llo + 1.0)
         - gammaln(nn - llo + 1.0)
-        + llo * np.log(pp)
-        + (nn - llo) * np.log1p(-pp)
+        + llo * np.log(p)
+        + (nn - llo) * np.log1p(-p)
     )
-
-
-def _row_kernel(rows, grid, nn, base, odds, anchor):
-    """Run the build's row recurrence over rows, one station per row.
-
-    Column 0 of row r is outcome base[r] (a float64 count, its window's
-    start), where the pmf is anchor[r]. Column t > 0 gets the next ratio
-    (n - k) / (k + 1) * odds for k = base + t - 1, the running product,
-    the pmf (product times anchor) and the running sum, so rows ends
-    holding the sums: the CDF row less its window tail F(base - 1).
-    Every step is row-independent and runs left to right, so a row's
-    entries depend neither on the rows beside it nor on how many columns
-    follow them. grid is scratch of shape (rows, columns - 1).
-    """
-    k = rows.shape[1]
-    rows[:, 0] = 1.0
-    # cells past a row's own are padding: cumprod and cumsum run left to
-    # right, so whatever they hold never reaches a row's own cells
-    with np.errstate(over="ignore", invalid="ignore"):
-        if k > 1:
-            ratio = rows[:, 1:]
-            np.add(base[:, None], np.arange(k - 1, dtype=np.float64), out=grid)
-            np.subtract(nn[:, None], grid, out=ratio)
-            grid += 1.0
-            ratio /= grid
-            ratio *= odds[:, None]
-            np.cumprod(rows, axis=1, out=rows)
-        rows[:, 1:] *= anchor[:, None]
-        rows[:, 0] = anchor
-        np.cumsum(rows, axis=1, out=rows)
-
-
-def _runs(w: np.ndarray):
-    """Chunks (s, e) of rows of non-decreasing widths w: each the longest
-    run from s holding at most _BUILD_CELLS cells once padded to its
-    widest row, or one row if that is wider."""
+    widest = int(width[-1]) if width.size else 1
+    cells = min(max(_BUILD_CELLS, widest), width.size * widest)
+    scratch = np.empty(2 * cells)
     s = 0
-    while s < w.size:
-        e = min(w.size, s + max(1, _BUILD_CELLS // int(w[s])))
-        while e - s > 1 and (e - s) * int(w[e - 1]) > _BUILD_CELLS:
-            e = s + max(1, _BUILD_CELLS // int(w[e - 1]))
-        yield s, e
+    while s < width.size:
+        e = min(width.size, s + max(1, _BUILD_CELLS // int(width[s])))
+        while e - s > 1 and (e - s) * int(width[e - 1]) > _BUILD_CELLS:
+            e = s + max(1, _BUILD_CELLS // int(width[e - 1]))
+        k = int(width[e - 1])
+        rows = scratch[:(e - s) * k].reshape(e - s, k)
+        spare = scratch[rows.size:]
+        rows[:, 0] = 1.0
+        # cells past a row's own are padding: cumprod and cumsum run left
+        # to right, so whatever they hold never reaches a row's own cells
+        with np.errstate(over="ignore", invalid="ignore"):
+            if k > 1:
+                ratio = rows[:, 1:]
+                grid = spare[:(e - s) * (k - 1)].reshape(e - s, k - 1)
+                np.add(llo[s:e, None], np.arange(k - 1, dtype=np.float64), out=grid)
+                np.subtract(nn[s:e, None], grid, out=ratio)
+                grid += 1.0
+                ratio /= grid
+                ratio *= odds[s:e, None]
+                np.cumprod(rows, axis=1, out=rows)
+            rows[:, 1:] *= anchor[s:e, None]
+            rows[:, 0] = anchor[s:e]
+            np.cumsum(rows, axis=1, out=rows)
+        yield s, e, rows, spare
         s = e
 
 
@@ -361,24 +367,20 @@ class _QuantileTable:
         np.clip(x, 0.0, self.last, out=x)
         i = x.astype(np.int64)
         i += starts
-        above = self.cdf[i] > v
-        up = np.flatnonzero(~above)
+        up = np.flatnonzero(self.cdf[i] <= v)
         while up.size:
             i[up] += 1
             up = up[i[up] < ends[up]]
             up = up[self.cdf[i[up]] <= v[up]]
         # i - 1 leaves a station's row only where i == starts, and those
-        # stations are masked out
-        below = self.cdf[i - 1]
-        walks = np.flatnonzero(above & (below > v) & (i > starts))
-        down = walks
+        # stations are masked out; none that walked up walks down
+        down = np.flatnonzero((self.cdf[i - 1] > v) & (i > starts))
         while down.size:
             i[down] -= 1
             down = down[i[down] > starts[down]]
             down = down[self.cdf[i[down] - 1] > v[down]]
         k = self.lo + np.minimum(i - starts, self.last)
-        below[walks] = self.cdf[i[walks] - 1]  # only these moved after it was read
-        tie = (i > starts) & (below == v)
+        tie = (self.cdf[i - 1] == v) & (i > starts)
         # outside the stored band, or tied: rare by design
         unsettled = np.flatnonzero((tie | (i == ends) | (u < self.left_tail)) & (self.last > 0))
         if unsettled.size:
@@ -390,33 +392,26 @@ class _QuantileTable:
         without settling u: the first entry above u of each station's
         float64 window row, as the build computes it.
 
-        _row_kernel re-runs each row from its window's start. A tie's
-        answer lies in its band at or before cols, whose entry is above
-        u, so its row runs through there; a walk past the band, or a u
-        below the band's tail, runs through the window's end. A u below
-        the window's tail or at or above its last entry goes to
-        binom_quantile. Rows are taken in order of width, at most
-        _BUILD_CELLS cells at a time.
+        Each row comes from _rows, the build's row source, from its
+        window's start. A tie's answer lies in its band at or before
+        cols, whose entry is above u, so its row runs through there; a
+        walk past the band, or a u below the band's tail, runs through
+        the window's end. A u below the window's tail or at or above its
+        last entry goes to binom_quantile. Rows are taken in order of
+        width.
         """
         n, p = self.n[t], self.p[t]
         lo, hi = _window(n, p)[2:]
         inside = (cols <= self.last[t]) & (u >= self.left_tail[t])
         width = np.where(inside, self.lo[t] - lo + cols, hi - lo) + 1
-        nn = n.astype(np.float64)
-        llo = lo.astype(np.float64)
-        odds = p / (1.0 - p)
-        anchor = _anchor(nn, llo, p)
         tail = np.zeros(t.size)
         inner = np.flatnonzero(lo > 0)
-        tail[inner] = _binom_cdf(llo[inner] - 1.0, n[inner], p[inner])
+        tail[inner] = _binom_cdf(lo[inner] - 1.0, n[inner], p[inner])
         k = lo.copy()
         direct = u < tail
         order = np.argsort(width, kind="stable")
-        for s, e in _runs(width[order]):
+        for s, e, rows, _ in _rows(n[order], lo[order], p[order], width[order]):
             r = order[s:e]
-            wmax = int(width[r[-1]])
-            rows = np.empty((r.size, wmax))
-            _row_kernel(rows, np.empty((r.size, wmax - 1)), nn[r], llo[r], odds[r], anchor[r])
             rows += tail[r, None]
             k[r] += (rows > u[r, None]).argmax(axis=1)
             # rows never decrease, so a row whose last entry is above u
@@ -431,19 +426,19 @@ def _build_table(den: np.ndarray, p: np.ndarray) -> _QuantileTable:
     """Tabulate per-station binomial CDFs, storing each row's band.
 
     Degenerate stations (den = 0, p = 0, p = 1) get single-entry
-    tables holding their certain outcome. The pmf is anchored at the
-    window's left edge via log-gamma and extended by _row_kernel through
-    the band's last entry; every operation is row-independent, so a
-    one-station build is bit-identical to the same station inside a
-    batch. The band is mean +- _BAND_SIGMAS stddevs plus _TAIL_PAD,
-    clipped to the window.
+    tables holding their certain outcome. Each row comes from _rows,
+    from the window's left edge through the band's last entry; every
+    operation there is row-independent, so a one-station build is
+    bit-identical to the same station inside a batch. The band is mean
+    +- _BAND_SIGMAS stddevs plus _TAIL_PAD, clipped to the window.
 
     Stations are taken in order of computed width, then of band width
-    and offset (a stable sort), and chunked by _runs; so each scratch
-    array holds at most max(_BUILD_CELLS, widest row) cells whatever
-    the station count. A chunk's band cells are turned into fixed point
-    (see _QuantileTable) in the chunk's scratch and copied into one
-    contiguous stretch of cdf, one block per run of rows of equal shape.
+    and offset (a stable sort), so _rows's chunks are near-equal rows
+    and its scratch holds at most 2 max(_BUILD_CELLS, widest row) cells
+    whatever the station count. A chunk's band cells are turned into
+    fixed point (see _QuantileTable) in its spare scratch and copied
+    into one contiguous stretch of cdf, one block per run of rows of
+    equal shape.
     """
     den = np.asarray(den, dtype=np.int64)
     p = np.asarray(p, dtype=np.float64)
@@ -471,12 +466,6 @@ def _build_table(den: np.ndarray, p: np.ndarray) -> _QuantileTable:
     starts[order] = bounds[:-1]
     cdf = np.empty(int(bounds[-1]), dtype=np.uint16)
 
-    # per-station terms, in row order
-    nn = den[order].astype(np.float64)
-    pp = np.where(degenerate, 0.5, p)[order]  # placeholder under degenerate
-    llo = lo[order].astype(np.float64)
-    anchor = _anchor(nn, llo, pp)
-    odds = pp / (1.0 - pp)
     left_tail = np.zeros(n_st, dtype=np.float64)
     t = np.flatnonzero((lo > 0) & ~degenerate)
     left_tail[t] = _binom_cdf(lo[t] - 1.0, den[t], p[t])
@@ -484,22 +473,16 @@ def _build_table(den: np.ndarray, p: np.ndarray) -> _QuantileTable:
     # where a row's shape differs from the row before it
     reshaped = (w[1:] != w[:-1]) | (stored[1:] != stored[:-1]) | (first[1:] != first[:-1])
 
-    widest = int(w[-1]) if n_st else 1
-    row_buf = np.empty(max(_BUILD_CELLS, widest), dtype=np.float64)
-    grid_buf = np.empty_like(row_buf)
-    for s, e in _runs(w):
-        wmax = int(w[e - 1])
-        rows = row_buf[: (e - s) * wmax].reshape(e - s, wmax)
-        grid = grid_buf[: (e - s) * (wmax - 1)].reshape(e - s, wmax - 1)
-        _row_kernel(rows, grid, nn[s:e], llo[s:e], odds[s:e], anchor[s:e])
+    pp = np.where(degenerate, 0.5, p)  # placeholder under degenerate
+    for s, e, rows, spare in _rows(den[order], lo[order], pp[order], w):
         # the tail is added on the way into cdf, one block per run of
         # equal shape; the band's tail F(band_lo - 1) is the row's entry
         # before the band, or the window's tail where the band starts it
         cuts = [s, *(s + 1 + np.flatnonzero(reshaped[s:e - 1])).tolist(), e]
         for a, b in zip(cuts[:-1], cuts[1:]):
             f, k = int(first[a]), int(stored[a])
-            # to fixed point through the ratio grid's scratch, free by now
-            band = grid_buf[:(b - a) * k].reshape(b - a, k)
+            # to fixed point through the chunk's spare scratch
+            band = spare[:(b - a) * k].reshape(b - a, k)
             np.add(rows[a - s:b - s, f:f + k], tail[a:b, None], out=band)
             band *= _FIXED_ONE
             np.minimum(band, _FIXED_MAX, out=cdf[bounds[a]:bounds[b]].reshape(b - a, k),

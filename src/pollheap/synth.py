@@ -259,9 +259,13 @@ def _rounding_numerator(
 ) -> int | None:
     """Numerator placing num/den within the window at/around target%.
 
-    Candidates are enumerated exactly; non-multiples of 10 are
-    preferred (round counts would be caught by the trailing-zero
-    control). Returns None when the window holds no integer numerator.
+    Non-multiples of 10 are preferred (round counts would be caught by
+    the trailing-zero control), then the count closest to the target,
+    then the smaller. Of two consecutive integers one is not a multiple
+    of 10, so the best count is among the window's two nearest the
+    target from below and its two nearest from above; only those are
+    scored, exactly, so the cost does not grow with den. Returns None
+    when the window holds no integer numerator.
     """
     hn, hd = hw.numerator, hw.denominator
     if side == "just_above":
@@ -273,8 +277,9 @@ def _rounding_numerator(
     hi = min(math.floor(hi_bound), den)
     if lo > hi:
         return None
-    cands = list(range(lo, hi + 1))
     center = Fraction(target * den, 100)
+    below, above = min(math.floor(center), hi), max(math.ceil(center), lo)
+    cands = [c for c in (below - 1, below, above, above + 1) if lo <= c <= hi]
 
     def key(c: int):
         # non-round counts first, then closest to the target, then

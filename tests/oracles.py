@@ -7,7 +7,8 @@ fresh arrays for every spectrogram row, the heatmap colour ramp over a
 whole image at once, binomial CDF tables built in station order, one
 station's uniforms read alone from its Philox stream, the null mean
 and spread of q summed station by station from scipy's marginal pmfs,
-region peak tables summed station by station as Python ints.
+region peak tables summed station by station as Python ints, every
+numerator in a fraud window scored one by one.
 None of it imports the package under test, so agreement between the
 two is meaningful evidence.
 """
@@ -18,7 +19,7 @@ import cmath
 import csv
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, floor
+from math import ceil, comb, floor
 
 import numpy as np
 
@@ -171,6 +172,25 @@ def count_in_window(percentages, centers: str, half_width: Fraction) -> int:
         if dist <= half_width:
             hits += 1
     return hits
+
+
+def rounding_numerator(den: int, target: int, hw: Fraction, side: str) -> int | None:
+    """The fraud injector's numerator for den at target% by enumeration:
+    every count in the window, scored as (multiple of 10, distance
+    from target * den / 100, count), lowest first; None for an empty
+    window."""
+    hn, hd = hw.numerator, hw.denominator
+    if side == "just_above":
+        lo_bound = Fraction(target * den, 100)
+    else:
+        lo_bound = Fraction((target * hd - hn) * den, 100 * hd)
+    hi_bound = Fraction((target * hd + hn) * den, 100 * hd)
+    lo = max(ceil(lo_bound), 0)
+    hi = min(floor(hi_bound), den)
+    if lo > hi:
+        return None
+    center = Fraction(target * den, 100)
+    return min(range(lo, hi + 1), key=lambda c: (c % 10 == 0, abs(Fraction(c) - center), c))
 
 
 def load_rows(path, delimiter, has_header, resolve, max_count, max_errors):

@@ -1,9 +1,14 @@
 """Synthetic election generator and fraud injector."""
 
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example
+from hypothesis import given as hgiven
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from pollheap.synth import (
     BetaProb,
@@ -19,6 +24,7 @@ from pollheap.synth import (
 )
 
 from helpers import make_dataset
+from oracles import rounding_numerator
 
 
 def arrays_equal(a, b):
@@ -138,6 +144,34 @@ class TestRoundingNumerator:
                     assert abs(pct - target) <= hw
                     if side == "just_above":
                         assert pct >= target
+
+    @settings(max_examples=300, deadline=None)
+    @hgiven(
+        den=st.one_of(st.integers(0, 50), st.integers(0, 20_000),
+                      st.integers(0, 200).map(lambda k: 100 * k)),
+        target=st.integers(-3, 110),
+        hn=st.integers(1, 200),
+        hd=st.integers(2, 400),
+        side=st.sampled_from(["just_above", "nearest"]),
+    )
+    # the nearest counts on one side lie past the window's edge
+    @example(den=1000, target=-1, hn=3, hd=2, side="nearest")
+    @example(den=1000, target=101, hn=3, hd=2, side="nearest")
+    def test_matches_the_enumeration_oracle_property(self, den, target, hn, hd, side):
+        # windows clipped at 0 and den, targets outside 0..100%, windows
+        # of no, one or many counts, centers off an integer, on one and on
+        # a multiple of 10 (den a multiple of 100)
+        hw = Fraction(min(hn, 2 * hd), hd)
+        assert _rounding_numerator(den, target, hw, side) == rounding_numerator(
+            den, target, hw, side)
+
+    def test_cost_does_not_grow_with_the_window(self):
+        # a 0.5-point window at den = 10^8 holds a million counts
+        start = time.perf_counter()
+        num = _rounding_numerator(10**8, 71, Fraction(1, 2), "nearest")
+        assert time.perf_counter() - start < 1.0
+        # 71,000,000 is round; of the two counts 1 away the smaller wins
+        assert num == 70_999_999
 
 
 class TestPalettes:
