@@ -201,10 +201,12 @@ def _codes_arg(text: str) -> tuple[str, ...]:
 
 def _format_arg(text: str) -> tuple[str, ...]:
     fmts = tuple(dict.fromkeys(f.strip() for f in text.split(",") if f.strip()))
+    if not fmts:
+        raise argparse.ArgumentTypeError("empty format list")
     for f in fmts:
         if f not in _FORMATS:
             raise argparse.ArgumentTypeError(f"unknown format {f!r}")
-    return fmts or ("csv", "json")
+    return fmts
 
 
 def _add_common(
@@ -688,7 +690,7 @@ def _cmd_histogram(args: argparse.Namespace) -> tuple[dict, list]:
     suppress = not args.include_hundred
 
     if args.average and len(args.input) < 2:
-        raise ValueError("--average needs at least two inputs")
+        raise UsageError("--average needs at least two inputs")
     if (args.average and args.iterations and "csv" in args.format
             and _bins_per_percent(args.bins) % 2):
         raise UsageError("peak_shape CSVs need --bins to align half-percent window edges")

@@ -332,6 +332,7 @@ def _read_block(
     first_line: int,
     layout: _Layout,
     seen: set[str],
+    names: dict[str, str],
     report: IngestReport,
 ) -> tuple[list[str], list[str], list[str], dict[str, np.ndarray]]:
     """Accepted ids, regions, constituencies and counts of one block.
@@ -341,7 +342,10 @@ def _read_block(
     block: too few cells (the row is then padded with empty cells and
     read like the rest), a count cell, a field sum, then its station
     id. Faults of non-blank rows are recorded in line order, blank
-    rows are dropped silently, and accepted ids enter seen.
+    rows are dropped silently, and accepted ids enter seen. A region
+    code or constituency id is the one str object names holds for its
+    text, so each distinct code is stored once however many stations
+    carry it.
     """
     faults: dict[int, str] = {}
     widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
@@ -386,9 +390,11 @@ def _read_block(
     regions = ["ALL"] * len(keep)
     if layout.region_code is not None:
         regions = [c.strip() or "ALL" for c in take(columns[layout.region_code])]
+        regions = [names.setdefault(c, c) for c in regions]
     constituencies = [""] * len(keep)
     if layout.constituency_id is not None:
-        constituencies = [c.strip() for c in take(columns[layout.constituency_id])]
+        constituencies = [names.setdefault(c, c) for c in
+                          map(str.strip, take(columns[layout.constituency_id]))]
     counts = {name: values[name][accept] for name in COUNT_FIELDS}
     return take(sids), regions, constituencies, counts
 
@@ -422,6 +428,7 @@ def load_dataset(
     constituencies: list[str] = []
     counts = {name: [np.zeros(0, dtype=np.int64)] for name in COUNT_FIELDS}
     seen: set[str] = set()
+    names: dict[str, str] = {}
 
     # utf-8-sig: spreadsheet exports often begin with a byte-order mark
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
@@ -446,7 +453,7 @@ def load_dataset(
 
         while block := list(itertools.islice(rows, _BLOCK_ROWS)):
             block_ids, block_regions, block_constituencies, block_counts = _read_block(
-                block, line_no, layout, seen, report
+                block, line_no, layout, seen, names, report
             )
             ids += block_ids
             regions += block_regions

@@ -61,9 +61,9 @@ _BAND_SIGMAS = 4.0
 
 # Above this many computed window entries skip tables and invert per
 # draw instead. A table stores 2 bytes per band entry (about 55% of the
-# window) plus 72 bytes per station: at the cap, the turnout table of
+# window) plus 52 bytes per station: at the cap, the turnout table of
 # the first 565,036 stations of generate(GeneratorConfig(600_000), 1)
-# stores 82.6M entries, 196 MiB. The cap counts the float64 entries a
+# stores 82.6M entries, 186 MiB. The cap counts the float64 entries a
 # build computes over the whole window, not the band a table stores, so
 # the table-or-direct choice (and with it every draw) depends neither on
 # the band nor on how it is stored; the build's scratch space is bounded
@@ -255,24 +255,15 @@ def _rows(n: np.ndarray, lo: np.ndarray, p: np.ndarray, width: np.ndarray):
     * p / q for k = lo + t - 1, then the running product, the pmf and the
     running sum, so it holds the CDF less the tail F(lo - 1). Every step
     is row-independent and runs left to right, so a row depends neither
-    on the rows beside it nor on its padding to the chunk's widest row.
-    A chunk is the longest run from s with at most _BUILD_CELLS cells
-    once padded, or one row if that is wider. rows and spare share one
+    on the rows beside it nor on its padding to the chunk's widest row,
+    and a station's float64 terms are computed with its chunk's. A chunk
+    is the longest run from s with at most _BUILD_CELLS cells once
+    padded, or one row if that is wider. rows and spare share one
     scratch buffer, sized to the largest chunk and reused by the next;
     spare, free once rows are done, holds at least as many cells as rows.
     """
     from scipy.special import gammaln
 
-    nn = n.astype(np.float64)
-    llo = lo.astype(np.float64)
-    odds = p / (1.0 - p)
-    anchor = np.exp(
-        gammaln(nn + 1.0)
-        - gammaln(llo + 1.0)
-        - gammaln(nn - llo + 1.0)
-        + llo * np.log(p)
-        + (nn - llo) * np.log1p(-p)
-    )
     widest = int(width[-1]) if width.size else 1
     cells = min(max(_BUILD_CELLS, widest), width.size * widest)
     scratch = np.empty(2 * cells)
@@ -282,6 +273,16 @@ def _rows(n: np.ndarray, lo: np.ndarray, p: np.ndarray, width: np.ndarray):
         while e - s > 1 and (e - s) * int(width[e - 1]) > _BUILD_CELLS:
             e = s + max(1, _BUILD_CELLS // int(width[e - 1]))
         k = int(width[e - 1])
+        nn = n[s:e].astype(np.float64)
+        llo = lo[s:e].astype(np.float64)
+        pp = p[s:e]
+        anchor = np.exp(
+            gammaln(nn + 1.0)
+            - gammaln(llo + 1.0)
+            - gammaln(nn - llo + 1.0)
+            + llo * np.log(pp)
+            + (nn - llo) * np.log1p(-pp)
+        )
         rows = scratch[:(e - s) * k].reshape(e - s, k)
         spare = scratch[rows.size:]
         rows[:, 0] = 1.0
@@ -291,14 +292,14 @@ def _rows(n: np.ndarray, lo: np.ndarray, p: np.ndarray, width: np.ndarray):
             if k > 1:
                 ratio = rows[:, 1:]
                 grid = spare[:(e - s) * (k - 1)].reshape(e - s, k - 1)
-                np.add(llo[s:e, None], np.arange(k - 1, dtype=np.float64), out=grid)
-                np.subtract(nn[s:e, None], grid, out=ratio)
+                np.add(llo[:, None], np.arange(k - 1, dtype=np.float64), out=grid)
+                np.subtract(nn[:, None], grid, out=ratio)
                 grid += 1.0
                 ratio /= grid
-                ratio *= odds[s:e, None]
+                ratio *= (pp / (1.0 - pp))[:, None]
                 np.cumprod(rows, axis=1, out=rows)
-            rows[:, 1:] *= anchor[s:e, None]
-            rows[:, 0] = anchor[s:e]
+            rows[:, 1:] *= anchor[:, None]
+            rows[:, 0] = anchor
             np.cumsum(rows, axis=1, out=rows)
         yield s, e, rows, spare
         s = e
@@ -314,7 +315,9 @@ class _QuantileTable:
     station. shift, sig and skew are the per-station constants of the
     lookup's Cornish-Fisher start; with the key's normal quantile from
     _key_quantiles, a start costs one gather and a few in-place
-    operations.
+    operations. lo and last fit int32, as counts are at most
+    model.MAX_COUNT, and the start constants float32, as a start only
+    sets how far the walk goes; a draw is int64 all the same.
 
     cdf holds each entry F as q = min(floor(F * 2^16), 2^16 - 1) in
     uint16, and a lookup compares it with key = floor(u * 2^16) <=
@@ -327,14 +330,14 @@ class _QuantileTable:
 
     n: np.ndarray  # int64 denominators
     p: np.ndarray  # float64 success probabilities
-    lo: np.ndarray  # int64 first stored outcome (the band's) per station
+    lo: np.ndarray  # int32 first stored outcome (the band's) per station
     starts: np.ndarray  # int64 index of each station's row in cdf
-    last: np.ndarray  # int64 stored row width - 1
+    last: np.ndarray  # int32 stored row width - 1
     cdf: np.ndarray  # uint16 fixed point, every stored row back to back
     left_tail: np.ndarray  # float64 band tail F(lo - 1) per station
-    shift: np.ndarray  # float64 mu + 0.5 - lo
-    sig: np.ndarray  # float64 sqrt(n p q)
-    skew: np.ndarray  # float64 (q - p) / 6
+    shift: np.ndarray  # float32 mu + 0.5 - lo
+    sig: np.ndarray  # float32 sqrt(n p q)
+    skew: np.ndarray  # float32 (q - p) / 6
 
     def lookup(self, u: np.ndarray) -> np.ndarray:
         """Map one uniform per station to a count.
@@ -438,7 +441,9 @@ def _build_table(den: np.ndarray, p: np.ndarray) -> _QuantileTable:
     whatever the station count. A chunk's band cells are turned into
     fixed point (see _QuantileTable) in its spare scratch and copied
     into one contiguous stretch of cdf, one block per run of rows of
-    equal shape.
+    equal shape. Each per-station temporary is dropped once consumed,
+    and cdf is allocated after the table's other fields, so the build
+    holds little beyond the finished table and its chunk scratch.
     """
     den = np.asarray(den, dtype=np.int64)
     p = np.asarray(p, dtype=np.float64)
@@ -446,63 +451,77 @@ def _build_table(den: np.ndarray, p: np.ndarray) -> _QuantileTable:
 
     degenerate = (den <= 0) | (p <= 0.0) | (p >= 1.0)
     mu, sig, lo, hi = _window(den, p)
-    certain = np.where(p >= 1.0, den, 0)
-    lo = np.where(degenerate, np.maximum(certain, 0), lo)
-    hi = np.where(degenerate, lo, hi)
+    d = np.flatnonzero(degenerate)
+    lo[d] = np.where(p[d] >= 1.0, np.maximum(den[d], 0), 0)
+    hi[d] = lo[d]
     band = np.ceil(_BAND_SIGMAS * sig).astype(np.int64) + _TAIL_PAD
     band_lo = np.clip(np.floor(mu).astype(np.int64) - band, lo, hi)
     band_hi = np.clip(np.ceil(mu).astype(np.int64) + band, lo, hi)
-
-    # a row is computed only through its band's last entry
-    width = band_hi - lo + 1
-    # rows of one shape (width, band width, band offset) lie together
-    order = np.lexsort((band_lo - lo, band_hi - band_lo, width))
-    w = width[order]
-    stored = (band_hi - band_lo + 1)[order]
-    first = (band_lo - lo)[order]  # the band's offset in its row
-    bounds = np.zeros(n_st + 1, dtype=np.int64)
-    np.cumsum(stored, out=bounds[1:])
-    starts = np.empty(n_st, dtype=np.int64)
-    starts[order] = bounds[:-1]
-    cdf = np.empty(int(bounds[-1]), dtype=np.uint16)
+    del band, hi
+    shift = (mu + 0.5 - band_lo).astype(np.float32)
+    del mu
+    sig = sig.astype(np.float32)
+    skew = ((1.0 - p - p) / 6.0).astype(np.float32)
 
     left_tail = np.zeros(n_st, dtype=np.float64)
     t = np.flatnonzero((lo > 0) & ~degenerate)
     left_tail[t] = _binom_cdf(lo[t] - 1.0, den[t], p[t])
-    tail = left_tail[order]
+    del t
+
+    # a row is computed only through its band's last entry
+    width = band_hi - lo + 1
+    last = (band_hi - band_lo).astype(np.int32)
+    del band_hi
+    first = band_lo - lo  # the band's offset in its row
+    band_lo = band_lo.astype(np.int32)
+    # rows of one shape (width, band width, band offset) lie together
+    order = np.lexsort((first, last, width))
+    w = width[order]
+    del width
+    first = first[order]
+    stored = last[order] + 1
+    lo = lo[order]
+    nn = den[order]
+    pp = np.where(degenerate, 0.5, p)[order]  # placeholder under degenerate
     # where a row's shape differs from the row before it
     reshaped = (w[1:] != w[:-1]) | (stored[1:] != stored[:-1]) | (first[1:] != first[:-1])
+    bounds = np.cumsum(stored, dtype=np.int64)
+    starts = np.empty(n_st, dtype=np.int64)
+    starts[order] = bounds - stored
+    cdf = np.empty(int(bounds[-1]) if n_st else 0, dtype=np.uint16)
+    del bounds
 
-    pp = np.where(degenerate, 0.5, p)  # placeholder under degenerate
-    for s, e, rows, spare in _rows(den[order], lo[order], pp[order], w):
+    for s, e, rows, spare in _rows(nn, lo, pp, w):
         # the tail is added on the way into cdf, one block per run of
         # equal shape; the band's tail F(band_lo - 1) is the row's entry
         # before the band, or the window's tail where the band starts it
         cuts = [s, *(s + 1 + np.flatnonzero(reshaped[s:e - 1])).tolist(), e]
         for a, b in zip(cuts[:-1], cuts[1:]):
             f, k = int(first[a]), int(stored[a])
+            r = order[a:b]
+            o = int(starts[r[0]])
+            tail = left_tail[r]
             # to fixed point through the chunk's spare scratch
             band = spare[:(b - a) * k].reshape(b - a, k)
-            np.add(rows[a - s:b - s, f:f + k], tail[a:b, None], out=band)
+            np.add(rows[a - s:b - s, f:f + k], tail[:, None], out=band)
             band *= _FIXED_ONE
-            np.minimum(band, _FIXED_MAX, out=cdf[bounds[a]:bounds[b]].reshape(b - a, k),
+            np.minimum(band, _FIXED_MAX, out=cdf[o:o + (b - a) * k].reshape(b - a, k),
                        casting="unsafe")
             if f:
-                left_tail[order[a:b]] = rows[a - s:b - s, f - 1] + tail[a:b]
-    cdf[starts[degenerate]] = _FIXED_MAX
+                left_tail[r] = rows[a - s:b - s, f - 1] + tail
+    cdf[starts[d]] = _FIXED_MAX
 
-    q = 1.0 - p
     return _QuantileTable(
         n=den,
         p=p,
         lo=band_lo,
         starts=starts,
-        last=band_hi - band_lo,
+        last=last,
         cdf=cdf,
         left_tail=left_tail,
-        shift=mu + 0.5 - band_lo,
+        shift=shift,
         sig=sig,
-        skew=(q - p) / 6.0,
+        skew=skew,
     )
 
 

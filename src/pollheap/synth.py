@@ -168,7 +168,9 @@ def generate(config: GeneratorConfig, seed: int) -> SyntheticElection:
         w = config.region_weights
         p = None if w is None else np.asarray(w, dtype=np.float64) / np.sum(w)
         assign = stream(seed, _TAG_REGION, SYNTH).choice(config.n_regions, size=n, p=p)
-        codes = tuple(f"R{int(a):02d}" for a in assign)
+        # one str object per region, shared by its stations
+        names = [f"R{r:02d}" for r in range(config.n_regions)]
+        codes = tuple(map(names.__getitem__, assign.tolist()))
 
     dataset = ElectionDataset.from_arrays(
         label=f"synthetic-{seed}",

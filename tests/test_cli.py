@@ -385,7 +385,7 @@ class TestHistogram:
             ["histogram", "--input", str(data_dir / "clean.tsv"),
              "--out", str(tmp_path), "--average"],
         )
-        assert rc == 1
+        assert rc == 2
         assert "at least two inputs" in err
 
 
@@ -781,8 +781,19 @@ class TestExitCodes:
             ["histogram", "--input", str(data_dir / "clean.tsv"),
              "--out", str(tmp_path), "--average"],
         )
-        assert rc == 1
+        assert rc == 2
         assert "at least two inputs" in err
+
+    @pytest.mark.parametrize("formats", [",", " , ,"])
+    def test_empty_format_list_is_a_usage_error(self, data_dir, tmp_path, capsys, formats):
+        # it once fell back to csv,json and wrote both
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["fingerprint", "--input", str(data_dir / "clean.tsv"),
+                  "--out", str(out), "--format", formats])
+        assert exc.value.code == 2
+        assert "empty format list" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_validate_has_no_format_flag(self, data_dir, tmp_path):
         with pytest.raises(SystemExit) as exc:

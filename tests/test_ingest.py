@@ -66,6 +66,15 @@ class TestCanonical:
         assert back.constituency_ids == ("C1", 'say "hi"', "C3")
         assert np.array_equal(back.leader, ds.leader)
 
+    def test_each_distinct_code_is_one_object(self, tmp_path):
+        # 3,000 rows span several read blocks; every station of a region
+        # (or constituency) holds the same str object
+        rows = [f"S{i}\tR{i % 3:02d}\tC{i % 2:02d}\t500\t300\t290\t150" for i in range(3000)]
+        path = _write(tmp_path / "e.tsv", [CANONICAL_HEADER, *rows])
+        ds, _ = load_dataset(path)
+        assert len({id(c) for c in ds.region_codes}) == len(set(ds.region_codes)) == 3
+        assert len({id(c) for c in ds.constituency_ids}) == len(set(ds.constituency_ids)) == 2
+
     def test_default_label_is_file_stem(self, tmp_path, null_2k):
         path = tmp_path / "vote_2024.tsv"
         write_canonical_tsv(null_2k, path)

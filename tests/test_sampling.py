@@ -12,7 +12,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from pollheap import sampling
-from pollheap.model import METRIC_CODES
+from pollheap.model import MAX_COUNT, METRIC_CODES
 from pollheap.sampling import (
     _build_table,
     NullModel,
@@ -416,6 +416,63 @@ def test_build_scratch_memory_is_bounded_by_cells():
     finally:
         tracemalloc.stop()
     assert peak < 2 * table.cdf.nbytes + 16 * 2**20
+
+
+# what a build may hold per station beyond its finished table and its
+# chunk scratch (about 58 bytes measured on generate stations)
+_BUILD_BYTES_PER_STATION = 80
+
+
+def test_build_holds_little_beyond_the_finished_table():
+    # each per-station temporary is dropped once consumed and a row's
+    # float64 terms are computed with its chunk's, so the build's peak
+    # is the table, a few int64 arrays in sorted order and its scratch
+    from pollheap.synth import GeneratorConfig, generate
+
+    num, den = generate(GeneratorConfig(50_000), 1).dataset.metric("turnout")
+    p = sampling._empirical_p(den, num)
+    _build_table(den[:1], p[:1])  # so that scipy's import is not traced
+    tracemalloc.start()
+    try:
+        table = _build_table(den, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # n and p are the caller's arrays
+    own = sum(getattr(table, f.name).nbytes for f in dataclasses.fields(table)
+              if f.name not in ("n", "p"))
+    scratch = 2 * sampling._BUILD_CELLS * np.dtype(np.float64).itemsize
+    assert peak < own + _BUILD_BYTES_PER_STATION * den.size + scratch
+
+
+def test_table_fields_are_narrow():
+    # 52 bytes per station with n and p: band bounds fit int32 as counts
+    # are at most MAX_COUNT, and a start only sets how far a walk goes
+    table = _build_table(np.array([0, 10, 2000, 10**6]), np.array([0.5, 1.0, 0.3, 0.6]))
+    for name in ("lo", "last"):
+        assert getattr(table, name).dtype == np.int32, name
+    for name in ("shift", "sig", "skew"):
+        assert getattr(table, name).dtype == np.float32, name
+    assert table.starts.dtype == np.int64 and table.left_tail.dtype == np.float64
+    per_station = sum(getattr(table, f.name).itemsize for f in dataclasses.fields(table)
+                      if f.name != "cdf")
+    assert per_station == 52
+
+
+def test_draws_at_max_count_stay_int64():
+    # int32 band bounds do not narrow a draw: 100 times a count of up to
+    # MAX_COUNT, as the scorer takes it, passes int32 but fits int64
+    den = np.full(3, MAX_COUNT, dtype=np.int64)
+    num = np.array([MAX_COUNT // 2, MAX_COUNT - 1, MAX_COUNT])
+    sampler = make_sampler(den, num, "binomial", "turnout")
+    assert sampler._table.lo.dtype == np.int32
+    u = np.array([[0.5], [1.0 - 2.0**-20], [0.25]])
+    got = sampler.draw_from_uniforms(u)
+    assert got.dtype == np.int64
+    assert got[2] == MAX_COUNT
+    want = binom_quantile(u[:, 0], den, sampling._empirical_p(den, num))
+    assert np.array_equal(got, want)
+    assert (100 * got).tolist() == [100 * int(k) for k in want]
 
 
 _station = st.one_of(

@@ -79,6 +79,10 @@ class TestGenerate:
         assert set(multi.region_codes) <= {f"R{k:02d}" for k in range(10)}
         assert len(set(multi.region_codes)) > 5
 
+    def test_stations_of_a_region_share_one_code_object(self):
+        codes = generate(GeneratorConfig(n_stations=300, n_regions=3), 2).dataset.region_codes
+        assert len({id(c) for c in codes}) == len(set(codes)) == 3
+
     def test_region_weights_shift_mass(self):
         cfg = GeneratorConfig(
             n_stations=1000, n_regions=2, region_weights=(9.0, 1.0)
