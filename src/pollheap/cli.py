@@ -522,7 +522,8 @@ def _prepare(args: argparse.Namespace, path: str) -> ElectionDataset:
     The file is read with --profile and labelled by its stem, filtered
     by the station filters unless --no-filter is set, then cut by
     --exclude-regions and --restrict-regions; no station left is an
-    error.
+    error, and so is a station left with a percentage above 100 (only
+    --no-filter can leave one), den = 0 with num > 0 included.
     """
     dataset, _ = load_dataset(path, args.profile)
     if not args.no_filter:
@@ -537,6 +538,15 @@ def _prepare(args: argparse.Namespace, path: str) -> ElectionDataset:
         dataset = restrict_regions(dataset, args.restrict_regions)
     if len(dataset) == 0:
         raise ValueError(f"no stations left after filtering: {path}")
+    for metric in METRICS:
+        num, den = dataset.metric(metric)
+        over = np.flatnonzero(num > den)
+        if over.size:
+            i = over[0]
+            raise ValueError(
+                f"{path}: station {dataset.station_ids[i]!r} has {metric} {num[i]} of "
+                f"{den[i]}, above 100%"
+            )
     return dataset
 
 

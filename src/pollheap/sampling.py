@@ -19,8 +19,9 @@ process (_key_quantiles), and walks the station's band to the first
 entry above that key (sequential search from a start, Devroye 1986,
 section III.2); rows are non-decreasing, so the start sets only how
 far it walks, and no draw evaluates a special function. Every
-float64 row, the build's and a settled draw's, comes from one chunked
-generator (_rows). A draw the band cannot answer is settled on its
+float64 row and its window tail, the build's and a settled draw's,
+come from one chunked generator (_rows), the only code that computes
+either. A draw the band cannot answer is settled on its
 window's float64 row, re-run from the window's start: one whose key
 ties with the entry below the walk's stop (about one in 540 on
 synthetic stations) through the stop, one whose answer lies outside
@@ -59,15 +60,15 @@ _TAIL_PAD = 5
 # slack, clipped to the window. A row stores about half its window.
 _BAND_SIGMAS = 4.0
 
-# Above this many computed window entries skip tables and invert per
-# draw instead. A table stores 2 bytes per band entry (about 55% of the
-# window) plus 52 bytes per station: at the cap, the turnout table of
+# Above this many projected window entries skip tables and invert per
+# draw instead. _projected_entries takes 2 ceil(_TAIL_SIGMAS sd) + 13 a
+# station, at least one above its window's width hi - lo + 1, so the cap
+# bounds the windows. A table stores 2 bytes per band entry (about 55% of
+# the window) plus 52 bytes per station: at the cap, the turnout table of
 # the first 565,036 stations of generate(GeneratorConfig(600_000), 1)
-# stores 82.6M entries, 186 MiB. The cap counts the float64 entries a
-# build computes over the whole window, not the band a table stores, so
-# the table-or-direct choice (and with it every draw) depends neither on
-# the band nor on how it is stored; the build's scratch space is bounded
-# separately by _BUILD_CELLS.
+# stores 82.6M entries, 186 MiB. Bounding whole windows, not bands, keeps
+# the table-or-direct choice (and every draw) independent of the band and
+# its storage; _BUILD_CELLS bounds the build's scratch space separately.
 _MAX_TABLE_ENTRIES = 150_000_000
 
 # A banded table stores each CDF entry F as the 16-bit fixed-point
@@ -234,12 +235,13 @@ def _key_quantiles() -> np.ndarray:
     return z
 
 
-def _window(den: np.ndarray, p: np.ndarray):
-    """Each station's mean, sd and computed window [lo, hi]: mean +-
-    _TAIL_SIGMAS stddevs plus _TAIL_PAD, clipped to [0, den]."""
+def _window(den: np.ndarray, p: np.ndarray, sigmas: float = _TAIL_SIGMAS):
+    """Each station's mean, sd and interval [lo, hi]: mean +- sigmas
+    stddevs plus _TAIL_PAD, clipped to [0, den]. The computed window
+    takes _TAIL_SIGMAS, the stored band _BAND_SIGMAS."""
     mu = den * p
     sig = np.sqrt(np.maximum(mu * (1.0 - p), 0.0))
-    half = np.ceil(_TAIL_SIGMAS * sig).astype(np.int64) + _TAIL_PAD
+    half = np.ceil(sigmas * sig).astype(np.int64) + _TAIL_PAD
     lo = np.maximum(np.floor(mu).astype(np.int64) - half, 0)
     hi = np.minimum(np.ceil(mu).astype(np.int64) + half, den)
     return mu, sig, lo, hi
@@ -247,20 +249,22 @@ def _window(den: np.ndarray, p: np.ndarray):
 
 def _rows(n: np.ndarray, lo: np.ndarray, p: np.ndarray, width: np.ndarray):
     """Float64 CDF rows of Binom(n, p) stations of non-decreasing width,
-    a chunk at a time: yields (s, e, rows, spare), row r - s of rows
-    holding station r's.
+    a chunk at a time: yields (s, e, tail, rows, spare), row r - s of
+    rows holding station r's CDF F(lo), F(lo + 1), ... and tail[r - s]
+    its window tail F(lo - 1), 0 where lo = 0.
 
-    A row starts at outcome lo, where the pmf is taken via log-gamma,
-    and runs width columns: column t > 0 gets the ratio (n - k) / (k + 1)
-    * p / q for k = lo + t - 1, then the running product, the pmf and the
-    running sum, so it holds the CDF less the tail F(lo - 1). Every step
-    is row-independent and runs left to right, so a row depends neither
-    on the rows beside it nor on its padding to the chunk's widest row,
-    and a station's float64 terms are computed with its chunk's. A chunk
-    is the longest run from s with at most _BUILD_CELLS cells once
-    padded, or one row if that is wider. rows and spare share one
-    scratch buffer, sized to the largest chunk and reused by the next;
-    spare, free once rows are done, holds at least as many cells as rows.
+    The only code that computes a row or its tail. A row starts at
+    outcome lo, where the pmf is taken via log-gamma, and runs width
+    columns: column t > 0 gets the ratio (n - k) / (k + 1) * p / q for
+    k = lo + t - 1, then the running product, the pmf, the running sum
+    and the tail, taken by _binom_cdf. Every step is row-independent and
+    runs left to right, so a row depends neither on the rows beside it
+    nor on its padding to the chunk's widest row, and a station's
+    float64 terms are computed with its chunk's. A chunk is the longest
+    run from s with at most _BUILD_CELLS cells once padded, or one row
+    if that is wider. rows and spare share one scratch buffer, sized to
+    the largest chunk and reused by the next; spare, free once rows are
+    done, holds at least as many cells as rows.
     """
     from scipy.special import gammaln
 
@@ -283,6 +287,9 @@ def _rows(n: np.ndarray, lo: np.ndarray, p: np.ndarray, width: np.ndarray):
             + llo * np.log(pp)
             + (nn - llo) * np.log1p(-pp)
         )
+        tail = np.zeros(e - s)
+        t = np.flatnonzero(llo > 0.0)
+        tail[t] = _binom_cdf(llo[t] - 1.0, nn[t], pp[t])
         rows = scratch[:(e - s) * k].reshape(e - s, k)
         spare = scratch[rows.size:]
         rows[:, 0] = 1.0
@@ -301,7 +308,8 @@ def _rows(n: np.ndarray, lo: np.ndarray, p: np.ndarray, width: np.ndarray):
             rows[:, 1:] *= anchor[:, None]
             rows[:, 0] = anchor
             np.cumsum(rows, axis=1, out=rows)
-        yield s, e, rows, spare
+            rows += tail[:, None]
+        yield s, e, tail, rows, spare
         s = e
 
 
@@ -395,31 +403,27 @@ class _QuantileTable:
         without settling u: the first entry above u of each station's
         float64 window row, as the build computes it.
 
-        Each row comes from _rows, the build's row source, from its
-        window's start. A tie's answer lies in its band at or before
-        cols, whose entry is above u, so its row runs through there; a
-        walk past the band, or a u below the band's tail, runs through
-        the window's end. A u below the window's tail or at or above its
-        last entry goes to binom_quantile. Rows are taken in order of
-        width.
+        Each row and its window tail come from _rows, the build's row
+        source, from its window's start. A tie's answer lies in its band
+        at or before cols, whose entry is above u, so its row runs
+        through there; a walk past the band, or a u below the band's
+        tail, runs through the window's end. A u below the window's tail
+        or at or above its row's last entry goes to binom_quantile. Rows
+        are taken in order of width.
         """
         n, p = self.n[t], self.p[t]
         lo, hi = _window(n, p)[2:]
         inside = (cols <= self.last[t]) & (u >= self.left_tail[t])
         width = np.where(inside, self.lo[t] - lo + cols, hi - lo) + 1
-        tail = np.zeros(t.size)
-        inner = np.flatnonzero(lo > 0)
-        tail[inner] = _binom_cdf(lo[inner] - 1.0, n[inner], p[inner])
         k = lo.copy()
-        direct = u < tail
+        direct = np.zeros(t.size, dtype=bool)
         order = np.argsort(width, kind="stable")
-        for s, e, rows, _ in _rows(n[order], lo[order], p[order], width[order]):
+        for s, e, tail, rows, _ in _rows(n[order], lo[order], p[order], width[order]):
             r = order[s:e]
-            rows += tail[r, None]
             k[r] += (rows > u[r, None]).argmax(axis=1)
             # rows never decrease, so a row whose last entry is above u
             # has its first entry above u among its own, not its padding
-            direct[r] |= rows[np.arange(r.size), width[r] - 1] <= u[r]
+            direct[r] = (u[r] < tail) | (rows[np.arange(r.size), width[r] - 1] <= u[r])
         if direct.any():
             k[direct] = binom_quantile(u[direct], n[direct], p[direct])
         return k
@@ -429,11 +433,12 @@ def _build_table(den: np.ndarray, p: np.ndarray) -> _QuantileTable:
     """Tabulate per-station binomial CDFs, storing each row's band.
 
     Degenerate stations (den = 0, p = 0, p = 1) get single-entry
-    tables holding their certain outcome. Each row comes from _rows,
-    from the window's left edge through the band's last entry; every
-    operation there is row-independent, so a one-station build is
-    bit-identical to the same station inside a batch. The band is mean
-    +- _BAND_SIGMAS stddevs plus _TAIL_PAD, clipped to the window.
+    tables holding their certain outcome. Each row and its window tail
+    come from _rows, from the window's left edge through the band's
+    last entry; every operation there is row-independent, so a
+    one-station build is bit-identical to the same station inside a
+    batch. The band is _window's interval at _BAND_SIGMAS, clipped to
+    the window.
 
     Stations are taken in order of computed width, then of band width
     and offset (a stable sort), so _rows's chunks are near-equal rows
@@ -454,19 +459,12 @@ def _build_table(den: np.ndarray, p: np.ndarray) -> _QuantileTable:
     d = np.flatnonzero(degenerate)
     lo[d] = np.where(p[d] >= 1.0, np.maximum(den[d], 0), 0)
     hi[d] = lo[d]
-    band = np.ceil(_BAND_SIGMAS * sig).astype(np.int64) + _TAIL_PAD
-    band_lo = np.clip(np.floor(mu).astype(np.int64) - band, lo, hi)
-    band_hi = np.clip(np.ceil(mu).astype(np.int64) + band, lo, hi)
-    del band, hi
+    band_lo, band_hi = np.clip(_window(den, p, _BAND_SIGMAS)[2:], lo, hi)
+    del hi
     shift = (mu + 0.5 - band_lo).astype(np.float32)
     del mu
     sig = sig.astype(np.float32)
     skew = ((1.0 - p - p) / 6.0).astype(np.float32)
-
-    left_tail = np.zeros(n_st, dtype=np.float64)
-    t = np.flatnonzero((lo > 0) & ~degenerate)
-    left_tail[t] = _binom_cdf(lo[t] - 1.0, den[t], p[t])
-    del t
 
     # a row is computed only through its band's last entry
     width = band_hi - lo + 1
@@ -480,35 +478,34 @@ def _build_table(den: np.ndarray, p: np.ndarray) -> _QuantileTable:
     del width
     first = first[order]
     stored = last[order] + 1
-    lo = lo[order]
+    # a degenerate row runs from outcome 0, so its tail is 0, at a placeholder p
+    lo = np.where(degenerate, 0, lo)[order]
     nn = den[order]
-    pp = np.where(degenerate, 0.5, p)[order]  # placeholder under degenerate
+    pp = np.where(degenerate, 0.5, p)[order]
     # where a row's shape differs from the row before it
     reshaped = (w[1:] != w[:-1]) | (stored[1:] != stored[:-1]) | (first[1:] != first[:-1])
     bounds = np.cumsum(stored, dtype=np.int64)
     starts = np.empty(n_st, dtype=np.int64)
     starts[order] = bounds - stored
+    left_tail = np.empty(n_st, dtype=np.float64)
     cdf = np.empty(int(bounds[-1]) if n_st else 0, dtype=np.uint16)
     del bounds
 
-    for s, e, rows, spare in _rows(nn, lo, pp, w):
-        # the tail is added on the way into cdf, one block per run of
-        # equal shape; the band's tail F(band_lo - 1) is the row's entry
-        # before the band, or the window's tail where the band starts it
+    for s, e, tail, rows, spare in _rows(nn, lo, pp, w):
+        # one block per run of equal shape; the band's tail F(band_lo -
+        # 1) is the row's entry before the band, or the window's tail
+        # where the band starts it
         cuts = [s, *(s + 1 + np.flatnonzero(reshaped[s:e - 1])).tolist(), e]
         for a, b in zip(cuts[:-1], cuts[1:]):
             f, k = int(first[a]), int(stored[a])
             r = order[a:b]
             o = int(starts[r[0]])
-            tail = left_tail[r]
-            # to fixed point through the chunk's spare scratch
+            # to fixed point through the chunk's spare scratch; x 2^16 is exact
             band = spare[:(b - a) * k].reshape(b - a, k)
-            np.add(rows[a - s:b - s, f:f + k], tail[:, None], out=band)
-            band *= _FIXED_ONE
+            np.multiply(rows[a - s:b - s, f:f + k], _FIXED_ONE, out=band)
             np.minimum(band, _FIXED_MAX, out=cdf[o:o + (b - a) * k].reshape(b - a, k),
                        casting="unsafe")
-            if f:
-                left_tail[r] = rows[a - s:b - s, f - 1] + tail
+            left_tail[r] = rows[a - s:b - s, f - 1] if f else tail[a - s:b - s]
     cdf[starts[d]] = _FIXED_MAX
 
     return _QuantileTable(

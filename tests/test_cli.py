@@ -379,15 +379,6 @@ class TestHistogram:
         assert shape[2] == "offset,mean_excess"
         assert len(shape) == 3 + 11  # offsets -0.5 ... 0.5 at 0.1 steps
 
-    def test_average_needs_two_inputs(self, data_dir, tmp_path, capsys):
-        rc, _, err = run(
-            capsys,
-            ["histogram", "--input", str(data_dir / "clean.tsv"),
-             "--out", str(tmp_path), "--average"],
-        )
-        assert rc == 2
-        assert "at least two inputs" in err
-
 
 class TestSpectrum:
     def test_artifacts(self, data_dir, tmp_path, capsys):
@@ -783,6 +774,28 @@ class TestExitCodes:
         )
         assert rc == 2
         assert "at least two inputs" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "histogram", "spectrum", "regions",
+                                         "fingerprint"])
+    @pytest.mark.parametrize("counts, metric", [
+        ("1000\t1200\t1190\t400", "turnout"),
+        ("1000\t700\t690\t900", "result"),
+        ("0\t5\t0\t0", "turnout"),
+    ], ids=["given_over_registered", "leader_over_cast", "given_of_none_registered"])
+    def test_no_filter_refuses_a_percentage_above_100(self, tmp_path, capsys, command,
+                                                      counts, metric):
+        # the filters drop such a station; without them it once ended four
+        # commands in an IndexError on a histogram bin past 100%
+        header = "station_id\tregion_code\tconstituency_id\tregistered\tgiven\tcast\tleader"
+        tsv = tmp_path / "over.tsv"
+        tsv.write_text(f"{header}\nS1\tA\tC1\t1000\t700\t690\t400\nS2\tA\tC1\t{counts}\n")
+        out = tmp_path / "out"
+        rc, summary, err = run(capsys, [command, "--input", str(tsv), "--no-filter",
+                                        "--out", str(out)])
+        assert rc == 1 and summary is None
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "over.tsv" in err and "'S2'" in err and metric in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("formats", [",", " , ,"])
     def test_empty_format_list_is_a_usage_error(self, data_dir, tmp_path, capsys, formats):

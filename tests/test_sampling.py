@@ -1,6 +1,7 @@
 """Null-model samplers: exactness, determinism, counter discipline."""
 
 import dataclasses
+import sys
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -749,6 +750,59 @@ def test_settled_draws_read_the_full_rows_entries_property(stations):
         same = np.full(u.size, i)
         got = table._settle(same, u, np.where(tie, last, last + 1))
         assert np.array_equal(got, _binary_search_lookup(ref, u, same)), (den[i], p[i])
+
+
+@settings(max_examples=40, deadline=None)
+@hgiven(
+    stations=st.lists(
+        st.tuples(st.one_of(st.integers(1, 3000), st.integers(10**5, 10**6)),
+                  _extreme_p.filter(lambda q: 0.0 < q < 1.0)),
+        min_size=1, max_size=8,
+    ),
+    cells=st.sampled_from([1, 100, 5000, sampling._BUILD_CELLS]),
+)
+def test_rows_yield_whole_rows_and_window_tails_property(stations, cells):
+    # the row source hands out finished CDFs: each station's row is its
+    # whole window's CDF, tail included, and its tail is F(lo - 1), both
+    # byte for byte the station-order oracle's, however it is chunked
+    den = np.array([d for d, _ in stations], dtype=np.int64)
+    p = np.array([q for _, q in stations])
+    ref = _reference(den, p)
+    width = np.diff(ref["offsets"])
+    order = np.argsort(width, kind="stable")
+    seen = np.zeros(den.size, dtype=bool)
+    with mock.patch.object(sampling, "_BUILD_CELLS", cells):
+        for s, e, tail, rows, _ in sampling._rows(den[order], ref["lo"][order], p[order],
+                                                  width[order]):
+            for j, i in enumerate(order[s:e]):
+                assert rows[j, :width[i]].tobytes() == _ref_row(ref, i).tobytes(), i
+                assert tail[j:j + 1].tobytes() == ref["left_tail"][i:i + 1].tobytes(), i
+                seen[i] = True
+    assert seen.all()
+
+
+def test_every_cdf_value_of_a_build_or_a_settlement_comes_from_the_row_source():
+    # neither a build nor a settlement computes a CDF value or a window
+    # tail of its own: every _binom_cdf call they make is made in _rows
+    callers = []
+    binom_cdf = sampling._binom_cdf
+
+    def spy(k, n, p):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return binom_cdf(k, n, p)
+
+    den = np.array([3000, 5000, 10**6, 800, 0], dtype=np.int64)
+    p = np.array([0.5, 0.55, 0.3, 0.15, 0.5])
+    t = np.arange(4)
+    u = np.full(t.size, 0.5)
+    with mock.patch.object(sampling, "_binom_cdf", spy):
+        table = _build_table(den, p)
+        built = len(callers)
+        # walks past the band: rows through the window's end, no fallback
+        got = table._settle(t, u, table.last[t] + 1)
+    assert 0 < built < len(callers)
+    assert set(callers) == {"_rows"}
+    assert np.array_equal(got, _binary_search_lookup(_reference(den[t], p[t]), u))
 
 
 def _copies(table, count):
