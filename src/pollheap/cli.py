@@ -539,14 +539,10 @@ def _prepare(args: argparse.Namespace, path: str) -> ElectionDataset:
     if len(dataset) == 0:
         raise ValueError(f"no stations left after filtering: {path}")
     for metric in METRICS:
-        num, den = dataset.metric(metric)
-        over = np.flatnonzero(num > den)
-        if over.size:
-            i = over[0]
-            raise ValueError(
-                f"{path}: station {dataset.station_ids[i]!r} has {metric} {num[i]} of "
-                f"{den[i]}, above 100%"
-            )
+        try:
+            dataset.checked_metric(metric)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return dataset
 
 

@@ -127,7 +127,8 @@ def build_histogram(
     """Voter-weighted histogram of one metric.
 
     Each station adds its registered count to the bin containing its
-    percentage. Stations whose metric is undefined (zero denominator)
+    percentage; a station above 100% is refused with a ValueError.
+    Stations whose metric is undefined (zero denominator)
     are skipped; stations at exactly 100% are dropped when
     suppress_hundred is set. With jitter on, uniform(-0.5, 0.5) noise
     is added to the numerator before division, de-quantizing the
@@ -135,7 +136,7 @@ def build_histogram(
     (seed, metric) only, apart from every simulated iteration's streams.
     """
     m = _bins_per_percent(bin_width)
-    num, den = dataset.metric(metric)
+    num, den = dataset.checked_metric(metric)
     u = None
     if jitter:
         u = stream(seed, 0, REPORTED_JITTER + METRIC_CODES[metric]).random(len(dataset)) - 0.5

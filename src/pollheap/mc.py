@@ -217,10 +217,6 @@ def run_simulation(
         if workers == 1:
             results = map(_task, tasks)
         else:
-            # every simulation draws through scipy.special: load it once
-            # here instead of once per forked worker
-            import scipy.special  # noqa: F401
-
             if n_groups == 1:
                 _hold(0)  # shared copy-on-write by the forked workers
             ctx = multiprocessing.get_context("fork")

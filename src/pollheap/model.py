@@ -241,6 +241,19 @@ class ElectionDataset:
             return self.leader, self.cast
         raise ValueError(f"metric must be one of {sorted(METRICS)}")
 
+    def checked_metric(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """metric(name), refusing with a ValueError that names it and the
+        first station above 100% (num > den, den = 0 with num > 0
+        included), which apply_filters drops but a dataset may hold."""
+        num, den = self.metric(name)
+        over = np.flatnonzero(num > den)
+        if over.size:
+            i = over[0]
+            raise ValueError(
+                f"station {self.station_ids[i]!r} has {name} {num[i]} of {den[i]}, above 100%"
+            )
+        return num, den
+
     def take(
         self,
         indices: np.ndarray,

@@ -274,14 +274,15 @@ def fingerprint(
 ) -> Fingerprint2D:
     """2D turnout-result fingerprint at 0.5% bins.
 
-    Only stations with a defined result (cast > 0) participate. Cell
+    Only stations with a defined result (cast > 0) participate; a
+    station above 100% is refused with a ValueError. Cell
     weights are exact integer sums, so fingerprints over a partition of
     the dataset add cell-exactly to the whole-dataset fingerprint.
     """
     m = 2  # bins per percent at 0.5% width
     n_bins = 100 * m + 1
-    t_num, t_den = dataset.metric("turnout")
-    r_num, r_den = dataset.metric("result")
+    t_num, t_den = dataset.checked_metric("turnout")
+    r_num, r_den = dataset.checked_metric("result")
     ok = np.flatnonzero((r_den > 0) & (t_den > 0))
     t_num, t_den, r_num, r_den = t_num[ok], t_den[ok], r_num[ok], r_den[ok]
     cells = np.zeros((n_bins, n_bins), dtype=np.int64)

@@ -21,7 +21,9 @@ section III.2); rows are non-decreasing, so the start sets only how
 far it walks, and no draw evaluates a special function. Every
 float64 row and its window tail, the build's and a settled draw's,
 come from one chunked generator (_rows), the only code that computes
-either. A draw the band cannot answer is settled on its
+either, in numpy alone: each row's pmf anchor from Loader's
+saddle-point form (_binom_pmf) and its tail summed down from it
+(_lower_tail). A draw the band cannot answer is settled on its
 window's float64 row, re-run from the window's start: one whose key
 ties with the entry below the walk's stop (about one in 540 on
 synthetic stations) through the stop, one whose answer lies outside
@@ -29,8 +31,10 @@ the band (about one in 50,000) through the window's end. One outside
 the window (probability ~1e-12) falls back to a direct quantile on the
 regularized incomplete beta function (_binom_cdf); in every case the
 draw is the one a float64 table of whole windows gives.
-scipy.special is imported inside the functions that call it, so a
-command that never draws or builds a table never loads scipy.
+scipy.special is imported inside the functions that call it: the
+beta-binomial draw, and the direct quantile that a draw outside its
+window, or a sampler above _MAX_TABLE_ENTRIES, takes. Binomial and
+clustered:c draws from tables never load scipy.
 """
 
 from __future__ import annotations
@@ -220,17 +224,39 @@ def binom_quantile(u, n, p) -> np.ndarray:
     return out
 
 
+# Wichura's AS241 (1988) rational approximations to the normal quantile,
+# highest power first: A/B for |u - 1/2| <= 0.425, C/D in r = sqrt(-log
+# min(u, 1 - u)) - 1.6 for the tails up to r = 5; the key table's cells
+# reach r <= 3.5. Relative error about 1e-16.
+_AS241_A = (2509.0809287301226727, 33430.575583588128105, 67265.770927008700853,
+            45921.953931549871457, 13731.693765509461125, 1971.5909503065514427,
+            133.14166789178437745, 3.387132872796366608)
+_AS241_B = (5226.495278852545561, 28729.085735721942674, 39307.89580009271061,
+            21213.794301586595867, 5394.1960214247511077, 687.1870074920579083,
+            42.313330701600911252, 1.0)
+_AS241_C = (7.7454501427834140764e-4, 0.0227238449892691845833, 0.24178072517745061177,
+            1.27045825245236838258, 3.64784832476320460504, 5.7694972214606914055,
+            4.6303378461565452959, 1.42343711074968357734)
+_AS241_D = (1.05075007164441684324e-9, 5.475938084995344946e-4, 0.0151986665636164571966,
+            0.14810397642748007459, 0.68976733498510000455, 1.6763848301838038494,
+            2.05319162663775882187, 1.0)
+
+
 @cache
 def _key_quantiles() -> np.ndarray:
     """The normal quantile at the middle of each 16-bit key's cell:
-    entry v is ndtri((v + 0.5) / 2^16), 2^16 float64 (512 KB), built
-    once per process on a lookup's first call. A lookup's start reads
-    it at u's key instead of evaluating ndtri at u; the start only sets
-    how far the walk goes, never its answer.
+    entry v is the quantile at (v + 0.5) / 2^16, by AS241, 2^16 float64
+    (512 KB), built once per process on a lookup's first call. A
+    lookup's start reads it at u's key instead of taking a quantile at
+    u; the start only sets how far the walk goes, never its answer.
     """
-    from scipy.special import ndtri
-
-    z = ndtri((np.arange(_FIXED_MAX + 1) + 0.5) / _FIXED_ONE)
+    u = (np.arange(_FIXED_MAX + 1) + 0.5) / _FIXED_ONE
+    q = u - 0.5
+    r = 0.180625 - q * q
+    z = q * np.polyval(_AS241_A, r) / np.polyval(_AS241_B, r)
+    tails = np.flatnonzero(np.abs(q) > 0.425)
+    r = np.sqrt(-np.log(np.minimum(u, 1.0 - u)[tails])) - 1.6
+    z[tails] = np.copysign(np.polyval(_AS241_C, r) / np.polyval(_AS241_D, r), q[tails])
     z.setflags(write=False)
     return z
 
@@ -247,6 +273,131 @@ def _window(den: np.ndarray, p: np.ndarray, sigmas: float = _TAIL_SIGMAS):
     return mu, sig, lo, hi
 
 
+# Loader's stirlerr(k) = log k! - (k + 1/2) log k + k - log sqrt(2 pi) at
+# k = 1..15, below the reach of its series; index 0 only fills in at k = 0,
+# where _binom_pmf takes (1 - p)^n instead
+_STIRLERR = np.array([
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+])
+_LN_2PI = 1.8378770664093453
+
+def _stirlerr(k: np.ndarray) -> np.ndarray:
+    """Loader's stirlerr at float64 counts k >= 1: the table up to 15,
+    above it 1/12k - 1/360k^3 + 1/1260k^5 - 1/1680k^7 + 1/1188k^9."""
+    kk = k * k
+    out = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - (1 / 1188) / kk) / kk) / kk) / kk) / k
+    small = k <= 15.0
+    if small.any():
+        out[small] = _STIRLERR[k[small].astype(np.int64)]
+    return out
+
+
+def _bd0(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Loader's deviance term x log(x / m) + m - x, for x > 0 and m > 0.
+
+    Where |x - m| < (x + m) / 10 the direct form cancels, so it is summed
+    as the series (x - m) v + 2x sum_j v^(2j+1) / (2j + 1), v = (x - m) /
+    (x + m), term by term, up to the first term that is at most 2^-55 of
+    the series' first term for the largest |v|. Term j is at most 2
+    |v|^(2j-1) / (2j + 1) of the first, and the sum at least 0.93 of it,
+    so from there on every term is below half an ulp of the sum and
+    leaves it as it is: a sum gets the same bits whatever its neighbours.
+    """
+    d = x - m
+    xm = x + m
+    out = x * np.log(x / m) + m - x
+    near = np.abs(d) < 0.1 * xm
+    if near.any():
+        x, d = x[near], d[near]
+        v = d / xm[near]
+        s = d * v
+        term = 2.0 * x * v
+        v *= v
+        vv = float(v.max())
+        j = 1
+        while 2.0 * vv ** (j - 0.5) / (2 * j + 1) > 2.0**-55:
+            j += 1
+        for i in range(1, j + 1):
+            term *= v
+            s += term / (2 * i + 1)
+        out[near] = s
+    return out
+
+
+def _binom_pmf(n: np.ndarray, k: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Binom(n, p) pmf at float64 counts 0 <= k < n, 0 < p < 1: Loader's
+    saddle-point form (C. Loader, "Fast and Accurate Computation of
+    Binomial Probabilities", 2000; R's dbinom), exp(stirlerr(n) -
+    stirlerr(k) - stirlerr(n - k) - bd0(k, np) - bd0(n - k, nq)) /
+    sqrt(2 pi k (n - k) / n), and (1 - p)^n at k = 0. Within about 1e-13
+    relative of the exact pmf of the float64 p for n below 10^4.
+    """
+    m = n.size
+    nk = n - k
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        st = _stirlerr(np.concatenate((n, k, nk)))
+        dev = _bd0(np.concatenate((k, nk)), np.concatenate((n * p, n * (1.0 - p))))
+        lc = st[:m] - st[m:2 * m] - st[2 * m:] - dev[:m] - dev[m:]
+        lf = _LN_2PI + np.log(k) + np.log1p(-k / n)
+        pmf = np.exp(lc - 0.5 * lf)
+    zero = k == 0.0
+    if zero.any():
+        pmf[zero] = np.exp(n[zero] * np.log1p(-p[zero]))
+    return pmf
+
+
+def _lower_tail(n, lo, p, pmf, scratch) -> np.ndarray:
+    """F(lo - 1), the Binom(n, p) mass below each float64 lo <= n - 1
+    (0 where lo = 0), summed down from pmf, the pmf at lo, by the ratio
+    r(k) = pmf(k - 1) / pmf(k) = k q / ((n - k + 1) p).
+
+    Every lo lies below the mean, so r(k) < 1 falls with k and the j-th
+    term is at most the first times r(lo)^(j - 1): the first count terms,
+    with r(lo)^count <= 2^-53 (1 - r(lo)) and count <= lo, leave out at
+    most 2^-53 of the sum. count is the station's own, so its sum is the
+    same however its chunk runs. The terms go through the flat scratch
+    in blocks of the chunk's largest count, or of as many columns as half
+    of it holds: ratios, their running product and running sum, carried
+    on from the block before, left to right, with a zero ratio after
+    each row's last term.
+    """
+    tail = np.zeros(n.size)
+    t = np.flatnonzero(lo > 0.0)
+    if t.size == 0:
+        return tail
+    if t.size < n.size:
+        n, lo, p, pmf = n[t], lo[t], p[t], pmf[t]
+    odds = (1.0 - p) / p
+    r = lo * odds / (n - lo + 1.0)
+    count = np.minimum(np.ceil(np.log(2.0**-53 * (1.0 - r)) / np.log(r)), lo)
+    total = int(count.max())
+    w = max(1, min(total, scratch.size // (2 * n.size)))
+    block = scratch[:n.size * w].reshape(n.size, w)
+    grid = scratch[block.size:2 * block.size].reshape(n.size, w)
+    steps = np.arange(w, dtype=np.float64)
+    term, top, acc = pmf, lo, 0.0
+    for first in range(0, total, w):
+        np.subtract(top[:, None], steps, out=grid)  # k = top, top - 1, ...
+        np.add((n + 1.0 - top)[:, None], steps, out=block)  # n - k + 1
+        np.divide(grid, block, out=block)
+        block *= odds[:, None]
+        end = np.flatnonzero(count - first < w)
+        block[end, np.maximum(count[end] - first, 0).astype(np.int64)] = 0.0
+        block[:, 0] *= term
+        np.cumprod(block, axis=1, out=block)  # pmf(top - 1), pmf(top - 2), ...
+        term = block[:, -1].copy()
+        block[:, 0] += acc
+        np.cumsum(block, axis=1, out=block)
+        acc = block[:, -1].copy()
+        top = top - w
+    tail[t] = acc
+    return tail
+
+
 def _rows(n: np.ndarray, lo: np.ndarray, p: np.ndarray, width: np.ndarray):
     """Float64 CDF rows of Binom(n, p) stations of non-decreasing width,
     a chunk at a time: yields (s, e, tail, rows, spare), row r - s of
@@ -254,20 +405,19 @@ def _rows(n: np.ndarray, lo: np.ndarray, p: np.ndarray, width: np.ndarray):
     its window tail F(lo - 1), 0 where lo = 0.
 
     The only code that computes a row or its tail. A row starts at
-    outcome lo, where the pmf is taken via log-gamma, and runs width
+    outcome lo, with the pmf there from _binom_pmf, and runs width
     columns: column t > 0 gets the ratio (n - k) / (k + 1) * p / q for
     k = lo + t - 1, then the running product, the pmf, the running sum
-    and the tail, taken by _binom_cdf. Every step is row-independent and
-    runs left to right, so a row depends neither on the rows beside it
-    nor on its padding to the chunk's widest row, and a station's
-    float64 terms are computed with its chunk's. A chunk is the longest
-    run from s with at most _BUILD_CELLS cells once padded, or one row
-    if that is wider. rows and spare share one scratch buffer, sized to
-    the largest chunk and reused by the next; spare, free once rows are
-    done, holds at least as many cells as rows.
+    and the tail, summed down from the same pmf by _lower_tail. Every
+    step is row-independent and runs left to right, so a row depends
+    neither on the rows beside it nor on its padding to the chunk's
+    widest row, and a station's float64 terms are computed with its
+    chunk's. A chunk is the longest run from s with at most _BUILD_CELLS
+    cells once padded, or one row if that is wider. rows and spare share
+    one scratch buffer, sized to the largest chunk and reused by the
+    next; spare, free once rows are done, holds at least as many cells
+    as rows. The tail's terms run through the same scratch first.
     """
-    from scipy.special import gammaln
-
     widest = int(width[-1]) if width.size else 1
     cells = min(max(_BUILD_CELLS, widest), width.size * widest)
     scratch = np.empty(2 * cells)
@@ -280,16 +430,8 @@ def _rows(n: np.ndarray, lo: np.ndarray, p: np.ndarray, width: np.ndarray):
         nn = n[s:e].astype(np.float64)
         llo = lo[s:e].astype(np.float64)
         pp = p[s:e]
-        anchor = np.exp(
-            gammaln(nn + 1.0)
-            - gammaln(llo + 1.0)
-            - gammaln(nn - llo + 1.0)
-            + llo * np.log(pp)
-            + (nn - llo) * np.log1p(-pp)
-        )
-        tail = np.zeros(e - s)
-        t = np.flatnonzero(llo > 0.0)
-        tail[t] = _binom_cdf(llo[t] - 1.0, nn[t], pp[t])
+        anchor = _binom_pmf(nn, llo, pp)
+        tail = _lower_tail(nn, llo, pp, anchor, scratch)
         rows = scratch[:(e - s) * k].reshape(e - s, k)
         spare = scratch[rows.size:]
         rows[:, 0] = 1.0

@@ -19,7 +19,7 @@ import cmath
 import csv
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, comb, floor
+from math import ceil, comb, factorial, floor, log, pi
 
 import numpy as np
 
@@ -287,20 +287,107 @@ def load_rows(path, delimiter, has_header, resolve, max_count, max_errors):
     return out
 
 
+@lru_cache(maxsize=None)
+def _stirlerr_table() -> tuple[float, ...]:
+    """stirlerr(k) = log k! - (k + 1/2) log k + k - log sqrt(2 pi) for
+    k = 0..15 (0 at k = 0), each correctly rounded from 50-digit decimal
+    arithmetic, pi by the decimal module's documented series."""
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 50
+        three = Decimal(3)
+        lasts, t, dpi, n, na, d, da = 0, three, three, 1, 0, 0, 24
+        while dpi != lasts:
+            lasts = dpi
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = (t * n) / d
+            dpi += t
+        half_log_2pi = (2 * dpi).ln() / 2
+        out = [0.0]
+        for k in range(1, 16):
+            kd = Decimal(k)
+            value = Decimal(factorial(k)).ln() - (kd + Decimal("0.5")) * kd.ln() + kd - half_log_2pi
+            out.append(float(value))
+    return tuple(out)
+
+
+def _bd0_series(x: float, m: float) -> float | None:
+    """Loader's bd0(x, m) by R's series, term by term until a term leaves
+    the sum unchanged, where |x - m| < (x + m) / 10; None elsewhere."""
+    if not abs(x - m) < 0.1 * (x + m):
+        return None
+    v = (x - m) / (x + m)
+    s = (x - m) * v
+    ej = 2.0 * x * v
+    v = v * v
+    j = 1
+    while True:
+        ej *= v
+        s1 = s + ej / (2 * j + 1)
+        if s1 == s:
+            return s1
+        s = s1
+        j += 1
+
+
+def loader_pmf(n: np.ndarray, k: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Binom(n, p) pmf at float64 counts 0 <= k < n by Loader's
+    saddle-point form, as R's dbinom_raw writes it: stirlerr from its
+    table up to 15 and its series above, bd0 directly or by its series,
+    and (1 - p)^n at k = 0."""
+    table = np.array(_stirlerr_table())
+
+    def stirlerr(x):
+        xx = x * x
+        series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - (1 / 1188) / xx) / xx) / xx) / xx) / x
+        return np.where(x <= 15.0, table[np.minimum(x, 15.0).astype(np.int64)], series)
+
+    def bd0(x, m):
+        out = x * np.log(x / m) + m - x
+        for i in range(x.size):
+            s = _bd0_series(float(x[i]), float(m[i]))
+            if s is not None:
+                out[i] = s
+        return out
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lc = (stirlerr(n) - stirlerr(k) - stirlerr(n - k)
+              - bd0(k, n * p) - bd0(n - k, n * (1.0 - p)))
+        lf = log(2 * pi) + np.log(k) + np.log1p(-k / n)
+        return np.where(k > 0.0, np.exp(lc - 0.5 * lf), np.exp(n * np.log1p(-p)))
+
+
+def downward_tail(n: float, lo: float, p: float, pmf: float) -> float:
+    """F(lo - 1) for one station with lo > 0, summed one term at a time
+    from the pmf at lo: term j is term j - 1 times k (1 - p) / ((n - k +
+    1) p) at k = lo - j + 1, for the count of terms with r^count <=
+    2^-53 (1 - r), r the ratio at lo, at most lo."""
+    odds = (1.0 - p) / p
+    r = np.float64(lo * odds / (n - lo + 1.0))
+    count = int(np.minimum(np.ceil(np.log(2.0**-53 * (1.0 - r)) / np.log(r)), lo))
+    term, total = pmf, 0.0
+    for j in range(count):
+        k = lo - j
+        term *= k / (n + 1.0 - k) * odds
+        total += term
+    return total
+
+
 def station_order_table(den, p, cells=2**16, tail_sigmas=7.5, tail_pad=5):
     """Per-station binomial CDF rows over mean +- tail_sigmas sd + tail_pad.
 
     The table build in station order: rows lie back to back in cdf in
     station order (row i is cdf[offsets[i]:offsets[i + 1]]), built in
     chunks of max(1, cells // widest row) consecutive stations, each
-    padded to its widest row and masked. Each row is a log-gamma anchor
-    at lo, the pmf ratio recurrence (cumprod), a cumsum and then + F(lo
-    - 1); degenerate stations (den = 0, p = 0, p = 1) get the single
-    entry 1.0 at their certain outcome. Returns lo, offsets, cdf and
-    left_tail (F(lo - 1), 0 where lo = 0 or degenerate).
+    padded to its widest row and masked. Each row is loader_pmf at lo,
+    the pmf ratio recurrence (cumprod), a cumsum and then + F(lo - 1),
+    one station at a time by downward_tail; degenerate stations (den = 0,
+    p = 0, p = 1) get the single entry 1.0 at their certain outcome.
+    Returns lo, offsets, cdf and left_tail (F(lo - 1), 0 where lo = 0 or
+    degenerate).
     """
-    from scipy.special import betainc, gammaln
-
     den = np.asarray(den, dtype=np.int64)
     p = np.asarray(p, dtype=np.float64)
     n_st = den.size
@@ -332,15 +419,8 @@ def station_order_table(den, p, cells=2**16, tail_sigmas=7.5, tail_pad=5):
         grid = llo[:, None] + np.arange(wmax, dtype=np.float64)[None, :]
         valid = grid <= hi[s:e, None]
 
-        log_anchor = (
-            gammaln(nn[:, 0] + 1.0)
-            - gammaln(llo + 1.0)
-            - gammaln(nn[:, 0] - llo + 1.0)
-            + llo * np.log(pp[:, 0])
-            + (nn[:, 0] - llo) * np.log1p(-pp[:, 0])
-        )
         pmf = np.empty((e - s, wmax), dtype=np.float64)
-        pmf[:, 0] = np.exp(log_anchor)
+        pmf[:, 0] = loader_pmf(nn[:, 0], llo, pp[:, 0])
         if wmax > 1:
             ratio = np.where(
                 valid, (nn - grid) / (grid + 1.0) * (pp / (1.0 - pp)), 1.0
@@ -350,11 +430,9 @@ def station_order_table(den, p, cells=2**16, tail_sigmas=7.5, tail_pad=5):
         rows = np.cumsum(np.where(valid, pmf, 0.0), axis=1)
 
         tail = np.zeros(e - s, dtype=np.float64)
-        has_tail = (lo[s:e] > 0) & ~deg
-        if has_tail.any():
-            t = np.flatnonzero(has_tail)
-            # F(lo - 1) = I_{1-p}(n - lo + 1, lo), as the build takes it
-            tail[t] = betainc(den[s:e][t] - llo[t] + 1.0, llo[t], 1.0 - p[s:e][t])
+        for t in np.flatnonzero((lo[s:e] > 0) & ~deg):
+            tail[t] = downward_tail(float(nn[t, 0]), float(llo[t]), float(pp[t, 0]),
+                                    float(pmf[t, 0]))
         rows += tail[:, None]
         rows[deg, 0] = 1.0
         left_tail[s:e] = tail

@@ -920,6 +920,35 @@ for argv in (
     assert proc.returncode == 0, proc.stderr
 
 
+def test_only_beta_binomial_draws_import_scipy(data_dir, tmp_path):
+    # binomial and clustered:c draw from tables built and settled without
+    # scipy, in one process or behind a pool of forked workers; the
+    # beta-binomial draw inverts scipy's betaincinv
+    src_dir = Path(pollheap.__file__).resolve().parent.parent
+    clean = str(data_dir / "clean.tsv")
+    script = f"""
+import sys
+import pollheap.cli
+mc = ["--iterations", "100", "--format", "json"]
+for argv in (
+    ["analyze", "--model", "binomial", "--workers", "1", *mc],
+    ["analyze", "--model", "clustered:3", "--workers", "1", *mc],
+    ["histogram", "--workers", "2", *mc],
+):
+    out = {str(tmp_path)!r} + "/" + argv[0] + argv[2].replace(":", "_")
+    assert pollheap.cli.main([*argv, "--input", {clean!r}, "--out", out]) == 0, argv
+    assert "scipy" not in sys.modules, argv
+argv = ["analyze", "--model", "beta-binomial", "--workers", "1", *mc]
+assert pollheap.cli.main([*argv, "--input", {clean!r}, "--out", {str(tmp_path / "bb")!r}]) == 0
+assert "scipy" in sys.modules
+"""
+    env = dict(os.environ, PYTHONPATH=str(src_dir))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def _traced_spans(argv: list[str], trace_dir: Path) -> list[dict]:
     """Spans of one CLI run under perfbench/tracing.py, from every process."""
     src_dir = Path(pollheap.__file__).resolve().parent.parent

@@ -65,6 +65,29 @@ class TestBinning:
         assert kept.weights[1000] == 700
         assert kept.weights.sum() == 700
 
+    @pytest.mark.parametrize("jitter", [False, True])
+    def test_a_station_above_100_percent_is_refused_by_name(self, tmp_path, jitter):
+        # a two-station file read without apply_filters: station S2 gives
+        # 1200 ballots of 1000 registered, and S1's leader has 40 votes of
+        # 30 cast; both histograms and the fingerprint name the station
+        # and the metric instead of indexing past their bins
+        from pollheap.ingest import load_dataset
+        from pollheap.regions import fingerprint
+
+        path = tmp_path / "over_100.tsv"
+        path.write_text(
+            "station_id\tregion_code\tconstituency_id\tregistered\tgiven\tcast\tleader\n"
+            "S1\tA\tC1\t1000\t700\t30\t40\n"
+            "S2\tA\tC1\t1000\t1200\t1190\t400\n"
+        )
+        ds, _ = load_dataset(path)
+        with pytest.raises(ValueError, match=r"station 'S2' has turnout 1200 of 1000, above 100%"):
+            build_histogram(ds, "turnout", jitter=jitter)
+        with pytest.raises(ValueError, match=r"station 'S1' has result 40 of 30, above 100%"):
+            build_histogram(ds, "result", jitter=jitter)
+        with pytest.raises(ValueError, match=r"station 'S2' has turnout 1200 of 1000"):
+            fingerprint(ds)
+
     def test_bin_width_validation(self):
         with pytest.raises(ValueError):
             build_histogram(one_station(100, 50), "turnout", bin_width=Fraction(3, 10))

@@ -11,7 +11,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "pollheap"
 ALLOWED = {
     ("cli", "window_sweep"): "perfbench/tracing.py patches cli.window_sweep",
     ("cli", "mc_histograms"): "perfbench/tracing.py patches cli.mc_histograms",
-    ("mc", "scipy"): "loads scipy.special once before the pool forks its workers",
 }
 
 

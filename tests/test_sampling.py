@@ -4,6 +4,7 @@ import dataclasses
 import sys
 import tracemalloc
 from fractions import Fraction
+from math import comb
 from unittest import mock
 
 import numpy as np
@@ -432,7 +433,7 @@ def test_build_holds_little_beyond_the_finished_table():
 
     num, den = generate(GeneratorConfig(50_000), 1).dataset.metric("turnout")
     p = sampling._empirical_p(den, num)
-    _build_table(den[:1], p[:1])  # so that scipy's import is not traced
+    _build_table(den[:1], p[:1])  # so that first-call set-up is not traced
     tracemalloc.start()
     try:
         table = _build_table(den, p)
@@ -782,27 +783,82 @@ def test_rows_yield_whole_rows_and_window_tails_property(stations, cells):
 
 
 def test_every_cdf_value_of_a_build_or_a_settlement_comes_from_the_row_source():
-    # neither a build nor a settlement computes a CDF value or a window
-    # tail of its own: every _binom_cdf call they make is made in _rows
+    # neither a build nor a settlement computes a row's anchor pmf or a
+    # window tail of its own: every _binom_pmf and _lower_tail call they
+    # make is made in _rows, and none reaches the direct _binom_cdf
     callers = []
-    binom_cdf = sampling._binom_cdf
 
-    def spy(k, n, p):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return binom_cdf(k, n, p)
+    def spy(name):
+        real = getattr(sampling, name)
+
+        def call(*args):
+            callers.append((name, sys._getframe(1).f_code.co_name))
+            return real(*args)
+
+        return mock.patch.object(sampling, name, call)
 
     den = np.array([3000, 5000, 10**6, 800, 0], dtype=np.int64)
     p = np.array([0.5, 0.55, 0.3, 0.15, 0.5])
     t = np.arange(4)
     u = np.full(t.size, 0.5)
-    with mock.patch.object(sampling, "_binom_cdf", spy):
+    with spy("_binom_pmf"), spy("_lower_tail"), spy("_binom_cdf"):
         table = _build_table(den, p)
         built = len(callers)
         # walks past the band: rows through the window's end, no fallback
         got = table._settle(t, u, table.last[t] + 1)
     assert 0 < built < len(callers)
-    assert set(callers) == {"_rows"}
+    assert set(callers) == {("_binom_pmf", "_rows"), ("_lower_tail", "_rows")}
     assert np.array_equal(got, _binary_search_lookup(_reference(den[t], p[t]), u))
+
+
+def _exact_anchor_and_tail(n, lo, p):
+    """Binom(n, p) pmf at lo and F(lo - 1), for the float64 p = a / 2^e,
+    correctly rounded: term k is C(n, k) a^k (2^e - a)^(n - k) over 2^(e
+    n), each term below lo from the one above by exact integer division.
+    Term k - 1 is at most r = lo b / ((n - lo + 1) a) < 1 times term k,
+    so the sum stops once the terms left, at most term r / (1 - r), are
+    below 2^-80 of it."""
+    a, scale = Fraction(p).as_integer_ratio()
+    b = scale - a
+    term = comb(n, lo) * a**lo * b**(n - lo)
+    anchor, total = term, 0
+    r_num, r_den = lo * b, (n - lo + 1) * a
+    for k in range(lo, 0, -1):
+        term = term * k * b // ((n - k + 1) * a)
+        total += term
+        if (term * r_num) << 80 <= total * (r_den - r_num):
+            break
+    return anchor / scale**n, total / scale**n
+
+
+def test_row_anchor_and_window_tail_match_exact_binomial_sums():
+    # each row's anchor pmf and window tail, against exact integer sums:
+    # within 1e-12 relative at window starts up to n = 10^4, lo = 0 and
+    # 1 and p near 0 and 1 among them, and at every outcome below 20,
+    # where the stirlerr table, correctly rounded, stands in for its series
+    assert sampling._STIRLERR.tolist() == list(oracles._stirlerr_table())
+    rng = np.random.default_rng(32)
+    n = np.concatenate([[80, 10**4, 10**4, 10**4, 10**4, 9, 400], rng.integers(10, 10**4, 9)])
+    p = np.concatenate([[0.5, 1e-4, 1e-7, 1.0 - 2.0**-20, 0.999, 0.3, 0.05],
+                        rng.uniform(0.0, 1.0, 9)])
+    lo = sampling._window(n, p)[2]
+    assert {0, 1} <= set(lo.tolist())
+    small = [(m, k, q) for m in (1, 7, 15, 16, 19) for k in range(m) for q in (0.2, 0.7)]
+    nn = np.concatenate([n, [m for m, _, _ in small]]).astype(np.float64)
+    kk = np.concatenate([lo, [k for _, k, _ in small]]).astype(np.float64)
+    pp = np.concatenate([p, [q for _, _, q in small]])
+    anchors = sampling._binom_pmf(nn, kk, pp)
+    order = np.argsort(n, kind="stable")
+    tails = np.empty(n.size)
+    for s, e, tail, _, _ in sampling._rows(n[order], lo[order], p[order], np.ones(n.size, int)):
+        tails[order[s:e]] = tail
+    for i in range(nn.size):
+        m, k = int(nn[i]), int(kk[i])
+        anchor, tail = _exact_anchor_and_tail(m, k, float(pp[i]))
+        assert abs(anchors[i] / anchor - 1.0) <= 1e-12, (m, k, pp[i])
+        if i < n.size:
+            assert tails[i] == tail == 0.0 if k == 0 else abs(tails[i] / tail - 1.0) <= 1e-12, (
+                m, k, pp[i])
 
 
 def _copies(table, count):
@@ -841,6 +897,8 @@ def test_a_lookup_starts_from_the_key_table_without_ndtri():
     ref = _reference(den, p)
     keys = sampling._key_quantiles()
     assert keys.size == 2**16 and keys.nbytes == 512 * 1024
+    # AS241 in numpy gives scipy's quantiles to within a few ulps
+    assert np.abs(keys - scipy.special.ndtri((np.arange(2**16) + 0.5) / 2**16)).max() < 1e-14
     edge = rng.uniform(0.0, 2.0**-16, size=den.size)
     with mock.patch.object(scipy.special, "ndtri", side_effect=AssertionError("ndtri")):
         for u in (edge, np.minimum(1.0 - edge, _LAST_UNIFORM), rng.uniform(size=den.size)):
@@ -966,13 +1024,14 @@ def test_a_draw_past_its_window_goes_to_the_direct_quantile():
     # station 0's u is its window's last float64 entry, so no entry of
     # its row lies above it; its row is settled in one chunk with the
     # wider row of station 1, whose padding continues station 0's row
-    # past its window, but only binom_quantile may answer it
+    # past its window, but only binom_quantile may answer it. Station
+    # 1's u lies past its band and below its window's last entry
     den = np.array([10**6, 4 * 10**6], dtype=np.int64)
     p = np.array([0.5, 0.5])
     table = _build_table(den, p)
     ref = _reference(den, p)
-    u = np.array([_ref_row(ref, 0)[-1], _LAST_UNIFORM])
-    assert u[0] < _LAST_UNIFORM < _ref_row(ref, 1)[-1]
+    u = np.array([_ref_row(ref, 0)[-1], _ref_row(ref, 1)[-2]])
+    assert u[0] < _LAST_UNIFORM and u[1] < _ref_row(ref, 1)[-1]
     asked = []
 
     def spy(u, n, p):
