@@ -2,7 +2,8 @@
 
 Everything here is deliberately slow and literal: exact rational
 arithmetic for the probability mass functions, O(N^2) direct sums for
-the discrete Fourier transform, one csv record at a time for ingest,
+the discrete Fourier transform, the direct binomial quantile walked on
+scipy's betainc alone, one csv record at a time for ingest,
 fresh arrays for every spectrogram row, the heatmap colour ramp over a
 whole image at once, binomial CDF tables built in station order, one
 station's uniforms read alone from its Philox stream, the null mean
@@ -73,6 +74,62 @@ def binom_cdf_inverse(n: int, p: Fraction, u: Fraction) -> int:
         if acc >= u:
             return k
     return n
+
+
+def binom_quantile_walk(u, n, p) -> np.ndarray:
+    """Smallest k with Binom(n, p) CDF(k) strictly above u: the direct
+    walk with every CDF value from scipy's betainc(n - k, k + 1, 1 - p),
+    two evaluations per station at least, from a second-order
+    Cornish-Fisher guess continuity-corrected at ndtri(u) and clipped to
+    [0, n], up while F(k) <= u (F(n) is 1) and down while F(k - 1) > u.
+    Its arithmetic, guess included, is kept as it is, because betainc
+    need not be bitwise monotone and a different start or step could
+    give a different draw.
+    """
+    from scipy.special import betainc, ndtri
+
+    def cdf(k, n, p):
+        return betainc(n - k, k + 1.0, 1.0 - p)
+
+    u = np.atleast_1d(np.asarray(u, dtype=np.float64))
+    n = np.broadcast_to(np.asarray(n, dtype=np.int64), u.shape)
+    p = np.broadcast_to(np.asarray(p, dtype=np.float64), u.shape)
+    out = np.zeros(u.shape, dtype=np.int64)
+    saturated = (p >= 1.0) & (n > 0)
+    out[saturated] = n[saturated]
+    regular = (n > 0) & (p > 0.0) & (p < 1.0)
+    if not regular.any():
+        return out
+
+    idx = np.flatnonzero(regular)
+    nn = n[idx].astype(np.float64)
+    pp = p[idx]
+    uu = u[idx]
+    q = 1.0 - pp
+    mu = nn * pp
+    sig = np.sqrt(mu * q)
+    with np.errstate(divide="ignore"):
+        z = np.clip(ndtri(uu), -40.0, 40.0)
+    k = np.floor(mu + sig * z + (z * z - 1.0) * (q - pp) / 6.0 + 0.5)
+    k = np.clip(k, 0.0, nn)
+
+    F = np.where(k >= nn, 1.0, cdf(np.minimum(k, nn - 1.0), nn, pp))
+    lag = np.flatnonzero(F <= uu)
+    while lag.size:
+        k[lag] += 1.0
+        below_top = np.minimum(k[lag], nn[lag] - 1.0)
+        F[lag] = np.where(k[lag] >= nn[lag], 1.0, cdf(below_top, nn[lag], pp[lag]))
+        lag = lag[F[lag] <= uu[lag]]
+
+    cand = np.flatnonzero(k > 0.0)
+    while cand.size:
+        Fm = cdf(k[cand] - 1.0, nn[cand], pp[cand])
+        cand = cand[Fm > uu[cand]]
+        k[cand] -= 1.0
+        cand = cand[k[cand] > 0.0]
+
+    out[idx] = k.astype(np.int64)
+    return out
 
 
 def station_uniforms(master_seed, iteration_index, metric_code, station_index, words):

@@ -136,6 +136,16 @@ class TestBinomQuantile:
         with pytest.raises(ValueError, match=r"\[0, 1\)"):
             binom_quantile(np.array([np.nan]), np.array([5], dtype=np.int64), np.array([0.5]))
 
+    @pytest.mark.parametrize(
+        "n, p, name",
+        [(10, np.nan, "p"), (10, -0.2, "p"), (10, 1.5, "p"), (-4, 0.3, "n"), (2.7, 0.5, "n")],
+    )
+    def test_an_invalid_n_or_p_is_refused_by_name(self, n, p, name):
+        # each of these once returned a count: [0], [0], [10], [0], and
+        # [1] from n truncated to 2
+        with pytest.raises(ValueError, match=rf"^{name} must"):
+            binom_quantile(0.5, n, p)
+
     def test_degenerate_p(self):
         got = binom_quantile(
             np.array([0.0, 0.999999, 0.5]),
@@ -181,6 +191,99 @@ def test_binom_quantile_strict_convention_property(n, pnum, uk):
     assert cdf_k > u
     if k > 0:
         assert cdf_prev <= u
+
+
+def _betainc_spy(asked):
+    """A stand-in for scipy.special.betainc that records each call's
+    first argument, n - k, before it evaluates."""
+    from scipy.special import betainc
+
+    def spy(a, b, x):
+        asked.append(np.array(a, dtype=np.float64, copy=True))
+        return betainc(a, b, x)
+
+    return mock.patch("scipy.special.betainc", spy)
+
+
+def test_binom_quantile_equals_the_walk_on_betainc_alone():
+    # n up to MAX_COUNT; p across (0, 1), and 1e-17 to 0.1 away from 0
+    # and from 1; u at 0 and at the largest uniform besides random ones
+    rng = np.random.default_rng(33)
+    size = 20_000
+    n = np.floor(10.0 ** rng.uniform(0.0, np.log10(MAX_COUNT), size)).astype(np.int64)
+    n[:50] = MAX_COUNT
+    tiny = 10.0 ** -rng.uniform(1.0, 17.0, size)
+    side = rng.integers(0, 3, size)
+    p = np.select([side == 0, side == 1], [tiny, 1.0 - tiny], rng.random(size))
+    u = rng.random(size)
+    u[::40] = 0.0
+    u[1::40] = _LAST_UNIFORM
+    got = binom_quantile(u, n, p)
+    assert np.array_equal(got, oracles.binom_quantile_walk(u, n, p))
+
+    # the guard's premise, at each answer k > 0 and at k + 1, from where
+    # a first step down goes: F(k) - pmf(k) lies far inside _GUARD of
+    # _binom_cdf(k - 1), so that a scipy whose betainc breaks it fails here
+    regular = (got > 0) & (p > 0.0) & (p < 1.0)
+    nn, pp = n[regular].astype(np.float64), p[regular]
+    for k in (got[regular].astype(np.float64), np.minimum(got[regular] + 1.0, nn)):
+        F = np.where(k >= nn, 1.0, sampling._binom_cdf(np.minimum(k, nn - 1.0), nn, pp))
+        est = F - sampling._step_pmf(nn, k, pp)
+        gap = np.abs(est - sampling._binom_cdf(k - 1.0, nn, pp))
+        assert np.all(gap <= sampling._GUARD / 16), float(np.nanmax(gap))
+
+
+def test_a_first_step_down_inside_the_guard_evaluates_betainc():
+    # u = F(k - 1) +- 2^-40 at a guess k near the mean: F(k) - pmf(k)
+    # cannot settle F(k - 1) > u, so betainc does, at k - 1 for every
+    # station; at +- 2^-20 the difference settles it and, above F(k - 1),
+    # no second evaluation runs
+    rng = np.random.default_rng(34)
+    n = rng.integers(10, 10**6, 400).astype(np.float64)
+    p = rng.uniform(0.05, 0.95, 400)
+    k = np.floor(n * p) + rng.integers(-2, 3, 400)
+    below = sampling._binom_cdf(k - 1.0, n, p)
+    for offset, inside in ((2.0**-40, True), (-(2.0**-40), True), (2.0**-20, False)):
+        u = below + offset
+        kept = sampling._quantile_guess(u, n, p) == k
+        assert kept.sum() >= 50
+        asked = []
+        with _betainc_spy(asked):
+            got = binom_quantile(u[kept], n[kept], p[kept])
+        assert np.array_equal(got, oracles.binom_quantile_walk(u[kept], n[kept], p[kept]))
+        assert np.array_equal(got, k[kept] - (offset < 0))
+        assert np.array_equal(asked[0], n[kept] - k[kept])
+        if inside:
+            assert np.array_equal(asked[1], n[kept] - k[kept] + 1.0)
+        else:
+            assert len(asked) == 1
+
+    # a NaN difference is as unsure as one inside the guard
+    u = below - 2.0**-20
+    kept = sampling._quantile_guess(u, n, p) == k
+    with mock.patch.object(sampling, "_binom_pmf", lambda n, k, p: np.full(n.shape, np.nan)):
+        got = binom_quantile(u[kept], n[kept], p[kept])
+    assert np.array_equal(got, k[kept] - 1)
+
+
+def test_the_direct_walk_evaluates_betainc_about_once_per_station(null_2k):
+    # a beta-binomial draw walks binom_quantile for every station; the
+    # walk on betainc alone evaluates it twice per station at least
+    sampler = make_sampler(null_2k.registered, null_2k.given, "beta-binomial", "turnout")
+    u = iteration_uniforms(5, 0, "turnout", sampler.n_stations, 2)
+    walked, alone = [], []
+    with _betainc_spy(walked):
+        sampler.draw_from_uniforms(u)
+    from scipy.special import betaincinv
+
+    num, den = null_2k.given, null_2k.registered
+    p = betaincinv(num + 1.0, den - num + 1.0, u[:, 0])
+    with _betainc_spy(alone):
+        oracles.binom_quantile_walk(u[:, 1], den, p)
+    regular = np.count_nonzero((p > 0.0) & (p < 1.0) & (den > 0))
+    per_station = sum(a.size for a in walked) / regular
+    assert 1.0 <= per_station <= 1.05
+    assert sum(a.size for a in alone) / regular >= 2.0
 
 
 class TestDistributionalExactness:
@@ -977,6 +1080,32 @@ def test_beta_binomial_draws_follow_their_pmf_station_by_station():
         sampler = _repeat_sampler(int(n), k, "beta-binomial", copies)
         draws = sampler.draw(int(n), 0)
         _assert_follows_pmf(draws, betabinom.pmf(np.arange(n + 1), n, k + 1, n - k + 1), (n, k))
+
+
+def test_beta_binomial_draws_in_blocks_equal_the_whole_array_draw(null_2k):
+    # 200 stations in blocks of 64: four blocks, the last of 8 stations
+    den, num = null_2k.registered[:200], null_2k.given[:200]
+    model = NullModel("beta_binomial")
+    edges = (0, 1, 62, 63, 64, 65, 127, 128, 129, 191, 192, 193, 198, 199)
+    sizes = []
+
+    def spy(u, n, p):
+        sizes.append(np.size(u))
+        return binom_quantile(u, n, p)
+
+    with mock.patch.object(sampling, "_DRAW_BLOCK", 64):
+        batch = make_sampler(den, num, model, "turnout").draw(master_seed=9, iteration_index=2)
+        singles = [_single_draw(den, num, model, "turnout", 9, 2, i) for i in edges]
+        with mock.patch.object(sampling, "binom_quantile", spy):
+            make_sampler(den, num, model, "turnout").draw(master_seed=9, iteration_index=2)
+    assert sizes == [64, 64, 64, 8]
+    assert singles == batch[list(edges)].tolist()
+
+    from scipy.special import betaincinv
+
+    u = iteration_uniforms(9, 2, "turnout", den.size, 2)
+    p = betaincinv(num + 1.0, den - num + 1.0, u[:, 0])
+    assert np.array_equal(batch, oracles.binom_quantile_walk(u[:, 1], den, p))
 
 
 @pytest.mark.parametrize("model", ["binomial", "beta-binomial", "clustered:3"])
